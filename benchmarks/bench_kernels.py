@@ -5,7 +5,7 @@ Two workloads:
   2. an end-to-end destabilization search (many small structured blocks plus
      occasional dense kernels), timed under each backend.
 
-Run:  python benchmarks/bench_kernels.py  [--sizes 200,400,800] [--p 7]
+Run:  PYTHONPATH=src python benchmarks/bench_kernels.py  [--sizes 200,400,800] [--p 7]
 """
 
 import argparse
@@ -58,22 +58,33 @@ def bench_rref(backends, sizes, p, repeats=3):
         print(line)
 
 
-def bench_search(p, d, a, e_max):
-    """Time `search_destabilization` in a subprocess pinned to each backend."""
+def bench_search(backends, p, d, a, e_max):
+    """Time `search_destabilization` in a subprocess per available backend.
+
+    The child reports the backend it actually loaded; the compiled run is
+    skipped when the extension does not import here.
+    """
     print(f"\nsearch_destabilization(p={p}, d={d}, a={a}, e_max={e_max}) wall time")
     snippet = (
         "import time, fermatsyz as fz;"
         "t0=time.perf_counter();"
         f"c=fz.search_destabilization({p},{d},{a},{e_max});"
-        "print(f'{time.perf_counter()-t0:.3f}s', 'certificate' if c else 'none')"
+        "print(fz.BACKEND, f'{time.perf_counter()-t0:.3f}s', 'certificate' if c else 'none')"
     )
-    for backend in ("cython", "python"):
-        env = dict(os.environ, FERMATSYZ_BACKEND=backend)
+    for backend in backends:
+        env = dict(os.environ)
+        env.pop("FERMATSYZ_BACKEND", None)  # unset: the compiled kernel when it imports
+        if backend == "python":
+            env["FERMATSYZ_BACKEND"] = "python"
         out = subprocess.run(
             [sys.executable, "-c", snippet], env=env, capture_output=True, text=True
         )
-        tag = out.stdout.strip() or out.stderr.strip()
-        print(f"{backend:>10}: {tag}")
+        if out.returncode != 0:
+            print(f"{backend:>10}: failed: {out.stderr.strip()}")
+            continue
+        loaded, tag = out.stdout.strip().split(" ", 1)
+        note = "" if loaded == backend else f"   MISMATCH: child loaded {loaded}"
+        print(f"{backend:>10}: {tag}{note}")
 
 
 def main():
@@ -85,7 +96,7 @@ def main():
 
     backends = load_backends()
     bench_rref(backends, sizes, args.p)
-    bench_search(p=7, d=6, a=3, e_max=3)
+    bench_search(backends, p=7, d=6, a=3, e_max=3)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,23 @@ elimination paths are provided:
 Both paths canonicalize through a final reduced-echelon pass, so they
 return identical bases; tests enforce this.
 
+Residue families.  On a curve (d > 0) the blocks come in families: the
+class (i, j0, l0) in [0, d)^3 owns the twists n = a1 + i + j0 + l0 + d N,
+N >= 0, and its block at level N depends only on
+
+    t = (i + a1) // d,  A = (a2 - 1 - j0) // d + 1,  B = (a3 - 1 - l0) // d + 1
+
+(A or B is 0 when its numerator is negative) and on N.  With u = Y^d and
+w = Z^d the block's kernel is the degree-N part of
+{f in F_p[u, w] : f (u + w)^t in (u^A, w^B)}, the syzygy gaps of
+Han-Monsky ("Some surprising Hilbert-Kunz functions", Math. Z. 1993).
+Multiplying by u keeps f in that set, so once a family has a kernel it
+keeps one at every larger N: each family has a threshold N*(t, A, B),
+found by binary search, and ``first_section_twist`` reads the least
+twist with a section off the thresholds instead of eliminating every
+block at every twist.  Families sharing (t, A, B) share the threshold,
+and there are at most eight such groups per spec.
+
 Dimension reports carry ``lower_bound: True`` semantics: sections are
 produced from module syzygies, which always give genuine sheaf sections
 but are not claimed here to exhaust them in every degree.
@@ -38,9 +55,6 @@ from .field import PrimeField, binom_uint
 from .linalg import MatrixModP, kernel_from_rref, rref
 from .poly import EXP_LIMIT, GradedPoly, Monomial
 from .ring import FermatRing
-
-#: reports of section-space dimensions are lower bounds (module syzygies)
-SECTION_DIMS_ARE_LOWER_BOUNDS = True
 
 _RING_CACHE: dict = {}
 
@@ -60,7 +74,7 @@ class SyzygySpec:
     d = 0 encodes the ambient projective plane.  The three generators
     never vanish simultaneously on a Fermat curve (no coordinate point
     satisfies X^d + Y^d + Z^d = 0), so the syzygy sheaf is locally free of
-    rank 2; the constructor asserts this rather than assuming it silently.
+    rank 2.
     """
 
     p: int
@@ -75,10 +89,6 @@ class SyzygySpec:
             raise ValueError("curve degree must be >= 0 (0 = projective plane)")
         if len(self.exponents) != 3 or min(self.exponents) < 1:
             raise ValueError("need three generator exponents >= 1")
-        # the coordinate points (1:0:0), (0:1:0), (0:0:1) satisfy
-        # X^d + Y^d + Z^d = 1 != 0, so the generators share no zero on the curve
-        if 1 % self.p == 0:
-            raise InternalCheckError("impossible: 1 = 0 in a prime field")
 
     @property
     def rank(self) -> int:
@@ -203,6 +213,24 @@ def _binom_row(t: int, p: int, cache: dict) -> np.ndarray:
     return row
 
 
+def _band(t: int, A: int, B: int, N: int, row: np.ndarray) -> np.ndarray:
+    """Bad-projection block of the residue family (t, A, B) at level N.
+
+    Columns are alpha = 0..N, rows the target exponents gamma with
+    gamma < A and N + t - gamma < B; the entry is C(t, gamma - alpha),
+    read from ``row`` = [C(t, v) mod p for v = 0..t].
+    """
+    lo = max(0, N + t - B + 1)
+    hi = min(N + t, A - 1)
+    if lo > hi:
+        return np.zeros((0, N + 1), dtype=np.int64)
+    gammas = np.arange(lo, hi + 1)
+    alphas = np.arange(N + 1)
+    diff = gammas[:, None] - alphas[None, :]
+    ok = (diff >= 0) & (diff <= t)
+    return np.where(ok, row[np.clip(diff, 0, t)], 0)
+
+
 def _curve_blocks(spec: SyzygySpec, n: int):
     """Yield (i, j0, l0, N, t, block) per nonempty residue class (d > 0).
 
@@ -212,32 +240,20 @@ def _curve_blocks(spec: SyzygySpec, n: int):
     """
     a1, a2, a3 = spec.exponents
     d = spec.d
-    p = spec.p
     src_deg = n - a1
     cache: dict = {}
     for i in range(min(d, src_deg + 1)):
-        t, _i2 = divmod(i + a1, d)
-        row = _binom_row(t, p, cache)
+        t = (i + a1) // d
+        row = _binom_row(t, spec.p, cache)
         for j0 in range(min(d, src_deg - i + 1)):
             l0 = (src_deg - i - j0) % d
             rem = src_deg - i - j0 - l0
             if rem < 0:
                 continue
             n_alpha = rem // d
-            m_total = n_alpha + t
-            g2 = (a2 - 1 - j0) // d if a2 - 1 - j0 >= 0 else -1
-            g3 = (a3 - 1 - l0) // d if a3 - 1 - l0 >= 0 else -1
-            lo = max(0, m_total - g3)
-            hi = min(m_total, g2)
-            if lo > hi:
-                block = np.zeros((0, n_alpha + 1), dtype=np.int64)
-            else:
-                gammas = np.arange(lo, hi + 1)
-                alphas = np.arange(n_alpha + 1)
-                diff = gammas[:, None] - alphas[None, :]
-                ok = (diff >= 0) & (diff <= t)
-                block = np.where(ok, row[np.clip(diff, 0, t)], 0)
-            yield i, j0, l0, n_alpha, t, block
+            A = (a2 - 1 - j0) // d + 1
+            B = (a3 - 1 - l0) // d + 1
+            yield i, j0, l0, n_alpha, t, _band(t, A, B, n_alpha, row)
 
 
 def _plane_good_s1(spec: SyzygySpec, n: int):
@@ -407,3 +423,78 @@ def has_section(spec: SyzygySpec, n: int, method: str = "auto") -> bool:
     if method == "dense":
         return section_space_dim(spec, n, "dense") > 0
     return _structured_dim(spec, n, early_exit=True) > 0
+
+
+def _runs(values) -> list:
+    """[value, first, last] for each maximal run of equal consecutive values."""
+    runs: list = []
+    for r, v in enumerate(values):
+        if runs and runs[-1][0] == v:
+            runs[-1][2] = r
+        else:
+            runs.append([v, r, r])
+    return runs
+
+
+def _least_twist(s_lo: int, s_hi: int, d: int, N: int, lo: int) -> int:
+    """Least n >= lo of the form s + d M with s in [s_lo, s_hi] and M >= N."""
+    if lo <= s_lo + d * N:
+        return s_lo + d * N
+    k = (lo - s_lo) // d  # lo lies in [s_lo + d k, s_lo + d (k + 1)), and k >= N
+    return lo if lo <= s_hi + d * k else s_lo + d * (k + 1)
+
+
+def _family_threshold(t: int, A: int, B: int, N_lo: int, N_hi: int, p: int, row) -> int:
+    """Least N in [N_lo, N_hi] at which the family (t, A, B) has a nonzero
+    block kernel, or N_hi when there is none below it.
+
+    The kernel is monotone in N (see the module docstring), so binary
+    search applies.  At N = min(A, B) the band has at most min(A, B) rows
+    and N + 1 columns, so the true threshold is at most min(A, B).
+    """
+    lo, hi = N_lo, min(N_hi, A, B)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        block = _band(t, A, B, mid, row)
+        if block.shape[0] <= mid or _rank(block, p) <= mid:  # nullity > 0
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def first_section_twist(spec: SyzygySpec, lo: int, hi: int) -> int | None:
+    """Least n in [lo, hi] with a nonzero degree-n module syzygy, or None.
+
+    Curves only (d > 0); agrees with the first n for which ``has_section``
+    holds.  The Koszul family gives sections from n = a2 + a3 on; every
+    other section comes from a residue family at a level N at or above its
+    threshold N*(t, A, B).  The families sharing (t, A, B) form a box of
+    residues (i, j0, l0) -- t, A and B each take at most two values, each
+    on an interval of residues -- whose base twists a1 + i + j0 + l0 fill
+    an interval, so one threshold per box, at most eight per call, decides
+    them all.
+    """
+    if spec.d == 0:
+        raise ValueError("first_section_twist needs a curve (d > 0)")
+    a1, a2, a3 = spec.exponents
+    d, p = spec.d, spec.p
+    best = hi + 1  # least twist with a section found so far
+    if a2 + a3 <= hi:
+        best = max(lo, a2 + a3)
+    boxes = []
+    for t, i_lo, i_hi in _runs([(i + a1) // d for i in range(d)]):
+        for A, j_lo, j_hi in _runs([(a2 - 1 - j) // d + 1 for j in range(d)]):
+            for B, l_lo, l_hi in _runs([(a3 - 1 - l) // d + 1 for l in range(d)]):
+                s_lo, s_hi = a1 + i_lo + j_lo + l_lo, a1 + i_hi + j_hi + l_hi
+                boxes.append((_least_twist(s_lo, s_hi, d, 0, lo), s_lo, s_hi, t, A, B))
+    cache: dict = {}
+    for bound, s_lo, s_hi, t, A, B in sorted(boxes):
+        if bound >= best:
+            break
+        # levels whose twists all lie below lo, or all above best, need no test
+        N_lo = max(0, -((s_hi - lo) // d))
+        N_hi = (best - 1 - s_lo) // d + 1
+        N = _family_threshold(t, A, B, N_lo, N_hi, p, _binom_row(t, p, cache))
+        best = min(best, _least_twist(s_lo, s_hi, d, N, lo))
+    return best if best <= hi else None

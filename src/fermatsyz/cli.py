@@ -122,6 +122,15 @@ def _scan_cell(p: int, d: int, a: int, e_max: int, method: str, timings: bool) -
     return record
 
 
+def _records_in_grid_order(work, grid, threads: int):
+    """Yield work(cell) for each cell, in grid order, as the results arrive."""
+    if threads <= 1:
+        yield from map(work, grid)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(work, grid)
+
+
 def cmd_scan(args) -> int:
     try:
         ps = _parse_int_list(args.p)
@@ -137,33 +146,30 @@ def cmd_scan(args) -> int:
         p, d, a = cell
         return _scan_cell(p, d, a, args.e_max, args.method, args.timings)
 
+    # each record is written and flushed as soon as it and every record
+    # before it are done, so a crash keeps all records of the cells before it
+    by_d: dict = {}
+    written = 0
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                records = list(pool.map(work, grid))  # merged in grid order
-        else:
-            records = [work(cell) for cell in grid]
+        with open(args.out, "w", encoding="utf-8") as fh:
+            for rec in _records_in_grid_order(work, grid, threads):
+                fh.write(_dump_line(rec) + "\n")
+                fh.flush()
+                written += 1
+                entry = by_d.setdefault(rec["d"], {"certificate": 0, "none": 0, "skipped": 0})
+                entry[rec["outcome"]] += 1
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
     except FermatSyzError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(_dump_line(rec) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-
-    by_d: dict = {}
-    for rec in records:
-        entry = by_d.setdefault(rec["d"], {"certificate": 0, "none": 0, "skipped": 0})
-        entry[rec["outcome"]] += 1
     print(f"{'d':>6} {'certified':>10} {'inconclusive':>13} {'skipped':>8}")
     for d in sorted(by_d):
         e = by_d[d]
         print(f"{d:>6} {e['certificate']:>10} {e['none']:>13} {e['skipped']:>8}")
-    print(f"wrote {len(records)} records to {args.out}")
+    print(f"wrote {written} records to {args.out}")
     return 0
 
 
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("auto", "dense", "structured"),
         default="auto",
-        help="elimination path (both give identical kernels)",
+        help="elimination for the certificate's section space (all give identical kernels)",
     )
     s.add_argument("--threads", type=int, default=0, help="0 = use FERMATSYZ_THREADS or 1")
     s.add_argument(

@@ -108,9 +108,6 @@ class MatrixModP:
             acc = (acc + self.array[:, lo:hi] @ other.array[lo:hi, :]) % p
         return MatrixModP(acc, p)
 
-    def mul_vector(self, v) -> np.ndarray:
-        return self.matmul(MatrixModP(np.asarray(v).reshape(-1, 1), self.p)).array[:, 0]
-
     # -- elimination ---------------------------------------------------------
 
     def rref(self):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SmoothnessError
 from .field import PrimeField
 from .linalg import MatrixModP
 from .poly import FermatRelation, GradedPoly, Monomial, normal_form, reduce_monomial
@@ -51,12 +50,6 @@ class FermatRing:
     def smooth(self) -> bool:
         """The Fermat curve is smooth iff p does not divide d (P^2 always)."""
         return self.d == 0 or self.d % self.p != 0
-
-    def require_smooth(self):
-        if not self.smooth:
-            raise SmoothnessError(
-                f"p = {self.p} divides d = {self.d}: the Fermat curve is not smooth"
-            )
 
     def __eq__(self, other):
         return isinstance(other, FermatRing) and self.field == other.field and self.d == other.d

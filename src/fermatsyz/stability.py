@@ -8,10 +8,11 @@ The engine behind three user-facing operations:
   X^dp + Y^dp + Z^dp is the p-th power of the curve equation; the twisted
   bundle then has a nonzero section but negative degree, so its pullback
   of Syz(X^a, Y^a, Z^a) is not semistable.
-* ``search_destabilization`` is the bounded semidecision: scan Frobenius
-  levels e = 0..e_max and all twists n in the window where a section
-  forces negative degree; report the first hit or "nothing found" (which
-  never asserts strong semistability).
+* ``search_destabilization`` is the bounded semidecision: for Frobenius
+  levels e = 0..e_max find the least twist n in the window where a
+  section forces negative degree, from the residue-family thresholds of
+  ``bundle.first_section_twist``; report the first hit or "nothing found"
+  (which never asserts strong semistability).
 * ``deviation_lower_bound`` evaluates the exact normalized slope gap and
   its closed-form lower bound a^2 p^(e-1) - 2a for the degree choice
   d = a p^(e-1) + 1.
@@ -26,7 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundle import SectionVector, SyzygySpec, has_section, section_space
+from .bundle import (
+    SectionVector,
+    SyzygySpec,
+    first_section_twist,
+    has_section,
+    section_space,
+)
 from .errors import (
     ExponentOverflowError,
     InapplicableError,
@@ -234,11 +241,24 @@ def search_destabilization(
 ) -> DestabCertificate | None:
     """Bounded semidecision: smallest (e, n) with a destabilizing section.
 
-    For each level e = 0..e_max scans the twist window
+    For each level e = 0..e_max looks for sections in the twist window
     n in [aq + 1, ceil(3aq/2) - 1] (q = p^e), exactly the degrees where a
     nonzero section forces negative bundle degree.  Returns None when no
     certificate exists within bounds -- which proves nothing about strong
     semistability.
+
+    On a curve the sections outside the Koszul family split into residue
+    families (i, j0, l0) in [0, d)^3, one block per family and twist.  A
+    family's block kernel at level N is the degree-N part of
+    {f : f (u + w)^t in (u^A, w^B)} with u = Y^d, w = Z^d, and since u f
+    stays in that set, a family that has a kernel at N has one at every
+    larger N.  The least twist with a section is therefore the least
+    in-window family twist at or above the family's threshold N*(t, A, B),
+    found by binary search once per distinct (t, A, B), at most eight
+    times per level (see ``bundle.first_section_twist``).  The certificate's
+    section is the first vector of ``section_space`` at that twist;
+    ``method`` picks the elimination used there.  On the plane (d = 0)
+    every twist of the window is checked to have no section.
     """
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
@@ -250,14 +270,15 @@ def search_destabilization(
         q = _check_pq(p, e)
         aq = a * q
         spec = SyzygySpec(p, d, (aq, aq, aq), 0)
-        n_hi = (3 * aq + 1) // 2 - 1  # ceil(3aq/2) - 1
-        for n in range(aq + 1, n_hi + 1):
-            if not has_section(spec, n, method=method):
-                continue
-            if d == 0:
+        n_lo, n_hi = aq + 1, (3 * aq + 1) // 2 - 1  # ceil(3aq/2) - 1
+        if d == 0:
+            if any(has_section(spec, n, method=method) for n in range(n_lo, n_hi + 1)):
                 raise InternalCheckError(
                     "sections below the Koszul floor on the projective plane"
                 )
+            continue
+        n = first_section_twist(spec, n_lo, n_hi)
+        if n is not None:
             section = section_space(spec, n, method=method)[0]
             return _build_certificate(p, a, d, e, q, n, section)
     return None

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from fermatsyz import cli
 from fermatsyz.cli import _parse_int_list, main
+from fermatsyz.errors import ExponentOverflowError, FermatSyzError
 
 
 def run_cli(capsys, *argv):
@@ -201,3 +203,36 @@ def test_scan_unwritable_path_exit_1(capsys):
     )
     assert code == 1
     assert "cannot write" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("error", [ExponentOverflowError, RuntimeError])
+def test_scan_crash_keeps_finished_records(tmp_path, capsys, monkeypatch, threads, error):
+    base = ["scan", "--p", "2,3", "--d", "5..7", "--a", "1", "--e-max", "1"]
+    full = tmp_path / "full.jsonl"
+    assert main(base + ["--out", str(full)]) == 0
+    expected = full.read_text().splitlines()
+    searched = [(p, d) for p in (2, 3) for d in (5, 6, 7) if d % p]
+    crash_at = searched[2]  # the fourth grid cell; cells 1..3 must survive
+    real_search = cli.search_destabilization
+
+    out = tmp_path / "crash.jsonl"
+    on_disk_at_crash = []
+
+    def search(p, d, a, e_max, method="auto"):
+        if (p, d) == crash_at:
+            on_disk_at_crash.append(out.read_text())
+            raise error("injected failure")
+        return real_search(p, d, a, e_max, method=method)
+
+    monkeypatch.setattr(cli, "search_destabilization", search)
+    argv = base + ["--threads", threads, "--out", str(out)]
+    if issubclass(error, FermatSyzError):
+        assert main(argv) == 1
+    else:
+        with pytest.raises(error):
+            main(argv)
+    capsys.readouterr()
+    assert out.read_text().splitlines() == expected[:3]
+    if threads == "1":  # serially, the earlier records are flushed before the cell runs
+        assert on_disk_at_crash[0].splitlines() == expected[:3]
