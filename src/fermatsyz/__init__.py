@@ -2,9 +2,11 @@
 Fermat curves lose semistability, plus the tight-closure counterexample
 pipeline built on the same arithmetic.
 
-All computations are over F_p with exact integer/rational arithmetic; the
-elimination hot path runs in a compiled kernel when available (see
-fermatsyz._kernels.BACKEND).
+All computations are over F_p with exact integer/rational arithmetic.
+Every elimination runs in the one numpy kernel (``fermatsyz._kernels``).
+Section spaces are computed by the structured block decomposition; the
+dense elimination of the full syzygy matrix is kept as the reference that
+tests compare against (``section_space(spec, n, "dense")``).
 """
 
 __version__ = "0.1.0"

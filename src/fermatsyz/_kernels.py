@@ -1,11 +1,17 @@
-"""Pure numpy implementation of the mod-p elimination kernel.
+"""The mod-p elimination kernel: in-place reduced row echelon form in numpy.
 
-Import-compatible fallback for the compiled extension; must produce
-bit-identical results (the RREF of a matrix is unique, and the pivot
-rule -- first nonzero entry in column order -- is fixed here as well).
+Every exact elimination in the package (the structured section path that
+production runs, the dense reference path that tests compare against,
+ideal membership and certificate re-verification) goes through
+``rref_mod_p`` via ``linalg.rref``.  The RREF of a matrix is unique, and
+the pivot rule -- first nonzero entry in column order -- is fixed here.
+
+``BACKEND`` names this implementation; benchmark results record it.
 """
 
 import numpy as np
+
+BACKEND = "python"
 
 
 def rref_mod_p(a, p):

@@ -5,21 +5,21 @@ kernel of
 
     [ .X^a1 | .Y^a2 | .Z^a3 ] : R_{n-a1} (+) R_{n-a2} (+) R_{n-a3} -> R_n
 
-over the Fermat ring (or the polynomial ring for the plane, d = 0).  Two
-elimination paths are provided:
+over the Fermat ring (or the polynomial ring for the plane, d = 0).
 
-* ``dense``      -- assemble the full block matrix and take its kernel;
-* ``structured`` -- exploit that multiplying a basis monomial by Y^a2 or
-  Z^a3 never needs reduction, so the degree-n piece of (Y^a2, Z^a3)R is
-  spanned exactly by the basis monomials with Y-exponent >= a2 or
-  Z-exponent >= a3.  A section is therefore determined by its first
-  component s1, constrained by  s1 * X^a1 in (Y^a2, Z^a3)R, and that
-  constraint splits into independent small banded binomial blocks indexed
-  by the exponent residues mod d (the rewrite X^d -> -(Y^d + Z^d) moves
-  exponents only in steps of d).
+The production path is ``structured``: multiplying a basis monomial by
+Y^a2 or Z^a3 never needs reduction, so the degree-n piece of (Y^a2, Z^a3)R
+is spanned exactly by the basis monomials with Y-exponent >= a2 or
+Z-exponent >= a3.  A section is therefore determined by its first
+component s1, constrained by  s1 * X^a1 in (Y^a2, Z^a3)R, and that
+constraint splits into independent small banded binomial blocks indexed
+by the exponent residues mod d (the rewrite X^d -> -(Y^d + Z^d) moves
+exponents only in steps of d).
 
-Both paths canonicalize through a final reduced-echelon pass, so they
-return identical bases; tests enforce this.
+``dense`` -- assemble the full block matrix (``syzygy_matrix``) and take
+its kernel -- is the reference that tests compare against; pass
+``method="dense"`` to select it.  Both paths canonicalize through a final
+reduced-echelon pass, so they return identical bases.
 
 Residue families.  On a curve (d > 0) the blocks come in families: the
 class (i, j0, l0) in [0, d)^3 owns the twists n = a1 + i + j0 + l0 + d N,
@@ -169,7 +169,7 @@ class SectionVector:
         return f"SectionVector(twist={self.twist}, {self.serialize()})"
 
 
-# -- dense path --------------------------------------------------------------
+# -- dense reference path -----------------------------------------------------
 
 
 def syzygy_matrix(spec: SyzygySpec, n: int) -> MatrixModP:
@@ -373,9 +373,6 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> np.ndarray:
 
 # -- public API ----------------------------------------------------------------
 
-_DENSE_CUTOFF = 4000  # matrix entries; below this the dense path is just as fast
-
-
 def _unpack_rows(spec: SyzygySpec, n: int, rows) -> list:
     ring = spec.ring
     a1, a2, a3 = spec.exponents
@@ -390,37 +387,37 @@ def _unpack_rows(spec: SyzygySpec, n: int, rows) -> list:
     return sections
 
 
-def _section_kernel(spec: SyzygySpec, n: int, method: str = "auto") -> np.ndarray:
-    if method not in ("auto", "dense", "structured"):
+def _is_dense(method: str) -> bool:
+    if method not in ("dense", "structured"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        ring = spec.ring
-        size = ring.hilbert(n) * sum(ring.hilbert(n - a) for a in spec.exponents)
-        method = "dense" if size <= _DENSE_CUTOFF else "structured"
-    if method == "dense":
+    return method == "dense"
+
+
+def _section_kernel(spec: SyzygySpec, n: int, method: str = "structured") -> np.ndarray:
+    if _is_dense(method):
         return _dense_kernel(spec, n)
     return _structured_kernel(spec, n)
 
 
-def section_space(spec: SyzygySpec, n: int, method: str = "auto") -> list:
+def section_space(spec: SyzygySpec, n: int, method: str = "structured") -> list:
     """Basis of the degree-n module syzygies, as verified SectionVectors.
 
-    ``method`` is "dense", "structured" or "auto"; the elimination paths
-    return identical canonical bases, "auto" picks by problem size.
+    ``method="dense"`` selects the reference elimination; both paths
+    return the same canonical basis.
     """
     return _unpack_rows(spec, n, _section_kernel(spec, n, method))
 
 
-def section_space_dim(spec: SyzygySpec, n: int, method: str = "auto") -> int:
+def section_space_dim(spec: SyzygySpec, n: int, method: str = "structured") -> int:
     """Dimension of the degree-n syzygy space (a lower bound for h^0)."""
-    if method == "dense":
+    if _is_dense(method):
         m = syzygy_matrix(spec, n)
         return m.cols - m.rank()
     return _structured_dim(spec, n)
 
 
-def has_section(spec: SyzygySpec, n: int, method: str = "auto") -> bool:
-    if method == "dense":
+def has_section(spec: SyzygySpec, n: int, method: str = "structured") -> bool:
+    if _is_dense(method):
         return section_space_dim(spec, n, "dense") > 0
     return _structured_dim(spec, n, early_exit=True) > 0
 

@@ -12,15 +12,14 @@ mathematically inapplicable / inconclusive / failed verification.
 
 Output is byte-deterministic for identical inputs: keys are sorted, scan
 records are written in grid order regardless of the worker count
-(FERMATSYZ_THREADS or --threads), and timings are opt-in (--timings)
-because they would break reproducibility.
+(--threads), and timings are opt-in (--timings) because they would break
+reproducibility.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -95,7 +94,7 @@ def cmd_certify(args) -> int:
 # -- scan ----------------------------------------------------------------------
 
 
-def _scan_cell(p: int, d: int, a: int, e_max: int, method: str, timings: bool) -> dict:
+def _scan_cell(p: int, d: int, a: int, e_max: int, timings: bool) -> dict:
     record = {
         "schema": SCHEMA_VERSION,
         "record": "scan",
@@ -109,7 +108,7 @@ def _scan_cell(p: int, d: int, a: int, e_max: int, method: str, timings: bool) -
     if d % p == 0:
         record.update({"outcome": "skipped", "smooth": False, "inconclusive": True})
     else:
-        cert = search_destabilization(p, d, a, e_max, method=method)
+        cert = search_destabilization(p, d, a, e_max)
         if cert is None:
             record.update({"outcome": "none", "smooth": True, "inconclusive": True})
         else:
@@ -139,12 +138,11 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    threads = args.threads or int(os.environ.get("FERMATSYZ_THREADS", "1"))
     grid = [(p, d, a) for p in ps for d in ds for a in as_]
 
     def work(cell):
         p, d, a = cell
-        return _scan_cell(p, d, a, args.e_max, args.method, args.timings)
+        return _scan_cell(p, d, a, args.e_max, args.timings)
 
     # each record is written and flushed as soon as it and every record
     # before it are done, so a crash keeps all records of the cells before it
@@ -152,7 +150,7 @@ def cmd_scan(args) -> int:
     written = 0
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            for rec in _records_in_grid_order(work, grid, threads):
+            for rec in _records_in_grid_order(work, grid, args.threads):
                 fh.write(_dump_line(rec) + "\n")
                 fh.flush()
                 written += 1
@@ -203,7 +201,6 @@ def cmd_verify(args) -> int:
         return _verify_one(data, args.path)
 
     # JSONL: verify every certificate record
-    status = 0
     checked = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -224,7 +221,7 @@ def cmd_verify(args) -> int:
         if result != 0:
             return result
     print(f"verified {checked} certificate(s)")
-    return status
+    return 0
 
 
 # -- deviation / tc ----------------------------------------------------------------
@@ -294,13 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--a", default="2", help='exponents, e.g. "1,2,3" (default 2)')
     s.add_argument("--e-max", type=int, default=3, dest="e_max")
     s.add_argument("--out", required=True, help="output JSONL path")
-    s.add_argument(
-        "--method",
-        choices=("auto", "dense", "structured"),
-        default="auto",
-        help="elimination for the certificate's section space (all give identical kernels)",
-    )
-    s.add_argument("--threads", type=int, default=0, help="0 = use FERMATSYZ_THREADS or 1")
+    s.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     s.add_argument(
         "--timings",
         action="store_true",

@@ -236,9 +236,7 @@ def certify_destabilization(p: int, a: int, d: int) -> DestabCertificate:
     return _build_certificate(p, a, d, e, q, dp, section)
 
 
-def search_destabilization(
-    p: int, d: int, a: int, e_max: int, method: str = "auto"
-) -> DestabCertificate | None:
+def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertificate | None:
     """Bounded semidecision: smallest (e, n) with a destabilizing section.
 
     For each level e = 0..e_max looks for sections in the twist window
@@ -256,9 +254,8 @@ def search_destabilization(
     in-window family twist at or above the family's threshold N*(t, A, B),
     found by binary search once per distinct (t, A, B), at most eight
     times per level (see ``bundle.first_section_twist``).  The certificate's
-    section is the first vector of ``section_space`` at that twist;
-    ``method`` picks the elimination used there.  On the plane (d = 0)
-    every twist of the window is checked to have no section.
+    section is the first vector of ``section_space`` at that twist.  On the
+    plane (d = 0) every twist of the window is checked to have no section.
     """
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
@@ -272,14 +269,14 @@ def search_destabilization(
         spec = SyzygySpec(p, d, (aq, aq, aq), 0)
         n_lo, n_hi = aq + 1, (3 * aq + 1) // 2 - 1  # ceil(3aq/2) - 1
         if d == 0:
-            if any(has_section(spec, n, method=method) for n in range(n_lo, n_hi + 1)):
+            if any(has_section(spec, n) for n in range(n_lo, n_hi + 1)):
                 raise InternalCheckError(
                     "sections below the Koszul floor on the projective plane"
                 )
             continue
         n = first_section_twist(spec, n_lo, n_hi)
         if n is not None:
-            section = section_space(spec, n, method=method)[0]
+            section = section_space(spec, n)[0]
             return _build_certificate(p, a, d, e, q, n, section)
     return None
 

@@ -182,6 +182,9 @@ def test_dense_structured_equality_battery():
             assert section_space_dim(spec, n, "dense") == dense.shape[0]
             assert section_space_dim(spec, n, "structured") == dense.shape[0]
             assert has_section(spec, n) == bool(dense.shape[0])
+    for call in (section_space, section_space_dim, has_section):
+        with pytest.raises(ValueError):
+            call(specs[0], 5, "sparse")
 
 
 def test_all_returned_sections_satisfy_relation():
@@ -200,3 +203,19 @@ def test_dim_counts_match_matrix_shape():
     m = syzygy_matrix(spec, 55)
     assert m.rows == spec.ring.hilbert(55)
     assert m.cols == 3 * spec.ring.hilbert(5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_dimension_matches_riemann_roch(p):
+    # Fermat rings are Cohen-Macaulay of depth 2, so module syzygies are all
+    # of H^0; for n >= max(sum a - 2, max a + d - 2) H^1 vanishes and
+    # h^0 = 2 d n - d sum(a) + 2 (1 - g), g = (d - 1)(d - 2) / 2.  This
+    # oracle shares no code with either elimination; p | d is included.
+    for d in range(1, 8):
+        g = (d - 1) * (d - 2) // 2
+        for exps in [(1, 1, 1), (2, 2, 2), (3, 3, 3), (2, 3, 4), (5, 1, 2)]:
+            spec = SyzygySpec(p, d, exps)
+            n0 = max(sum(exps) - 2, max(exps) + d - 2)
+            for n in (n0, n0 + 1, n0 + 2, n0 + 5):
+                expected = 2 * d * n - d * sum(exps) + 2 * (1 - g)
+                assert section_space_dim(spec, n) == expected, (p, d, exps, n)

@@ -57,6 +57,8 @@ def test_certify_requires_exactly_one_of_d_d0(capsys):
 
 def test_usage_error_exit_1(capsys):
     assert main(["certify", "--p", "notanint", "--a", "2", "--d", "11"]) == 1
+    # scan has no --method: the search has one elimination path
+    assert main(["scan", "--p", "3", "--d", "4", "--method", "dense", "--out", "x.jsonl"]) == 1
 
 
 def test_scan_grid_and_verify(tmp_path, capsys):
@@ -104,27 +106,6 @@ def test_scan_determinism_across_thread_counts(tmp_path, capsys):
     assert main(base + ["--threads", "4", "--out", str(out4)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out4.read_bytes()
-
-
-def test_scan_methods_emit_identical_bytes(tmp_path, capsys):
-    base = ["scan", "--p", "2,3", "--d", "4..6", "--a", "1,2", "--e-max", "1"]
-    paths = {}
-    for method in ("dense", "structured", "auto"):
-        out = tmp_path / f"{method}.jsonl"
-        assert main(base + ["--method", method, "--out", str(out)]) == 0
-        paths[method] = out.read_bytes()
-    capsys.readouterr()
-    assert paths["dense"] == paths["structured"] == paths["auto"]
-
-
-def test_scan_thread_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FERMATSYZ_THREADS", "3")
-    out = tmp_path / "env.jsonl"
-    assert main(
-        ["scan", "--p", "3", "--d", "4,5", "--a", "1", "--e-max", "1", "--out", str(out)]
-    ) == 0
-    capsys.readouterr()
-    assert len(out.read_text().splitlines()) == 2
 
 
 def test_scan_timings_flag_adds_field(tmp_path, capsys):
@@ -219,11 +200,11 @@ def test_scan_crash_keeps_finished_records(tmp_path, capsys, monkeypatch, thread
     out = tmp_path / "crash.jsonl"
     on_disk_at_crash = []
 
-    def search(p, d, a, e_max, method="auto"):
+    def search(p, d, a, e_max):
         if (p, d) == crash_at:
             on_disk_at_crash.append(out.read_text())
             raise error("injected failure")
-        return real_search(p, d, a, e_max, method=method)
+        return real_search(p, d, a, e_max)
 
     monkeypatch.setattr(cli, "search_destabilization", search)
     argv = base + ["--threads", threads, "--out", str(out)]

@@ -21,7 +21,7 @@ from fermatsyz.bundle import (
 )
 from fermatsyz.field import binom_uint
 from fermatsyz.linalg import MatrixModP
-from fermatsyz.stability import search_destabilization
+from fermatsyz.stability import _build_certificate, search_destabilization
 
 EQUAL = [(a, a, a) for a in (1, 2, 3, 5)]
 UNEQUAL = [(2, 3, 4), (4, 1, 3), (1, 5, 2), (6, 2, 5)]
@@ -105,11 +105,11 @@ def _dense_search(p, d, a, e_max):
 def test_search_matches_per_twist_dense_scan(p, e_max, ds):
     for d, a in itertools.product(ds, (1, 2, 3)):
         expected = _dense_search(p, d, a, e_max)
-        for method in ("dense", "structured"):
-            cert = search_destabilization(p, d, a, e_max, method=method)
-            if expected is None:
-                assert cert is None, (p, d, a, method)
-            else:
-                e, n, section = expected
-                assert (cert.e, cert.twist) == (e, n), (p, d, a, method)
-                assert cert.section == section
+        cert = search_destabilization(p, d, a, e_max)
+        if expected is None:
+            assert cert is None, (p, d, a)
+        else:
+            e, n, section = expected
+            assert (cert.e, cert.twist) == (e, n), (p, d, a)
+            oracle = _build_certificate(p, a, d, e, p**e, n, section)
+            assert cert.to_json_dict() == oracle.to_json_dict(), (p, d, a)

@@ -1,7 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
+import fermatsyz
+from fermatsyz import _kernels, stability
 from fermatsyz.linalg import MatrixModP, kernel_basis
 
 
@@ -86,17 +87,19 @@ def test_matmul_chunked_no_overflow():
     assert c.array.tolist() == expected
 
 
-def test_backends_agree():
-    pytest.importorskip("fermatsyz._kernels._modp")
-    from fermatsyz._kernels import _modp, modp_py
+def test_benchmark_facing_names(monkeypatch):
+    # perfbench records BACKEND and wraps these module attributes to trace
+    # the eliminations; linalg must look rref_mod_p up on the module per call
+    assert fermatsyz.BACKEND == "python"
+    assert callable(_kernels.rref_mod_p)
+    assert callable(stability.has_section)
+    calls = []
+    real = _kernels.rref_mod_p
 
-    rng = np.random.default_rng(7)
-    for p in (2, 5, 101):
-        for shape in ((6, 9), (9, 6), (1, 1), (8, 8)):
-            a = rng.integers(0, p, size=shape, dtype=np.int64)
-            a1 = np.ascontiguousarray(a.copy())
-            a2 = np.ascontiguousarray(a.copy())
-            r1 = _modp.rref_mod_p(a1, p)
-            r2 = modp_py.rref_mod_p(a2, p)
-            assert r1 == (r2[0], list(r2[1])) or (r1[0], list(r1[1])) == r2
-            assert np.array_equal(a1, a2)
+    def counting(a, p):
+        calls.append(a.shape)
+        return real(a, p)
+
+    monkeypatch.setattr(_kernels, "rref_mod_p", counting)
+    assert MatrixModP([[1, 2], [2, 4], [0, 1]], 5).rank() == 2
+    assert calls == [(3, 2)]

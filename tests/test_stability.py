@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fermatsyz.bundle import SyzygySpec, _section_kernel
+from fermatsyz.bundle import SyzygySpec, _section_kernel, section_space
 from fermatsyz.errors import InapplicableError, NotPrimeError, SmoothnessError
 from fermatsyz.stability import (
+    _build_certificate,
     certify_destabilization,
     deviation_lower_bound,
     find_parameters,
@@ -97,27 +98,41 @@ def test_search_finds_fermat_relation_syzygy():
     assert not verify_certificate(cert.to_json_dict())
 
 
+def _dense_oracle(p, d, a, e_max):
+    """Certificate JSON of the first (e, n) of the window with a dense-kernel
+    section, built from ``section_space(spec, n, "dense")[0]``; or None."""
+    for e in range(e_max + 1):
+        q = p**e
+        spec = SyzygySpec(p, d, (a * q,) * 3)
+        for n in range(a * q + 1, (3 * a * q + 1) // 2):
+            sections = section_space(spec, n, "dense")
+            if sections:
+                return _build_certificate(p, a, d, e, q, n, sections[0]).to_json_dict()
+    return None
+
+
 def test_search_cross_checks_between_paths():
-    for method in ("dense", "structured"):
-        cert = search_destabilization(5, 11, 2, 1, method=method)
-        assert cert is not None and (cert.e, cert.twist) == (1, 11)
-    none_d = search_destabilization(5, 11, 2, 0, method="dense")
-    none_s = search_destabilization(5, 11, 2, 0, method="structured")
-    assert none_d is None and none_s is None  # e = 0 window (3, 2] is empty
+    cert = search_destabilization(5, 11, 2, 1)
+    assert cert is not None and (cert.e, cert.twist) == (1, 11)
+    assert cert.to_json_dict() == _dense_oracle(5, 11, 2, 1)
+    assert search_destabilization(5, 11, 2, 0) is None  # e = 0 window (3, 2] is empty
+    assert _dense_oracle(5, 11, 2, 0) is None
 
 
 def test_search_methods_agree_on_small_grid():
+    # the search against a per-twist scan of the dense reference elimination
     for p in (2, 3):
         for d in (4, 5, 7):
             if d % p == 0:
                 continue
             for a in (1, 2):
-                dense = search_destabilization(p, d, a, 2, method="dense")
-                structured = search_destabilization(p, d, a, 2, method="structured")
-                if dense is None:
-                    assert structured is None, (p, d, a)
+                cert = search_destabilization(p, d, a, 2)
+                expected = _dense_oracle(p, d, a, 2)
+                if expected is None:
+                    assert cert is None, (p, d, a)
                 else:
-                    assert dense.to_json_dict() == structured.to_json_dict(), (p, d, a)
+                    assert (cert.e, cert.twist) == (expected["e"], expected["twist"])
+                    assert cert.to_json_dict() == expected, (p, d, a)
 
 
 def test_search_plane_returns_none():
