@@ -18,9 +18,9 @@ from .bundle import (
     section_space,
     section_space_dim,
 )
-from .field import FieldElement, PrimeField, binomial_mod_p, inv
-from .linalg import MatrixModP, kernel_basis
-from .poly import FermatRelation, GradedPoly, Monomial, frobenius_power, multiply, normal_form
+from .field import PrimeField
+from .linalg import MatrixModP
+from .poly import FermatRelation, GradedPoly, Monomial, frobenius_power, normal_form
 from .ring import FermatRing
 from .stability import (
     DestabCertificate,
@@ -51,7 +51,6 @@ __all__ = [
     "DestabCertificate",
     "FermatRelation",
     "FermatRing",
-    "FieldElement",
     "GradedPoly",
     "HNData",
     "MatrixModP",
@@ -63,7 +62,6 @@ __all__ = [
     "TCParameters",
     "TCReport",
     "__version__",
-    "binomial_mod_p",
     "cech_class_curve",
     "cech_class_p1",
     "certify_destabilization",
@@ -73,9 +71,6 @@ __all__ = [
     "frobenius_power",
     "hn_data",
     "ideal_membership",
-    "inv",
-    "kernel_basis",
-    "multiply",
     "normal_form",
     "search_destabilization",
     "section_space",

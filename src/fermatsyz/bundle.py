@@ -91,10 +91,6 @@ class SyzygySpec:
             raise ValueError("need three generator exponents >= 1")
 
     @property
-    def rank(self) -> int:
-        return 2  # three generators, one relation sheaf
-
-    @property
     def ring(self) -> FermatRing:
         return _ring(self.p, self.d)
 
@@ -280,27 +276,14 @@ def _plane_good_count(spec: SyzygySpec, n: int) -> int:
     return total - bad
 
 
-def _structured_dim(spec: SyzygySpec, n: int, early_exit: bool = False) -> int:
-    """Kernel dimension via the block decomposition.
-
-    With early_exit=True, returns a positive value as soon as any
-    contribution is found (all the destabilization search needs).
-    """
-    ring = spec.ring
-    a1, a2, a3 = spec.exponents
-    dim = ring.hilbert(n - a2 - a3)  # Koszul family
-    if early_exit and dim:
-        return dim
+def _structured_dim(spec: SyzygySpec, n: int) -> int:
+    """Kernel dimension via the block decomposition."""
+    _a1, a2, a3 = spec.exponents
+    dim = spec.ring.hilbert(n - a2 - a3)  # Koszul family
     if spec.d == 0:
         return dim + _plane_good_count(spec, n)
-    p = spec.p
     for *_cls, block in _curve_blocks(spec, n):
-        brows, bcols = block.shape
-        if early_exit and brows < bcols:
-            return dim + (bcols - brows)  # nullity is at least cols - rows
-        dim += bcols - (_rank(block, p) if brows else 0)
-        if early_exit and dim:
-            return dim
+        dim += block.shape[1] - _rank(block, spec.p)
     return dim
 
 
@@ -417,9 +400,7 @@ def section_space_dim(spec: SyzygySpec, n: int, method: str = "structured") -> i
 
 
 def has_section(spec: SyzygySpec, n: int, method: str = "structured") -> bool:
-    if _is_dense(method):
-        return section_space_dim(spec, n, "dense") > 0
-    return _structured_dim(spec, n, early_exit=True) > 0
+    return section_space_dim(spec, n, method) > 0
 
 
 def _runs(values) -> list:

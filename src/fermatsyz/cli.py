@@ -10,22 +10,23 @@ Subcommands
 Exit codes: 0 success/certified, 1 usage or malformed input, 2
 mathematically inapplicable / inconclusive / failed verification.
 
-Output is byte-deterministic for identical inputs: keys are sorted, scan
-records are written in grid order regardless of the worker count
-(--threads), and timings are opt-in (--timings) because they would break
-reproducibility.
+Output is byte-deterministic for identical inputs: keys are sorted, the
+scan runs its cells serially and writes records in grid order, and
+timings are opt-in (--timings) because they would break reproducibility.
+``scan --threads`` is still accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .errors import FermatSyzError, InapplicableError, NotPrimeError, SmoothnessError
+from .field import check_prime
 from .stability import (
     SCHEMA_VERSION,
     certify_destabilization,
@@ -121,36 +122,25 @@ def _scan_cell(p: int, d: int, a: int, e_max: int, timings: bool) -> dict:
     return record
 
 
-def _records_in_grid_order(work, grid, threads: int):
-    """Yield work(cell) for each cell, in grid order, as the results arrive."""
-    if threads <= 1:
-        yield from map(work, grid)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(work, grid)
-
-
 def cmd_scan(args) -> int:
     try:
         ps = _parse_int_list(args.p)
         ds = _parse_int_list(args.d)
         as_ = _parse_int_list(args.a)
-    except ValueError as exc:
+        for p in ps:
+            check_prime(p)
+    except (ValueError, NotPrimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    grid = [(p, d, a) for p in ps for d in ds for a in as_]
 
-    def work(cell):
-        p, d, a = cell
-        return _scan_cell(p, d, a, args.e_max, args.timings)
-
-    # each record is written and flushed as soon as it and every record
-    # before it are done, so a crash keeps all records of the cells before it
+    # each record is written and flushed as soon as its cell is done, so a
+    # crash keeps all records of the cells before it
     by_d: dict = {}
     written = 0
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            for rec in _records_in_grid_order(work, grid, args.threads):
+            for p, d, a in itertools.product(ps, ds, as_):
+                rec = _scan_cell(p, d, a, args.e_max, args.timings)
                 fh.write(_dump_line(rec) + "\n")
                 fh.flush()
                 written += 1
@@ -291,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--a", default="2", help='exponents, e.g. "1,2,3" (default 2)')
     s.add_argument("--e-max", type=int, default=3, dest="e_max")
     s.add_argument("--out", required=True, help="output JSONL path")
-    s.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    s.add_argument("--threads", type=int, default=1, help="accepted; the scan is serial")
     s.add_argument(
         "--timings",
         action="store_true",

@@ -1,26 +1,24 @@
 """Exact arithmetic in the prime field F_p, plus binomial coefficients mod p.
 
-Every other module reduces its arithmetic to this one: field elements are
-always stored as fully reduced residues in ``[0, p)``, and binomial
-coefficients of large arguments are computed digit-wise via Lucas' theorem
-so they never leave machine range.
+Every other module reduces its arithmetic to this one: elements of F_p are
+plain int residues in ``[0, p)``, the primes allowed are those below 2^31
+(``check_prime``), and binomial coefficients of large arguments are
+computed digit-wise via Lucas' theorem so they never leave machine range.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import NotPrimeError
 
 MAX_PRIME = 2**31  # keeps p^2 comfortably inside signed 64-bit intermediates
 
-# Deterministic Miller-Rabin witnesses: sufficient for every n < 3_215_031_751,
+# Deterministic Miller-Rabin witnesses: proven for every n < 3_215_031_751,
 # which covers the whole allowed range p < 2^31.
 _MR_BASES = (2, 3, 5, 7)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check for n < 2^31."""
+    """Deterministic primality check for n < 2^31; unproven above that."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -46,18 +44,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def inv_mod(a: int, p: int) -> int:
-    """Inverse of a mod p by extended Euclid; raises on a ≡ 0."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError(f"0 has no inverse in F_{p}")
-    r0, r1 = p, a
-    s0, s1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    return s0 % p
+def check_prime(p: int) -> None:
+    """Raise NotPrimeError unless p is a prime below 2^31.
+
+    Above 2^31 the Miller-Rabin witnesses of ``is_prime`` are not proven
+    (3_215_031_751 = 151 * 751 * 28351 passes them all), and p^2 no longer
+    fits the int64 matrix arithmetic.
+    """
+    if p >= MAX_PRIME:
+        raise NotPrimeError(f"p must be < 2^31, got {p}")
+    if not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
 
 
 class PrimeField:
@@ -66,20 +63,10 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
-            raise NotPrimeError(f"{p} is not a prime number")
-        if p >= MAX_PRIME:
-            raise NotPrimeError(f"p must be < 2^31, got {p}")
+        if not isinstance(p, int):
+            raise NotPrimeError(f"{p} is not prime")
+        check_prime(p)
         self.p = p
-
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -89,67 +76,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue in [0, p), tied to its field."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.p:
-            raise ValueError(f"unreduced residue {self.value} mod {self.field.p}")
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("field mismatch")
-            return other
-        return self.field(other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement((self.value + o.value) % self.field.p, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement((self.value - o.value) % self.field.p, self.field)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value * o.value % self.field.p, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.field.p, self.field)
-
-    def __pow__(self, n: int):
-        return FieldElement(pow(self.value, n, self.field.p), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(inv_mod(self.value, self.field.p), self.field)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.p})"
-
-
-def inv(x: FieldElement) -> FieldElement:
-    """Multiplicative inverse; explicit division-by-zero error on x = 0."""
-    return x.inverse()
 
 
 def binom_uint(n: int, k: int, p: int) -> int:
@@ -175,11 +101,5 @@ def binom_uint(n: int, k: int, p: int) -> int:
             for j in range(1, ki + 1):
                 num = num * ((ni - j + 1) % p) % p
                 den = den * j % p
-            result = result * num % p * inv_mod(den, p) % p
+            result = result * num % p * pow(den, -1, p) % p
     return result
-
-
-def binomial_mod_p(n: int, k: int, p) -> FieldElement:
-    """C(n, k) mod p as a field element; p may be an int or a PrimeField."""
-    field = p if isinstance(p, PrimeField) else PrimeField(p)
-    return FieldElement(binom_uint(n, k, field.p), field)

@@ -54,21 +54,6 @@ class MatrixModP:
         self.p = p
         self.array = _as_matrix(data, p)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p) -> "MatrixModP":
-        if isinstance(p, PrimeField):
-            p = p.p
-        m = cls.__new__(cls)
-        m.p = p
-        m.array = np.zeros((rows, cols), dtype=_I64)
-        return m
-
-    @classmethod
-    def identity(cls, n: int, p) -> "MatrixModP":
-        m = cls.zeros(n, n, p)
-        np.fill_diagonal(m.array, 1)
-        return m
-
     @property
     def rows(self) -> int:
         return self.array.shape[0]
@@ -126,7 +111,3 @@ class MatrixModP:
         rref(k, self.p)
         return k
 
-
-def kernel_basis(m: MatrixModP) -> list:
-    """Kernel basis as a list of int64 vectors (deterministic order)."""
-    return list(m.kernel_basis())

@@ -109,9 +109,6 @@ class GradedPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exponents) -> int:
-        return self.terms.get(Monomial(*exponents), 0)
-
     def sorted_terms(self) -> list:
         return sorted(self.terms.items())
 
@@ -157,13 +154,6 @@ class GradedPoly:
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
-
-    def scale(self, c: int) -> "GradedPoly":
-        c %= self.field.p
-        if c == 0:
-            return GradedPoly.zero(self.field, self.degree)
-        p = self.field.p
-        return GradedPoly(self.field, self.degree, {m: c * v % p for m, v in self.terms.items()})
 
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
         self._check_field(other)
@@ -227,10 +217,6 @@ def parse_poly(text: str, field: PrimeField, degree: int | None = None) -> Grade
 
 
 # -- the operations backing the syzygy computations -------------------------
-
-
-def multiply(f: GradedPoly, g: GradedPoly) -> GradedPoly:
-    return f * g
 
 
 def frobenius_power(f: GradedPoly, e: int) -> GradedPoly:

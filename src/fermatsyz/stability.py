@@ -38,10 +38,9 @@ from .errors import (
     ExponentOverflowError,
     InapplicableError,
     InternalCheckError,
-    NotPrimeError,
     SmoothnessError,
 )
-from .field import PrimeField, is_prime
+from .field import MAX_PRIME, PrimeField, check_prime, is_prime
 from .poly import EXP_LIMIT, GradedPoly, frobenius_power, parse_poly
 
 SCHEMA_VERSION = 1
@@ -84,8 +83,7 @@ class ParameterChoice:
 def find_parameters(p: int, a: int, d0: int) -> ParameterChoice:
     """Smallest e with a p^(e-1) >= d0 and a nonempty window, then smallest
     admissible d (this is d = a p^(e-1) + 1 whenever p does not divide it)."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    check_prime(p)
     if a < 1 or d0 < 1:
         raise InapplicableError("need a >= 1 and d0 >= 1")
     e = 1
@@ -198,8 +196,7 @@ def certify_destabilization(p: int, a: int, d: int) -> DestabCertificate:
     builds the section (X^k, Y^k, Z^k) and verifies the syzygy identity by
     exact normal-form computation.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    check_prime(p)
     if a < 1 or d < 1:
         raise InapplicableError("need a >= 1 and d >= 1")
     if d % p == 0:
@@ -257,8 +254,7 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
     section is the first vector of ``section_space`` at that twist.  On the
     plane (d = 0) every twist of the window is checked to have no section.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    check_prime(p)
     if a < 1 or e_max < 0 or d < 0:
         raise InapplicableError("need a >= 1, d >= 0, e_max >= 0")
     if d > 0 and d % p == 0:
@@ -329,8 +325,7 @@ def deviation_lower_bound(p: int, a: int, e: int):
     Returns (gap, bound) with gap = d (aq - 2p)/q and bound =
     a^2 p^(e-1) - 2a; asserts gap >= bound.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    check_prime(p)
     if e < 1 or a < 1:
         raise InapplicableError("need e >= 1 and a >= 1")
     q = _check_pq(p, e)
@@ -370,12 +365,18 @@ def verify_certificate(data: dict) -> list:
     for f in _INT_FIELDS:
         if not isinstance(data.get(f), int):
             return [f"field {f!r} missing or not an integer"]
-    if not isinstance(data.get("section"), list) or len(data["section"]) != 3:
+    section = data.get("section")
+    if not (
+        isinstance(section, list) and len(section) == 3 and all(isinstance(s, str) for s in section)
+    ):
         return ["field 'section' missing or not a list of three polynomials"]
 
     p, a, d, e = data["p"], data["a"], data["d"], data["e"]
     q, k, twist = data["q"], data["k"], data["twist"]
-    need(is_prime(p), f"p = {p} is not prime")
+    if p >= MAX_PRIME:  # is_prime is unproven there
+        failures.append(f"p = {p} is not below 2^31")
+    elif not is_prime(p):
+        failures.append(f"p = {p} is not prime")
     need(a >= 1, "a must be >= 1")
     need(d >= 1, "d must be >= 1")
     need(e >= 0, "e must be >= 0")
@@ -404,7 +405,7 @@ def verify_certificate(data: dict) -> list:
     spec = SyzygySpec(p, d, (aq, aq, aq), twist)
     polys = []
     try:
-        for i, text in enumerate(data["section"]):
+        for text in section:
             polys.append(parse_poly(text, field, degree=twist - aq))
     except ValueError as exc:
         return failures + [f"section component malformed: {exc}"]

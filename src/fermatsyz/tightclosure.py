@@ -25,14 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import InapplicableError, InternalCheckError, NotPrimeError, SmoothnessError
-from .field import PrimeField, binom_uint, is_prime
-from .linalg import MatrixModP, rref
+import numpy as np
+
+from .bundle import SyzygySpec, syzygy_matrix
+from .errors import InapplicableError, InternalCheckError, SmoothnessError
+from .field import binom_uint, check_prime
+from .linalg import MatrixModP
 from .poly import GradedPoly
 from .ring import FermatRing
 from .stability import SCHEMA_VERSION, format_fraction
-
-import numpy as np
 
 ASSUMED_IMPLICATION = (
     "a nonzero class in H^1 over the F-regular subring F_p[X,Y] lies outside the "
@@ -71,8 +72,7 @@ class TCParameters:
 
 
 def tc_parameters(p: int, b: int, e: int) -> TCParameters:
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    check_prime(p)
     if b < 1 or e < 1:
         raise InapplicableError("need b >= 1 and e >= 1")
     a = 2 * b
@@ -123,17 +123,10 @@ def ideal_membership(f: GradedPoly, a: int, ring: FermatRing) -> bool:
     n = f.degree
     if n < a:
         return False
-    blocks = []
-    for var in range(3):
-        exps = [0, 0, 0]
-        exps[var] = a
-        g = GradedPoly.monomial(ring.field, 1, tuple(exps))
-        blocks.append(ring.multiplication_matrix(g, n - a).array)
-    m = np.hstack(blocks)
+    m = syzygy_matrix(SyzygySpec(ring.p, ring.d, (a, a, a)), n)
     target = ring.coords(f).reshape(-1, 1)
-    rank_m = MatrixModP(m, ring.p).rank()
-    rank_aug = MatrixModP(np.hstack([m, target]), ring.p).rank()
-    return rank_m == rank_aug
+    rank_aug = MatrixModP(np.hstack([m.array, target]), ring.p).rank()
+    return m.rank() == rank_aug
 
 
 @dataclass(frozen=True)

@@ -70,10 +70,6 @@ def test_euler_sequence_degree_on_plane():
     assert slope == Fraction(-3, 2)
 
 
-def test_rank_is_two():
-    assert SyzygySpec(3, 4, (2, 2, 2), 0).rank == 2
-
-
 # -- section spaces ---------------------------------------------------------------
 
 
@@ -188,14 +184,16 @@ def test_dense_structured_equality_battery():
 
 
 def test_all_returned_sections_satisfy_relation():
-    # SectionVector re-verifies via normal_form; just exercise a spread
-    for spec, n in [
-        (SyzygySpec(3, 4, (9, 9, 9), 0), 13),
-        (SyzygySpec(7, 5, (7, 7, 7), 0), 10),
-        (SyzygySpec(2, 5, (4, 4, 4), 0), 7),
+    # SectionVector re-verifies the relation via normal_form on construction
+    for spec, n, count in [
+        (SyzygySpec(3, 4, (9, 9, 9), 0), 13, 3),
+        (SyzygySpec(7, 5, (7, 7, 7), 0), 10, 0),
+        (SyzygySpec(2, 5, (4, 4, 4), 0), 7, 6),
     ]:
-        for s in section_space(spec, n):
-            assert not s.is_zero() or True
+        sections = section_space(spec, n)
+        assert len(sections) == count == section_space_dim(spec, n), (spec, n)
+        for s in sections:
+            assert not s.is_zero()
 
 
 def test_dim_counts_match_matrix_shape():

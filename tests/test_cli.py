@@ -176,6 +176,55 @@ def test_tc_cli_inconclusive_exit_2(capsys):
     assert json.loads(out)["verdict"] == "inconclusive"
 
 
+@pytest.mark.parametrize("ps", ["0", "4", "3,4", "3215031751"])
+def test_scan_rejects_non_prime_p_before_writing(tmp_path, capsys, ps):
+    # unchecked, p = 0 would divide by zero and p = 4 would pass as a skipped cell
+    out = tmp_path / "x.jsonl"
+    code, _, err = run_cli(capsys, "scan", "--p", ps, "--d", "4", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--p", "3215031751", "--a", "3", "--d", "5"],
+        ["certify", "--p", "3215031751", "--a", "3", "--d0", "5"],
+        ["deviation", "--p", "3215031751", "--a", "3", "--e", "1"],
+        ["tc", "--p", "3215031751", "--b", "1", "--e", "1"],
+    ],
+)
+def test_p_beyond_proven_primality_range_exit_1(capsys, argv):
+    # 3215031751 = 151 * 751 * 28351 passes the Miller-Rabin witnesses
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "" and "2^31" in err
+
+
+def _certificate_file(tmp_path, capsys, **changes):
+    code, out, _ = run_cli(capsys, "certify", "--p", "5", "--a", "2", "--d0", "8")
+    data = json.loads(out)
+    data.update(changes)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_verify_rejects_p_beyond_proven_primality_range(tmp_path, capsys):
+    path = _certificate_file(tmp_path, capsys, p=3215031751)
+    code, stdout, _ = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert stdout == f"FAIL {path}: p = 3215031751 is not below 2^31\n"
+
+
+def test_verify_non_string_section_fails(tmp_path, capsys):
+    path = _certificate_file(tmp_path, capsys, section=[1, 2, 3])
+    code, stdout, _ = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert stdout.startswith("FAIL") and "'section'" in stdout
+
+
 def test_scan_unwritable_path_exit_1(capsys):
     code, _, err = run_cli(
         capsys,
@@ -215,5 +264,5 @@ def test_scan_crash_keeps_finished_records(tmp_path, capsys, monkeypatch, thread
             main(argv)
     capsys.readouterr()
     assert out.read_text().splitlines() == expected[:3]
-    if threads == "1":  # serially, the earlier records are flushed before the cell runs
-        assert on_disk_at_crash[0].splitlines() == expected[:3]
+    # the earlier records are flushed before the failing cell runs
+    assert on_disk_at_crash[0].splitlines() == expected[:3]

@@ -1,19 +1,9 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from fermatsyz.errors import NotPrimeError
-from fermatsyz.field import (
-    FieldElement,
-    PrimeField,
-    binom_uint,
-    binomial_mod_p,
-    inv,
-    is_prime,
-)
-
-PRIMES = [2, 3, 5, 7, 11, 101, 65537, 2**31 - 1]
+from fermatsyz.field import PrimeField, binom_uint, check_prime, is_prime
 
 
 def test_is_prime_small():
@@ -34,46 +24,29 @@ def test_prime_field_rejects_composites_and_big_primes():
         PrimeField(2**31 + 11)  # prime, but out of range
 
 
-def test_basic_arithmetic():
-    F = PrimeField(7)
-    a, b = F(3), F(5)
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (a * b).value == 1
-    assert (-a).value == 4
-    assert (a / b).value == (3 * pow(5, -1, 7)) % 7
-
-
-def test_inv_examples():
-    # inv(1) = 1 in any field
-    for p in (2, 3, 5, 31):
-        assert inv(PrimeField(p)(1)).value == 1
-    assert inv(PrimeField(5)(2)).value == 3
-    # brute-force oracle over F_7: the inverse of 3 is the residue r with 3r = 1
-    oracle = next(r for r in range(1, 7) if 3 * r % 7 == 1)
-    assert oracle == 5
-    assert inv(PrimeField(7)(3)).value == oracle
-
-
-def test_inv_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        inv(PrimeField(13)(0))
-
-
-@given(st.sampled_from(PRIMES), st.integers(min_value=1, max_value=10**9))
-def test_inv_involution_and_product(p, raw):
-    x = PrimeField(p)(raw % p if raw % p else 1)
-    assert (x * inv(x)).value == 1
-    assert inv(inv(x)) == x
+def test_check_prime_rejects_the_unproven_range():
+    # 3215031751 = 151 * 751 * 28351 is the least strong pseudoprime to all
+    # of the bases 2, 3, 5 and 7, so is_prime is proven only below it
+    assert 151 * 751 * 28351 == 3215031751
+    assert is_prime(3215031751)
+    for p in (3215031751, 2**31 + 11, 2**31):
+        with pytest.raises(NotPrimeError):
+            check_prime(p)
+        with pytest.raises(NotPrimeError):
+            PrimeField(p)
+    check_prime(2**31 - 1)
+    for n in (0, 1, 4, -7):
+        with pytest.raises(NotPrimeError):
+            check_prime(n)
 
 
 def test_lucas_examples():
     # u mod p, nonzero whenever p does not divide u
     for p in (3, 5, 7):
         u = (p + 1) // 2
-        assert binomial_mod_p(u, 1, p).value == u % p
-    assert binomial_mod_p(5, 1, 5).value == 0
-    assert binomial_mod_p(25, 5, 5).value == 0
+        assert binom_uint(u, 1, p) == u % p
+    assert binom_uint(5, 1, 5) == 0
+    assert binom_uint(25, 5, 5) == 0
     assert math.comb(25, 5) % 5 == 0  # big-integer confirmation
 
 
@@ -93,7 +66,3 @@ def test_lucas_huge_arguments():
     p = 101
     assert binom_uint(p**5 + 2, p**5 + 1, p) == 2
 
-
-def test_field_element_requires_reduced_value():
-    with pytest.raises(ValueError):
-        FieldElement(9, PrimeField(7))

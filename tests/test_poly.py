@@ -8,8 +8,8 @@ from fermatsyz.poly import (
     FermatRelation,
     GradedPoly,
     frobenius_power,
+    Monomial,
     make_monomial,
-    multiply,
     normal_form,
     parse_poly,
 )
@@ -29,7 +29,7 @@ def poly(field, *terms):
 def test_multiply_difference_of_squares():
     x_plus_y = poly(F5, (1, (1, 0, 0)), (1, (0, 1, 0)))
     x_minus_y = poly(F5, (1, (1, 0, 0)), (4, (0, 1, 0)))
-    prod = multiply(x_plus_y, x_minus_y)
+    prod = x_plus_y * x_minus_y
     assert prod == poly(F5, (1, (2, 0, 0)), (4, (0, 2, 0)))
 
 
@@ -38,9 +38,7 @@ def test_multiply_cone_identity_term():
     p, d, a, e = 5, 11, 2, 2
     q = p**e
     k = d * p - a * q
-    prod = multiply(
-        GradedPoly.monomial(F5, 1, (k, 0, 0)), GradedPoly.monomial(F5, 1, (a * q, 0, 0))
-    )
+    prod = GradedPoly.monomial(F5, 1, (k, 0, 0)) * GradedPoly.monomial(F5, 1, (a * q, 0, 0))
     assert prod == GradedPoly.monomial(F5, 1, (d * p, 0, 0))
 
 
@@ -52,7 +50,7 @@ def test_multiply_char2():
 def test_multiply_drops_cancelling_terms():
     f = poly(F5, (1, (1, 0, 0)), (4, (0, 1, 0)))  # X - Y
     g = poly(F5, (1, (1, 0, 0)), (1, (0, 1, 0)))  # X + Y
-    assert (f * g).coefficient((1, 1, 0)) == 0
+    assert Monomial(1, 1, 0) not in (f * g).terms
 
 
 def test_frobenius_freshman_dream():

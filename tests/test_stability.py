@@ -43,6 +43,22 @@ def test_find_parameters_rejects_bad_input():
         find_parameters(5, 0, 1)
 
 
+def test_entry_points_reject_p_beyond_proven_primality_range():
+    # 3215031751 = 151 * 751 * 28351 passes the Miller-Rabin witnesses 2..7
+    from fermatsyz.tightclosure import tc_parameters
+
+    p = 3215031751
+    for call in (
+        lambda: find_parameters(p, 3, 5),
+        lambda: certify_destabilization(p, 3, 5),
+        lambda: search_destabilization(p, 5, 3, 1),
+        lambda: deviation_lower_bound(p, 3, 1),
+        lambda: tc_parameters(p, 1, 1),
+    ):
+        with pytest.raises(NotPrimeError):
+            call()
+
+
 def test_certify_paper_instance():
     cert = certify_destabilization(5, 2, 11)
     assert (cert.e, cert.q, cert.k, cert.twist) == (2, 25, 5, 55)
