@@ -38,9 +38,18 @@ twist with a section off the thresholds instead of eliminating every
 block at every twist.  Families sharing (t, A, B) share the threshold,
 and there are at most eight such groups per spec.
 
-Dimension reports carry ``lower_bound: True`` semantics: sections are
-produced from module syzygies, which always give genuine sheaf sections
-but are not claimed here to exhaust them in every degree.
+The plane (d = 0) runs through the same code.  In degrees below d the
+Fermat ring equals F_p[X, Y, Z], so the degree-n syzygies on P^2 are
+exactly those on a Fermat curve of any degree above n.  The plane uses
+the effective degree n + 1 in twist n (hi + 1 in a window [lo, hi]).
+Every family in play then has t = 0 and N = 0, and its block is [1] or
+empty: an s1 monomial extends to a section iff its Y-exponent is >= a2
+or its Z-exponent is >= a3.
+
+Module syzygies are all of H^0.  Plane curves are projectively normal, so
+R_m = H^0(O_C(m)) for every m (and S_m = H^0(O_P2(m)) on the plane), and
+H^0 is left exact on 0 -> Syz(n) -> (+) O(n - a_i) -> O(n) -> 0, so the
+degree-n syzygies are exactly the global sections of the twisted bundle.
 """
 
 from __future__ import annotations
@@ -228,14 +237,15 @@ def _band(t: int, A: int, B: int, N: int, row: np.ndarray) -> np.ndarray:
 
 
 def _curve_blocks(spec: SyzygySpec, n: int):
-    """Yield (i, j0, l0, N, t, block) per nonempty residue class (d > 0).
+    """Yield (i, j0, l0, N, t, block) per nonempty residue class.
 
     ``block`` is the bad-projection matrix on the class coordinates
     alpha = 0..N, where the class consists of the source monomials
-    X^i Y^(j0 + alpha d) Z^(l0 + beta d) with alpha + beta = N.
+    X^i Y^(j0 + alpha d) Z^(l0 + beta d) with alpha + beta = N.  The plane
+    uses the effective degree d = n + 1 (see the module docstring).
     """
     a1, a2, a3 = spec.exponents
-    d = spec.d
+    d = spec.d or n + 1
     src_deg = n - a1
     cache: dict = {}
     for i in range(min(d, src_deg + 1)):
@@ -252,36 +262,10 @@ def _curve_blocks(spec: SyzygySpec, n: int):
             yield i, j0, l0, n_alpha, t, _band(t, A, B, n_alpha, row)
 
 
-def _plane_good_s1(spec: SyzygySpec, n: int):
-    """On P^2 the constraint is monomial-wise: s1 monomials X^i Y^j Z^l with
-    j >= a2 or l >= a3 extend to sections, the others do not."""
-    _a1, a2, a3 = spec.exponents
-    src_deg = n - spec.exponents[0]
-    for i in range(src_deg + 1):
-        for j in range(src_deg - i + 1):
-            l = src_deg - i - j
-            if j >= a2 or l >= a3:
-                yield Monomial(i, j, l)
-
-
-def _plane_good_count(spec: SyzygySpec, n: int) -> int:
-    _a1, a2, a3 = spec.exponents
-    src_deg = n - spec.exponents[0]
-    if src_deg < 0:
-        return 0
-    total = (src_deg + 2) * (src_deg + 1) // 2
-    bad = 0
-    for j in range(min(a2 - 1, src_deg) + 1):
-        bad += min(a3 - 1, src_deg - j) + 1
-    return total - bad
-
-
 def _structured_dim(spec: SyzygySpec, n: int) -> int:
     """Kernel dimension via the block decomposition."""
     _a1, a2, a3 = spec.exponents
     dim = spec.ring.hilbert(n - a2 - a3)  # Koszul family
-    if spec.d == 0:
-        return dim + _plane_good_count(spec, n)
     for *_cls, block in _curve_blocks(spec, n):
         dim += block.shape[1] - _rank(block, spec.p)
     return dim
@@ -304,24 +288,20 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> np.ndarray:
     total = d1 + d2 + d3
     x_a1 = GradedPoly.monomial(ring.field, 1, (a1, 0, 0))
 
+    d = spec.d or n + 1
     s1_list = []
-    if spec.d == 0:
-        for mono in _plane_good_s1(spec, n):
-            s1_list.append(GradedPoly(ring.field, n - a1, {mono: 1}))
-    else:
-        d = spec.d
-        for i, j0, l0, n_alpha, _t, block in _curve_blocks(spec, n):
-            work = np.ascontiguousarray(block)
-            rank, pivots = rref(work, p) if work.size else (0, [])
-            if block.shape[1] - rank == 0:
-                continue
-            for kv in kernel_from_rref(work, rank, pivots, p):
-                terms = {}
-                for alpha, c in enumerate(kv):
-                    if c:
-                        beta = n_alpha - alpha
-                        terms[Monomial(i, j0 + alpha * d, l0 + beta * d)] = int(c)
-                s1_list.append(GradedPoly(ring.field, n - a1, terms))
+    for i, j0, l0, n_alpha, _t, block in _curve_blocks(spec, n):
+        work = np.ascontiguousarray(block)
+        rank, pivots = rref(work, p) if work.size else (0, [])
+        if block.shape[1] - rank == 0:
+            continue
+        for kv in kernel_from_rref(work, rank, pivots, p):
+            terms = {}
+            for alpha, c in enumerate(kv):
+                if c:
+                    beta = n_alpha - alpha
+                    terms[Monomial(i, j0 + alpha * d, l0 + beta * d)] = int(c)
+            s1_list.append(GradedPoly(ring.field, n - a1, terms))
 
     raw_rows = []
     for s1 in s1_list:
@@ -392,7 +372,7 @@ def section_space(spec: SyzygySpec, n: int, method: str = "structured") -> list:
 
 
 def section_space_dim(spec: SyzygySpec, n: int, method: str = "structured") -> int:
-    """Dimension of the degree-n syzygy space (a lower bound for h^0)."""
+    """Dimension of the degree-n syzygy space, which is h^0 of the twist-n bundle."""
     if _is_dense(method):
         m = syzygy_matrix(spec, n)
         return m.cols - m.rank()
@@ -444,8 +424,9 @@ def _family_threshold(t: int, A: int, B: int, N_lo: int, N_hi: int, p: int, row)
 def first_section_twist(spec: SyzygySpec, lo: int, hi: int) -> int | None:
     """Least n in [lo, hi] with a nonzero degree-n module syzygy, or None.
 
-    Curves only (d > 0); agrees with the first n for which ``has_section``
-    holds.  The Koszul family gives sections from n = a2 + a3 on; every
+    Agrees with the first n for which ``has_section`` holds.  The plane
+    uses the effective degree hi + 1, so only its level-0 families reach
+    the window.  The Koszul family gives sections from n = a2 + a3 on; every
     other section comes from a residue family at a level N at or above its
     threshold N*(t, A, B).  The families sharing (t, A, B) form a box of
     residues (i, j0, l0) -- t, A and B each take at most two values, each
@@ -453,17 +434,15 @@ def first_section_twist(spec: SyzygySpec, lo: int, hi: int) -> int | None:
     an interval, so one threshold per box, at most eight per call, decides
     them all.
     """
-    if spec.d == 0:
-        raise ValueError("first_section_twist needs a curve (d > 0)")
     a1, a2, a3 = spec.exponents
-    d, p = spec.d, spec.p
+    d, p = spec.d or hi + 1, spec.p
     best = hi + 1  # least twist with a section found so far
     if a2 + a3 <= hi:
         best = max(lo, a2 + a3)
     boxes = []
-    for t, i_lo, i_hi in _runs([(i + a1) // d for i in range(d)]):
-        for A, j_lo, j_hi in _runs([(a2 - 1 - j) // d + 1 for j in range(d)]):
-            for B, l_lo, l_hi in _runs([(a3 - 1 - l) // d + 1 for l in range(d)]):
+    for t, i_lo, i_hi in _runs((i + a1) // d for i in range(d)):
+        for A, j_lo, j_hi in _runs((a2 - 1 - j) // d + 1 for j in range(d)):
+            for B, l_lo, l_hi in _runs((a3 - 1 - l) // d + 1 for l in range(d)):
                 s_lo, s_hi = a1 + i_lo + j_lo + l_lo, a1 + i_hi + j_hi + l_hi
                 boxes.append((_least_twist(s_lo, s_hi, d, 0, lo), s_lo, s_hi, t, A, B))
     cache: dict = {}

@@ -25,7 +25,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import FermatSyzError, InapplicableError, NotPrimeError, SmoothnessError
+from .errors import FermatSyzError, InapplicableError, SmoothnessError
 from .field import check_prime
 from .stability import (
     SCHEMA_VERSION,
@@ -79,15 +79,9 @@ def cmd_certify(args) -> int:
             cert = certify_destabilization(params.p, params.a, params.d)
         else:
             cert = certify_destabilization(args.p, args.a, args.d)
-    except NotPrimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SmoothnessError, InapplicableError) as exc:
         _print_json({"schema": SCHEMA_VERSION, "certified": False, "reason": str(exc)})
         return 2
-    except FermatSyzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     _print_json(cert.to_json_dict())
     return 0
 
@@ -128,8 +122,10 @@ def cmd_scan(args) -> int:
         ds = _parse_int_list(args.d)
         as_ = _parse_int_list(args.a)
         for p in ps:
-            check_prime(p)
-    except (ValueError, NotPrimeError) as exc:
+            check_prime(p)  # NotPrimeError reaches main: exit 1
+        if min(as_) < 1 or min(ds) < 0 or args.e_max < 0:
+            raise ValueError("need a >= 1, d >= 0, e_max >= 0")
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -148,9 +144,6 @@ def cmd_scan(args) -> int:
                 entry[rec["outcome"]] += 1
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    except FermatSyzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
     print(f"{'d':>6} {'certified':>10} {'inconclusive':>13} {'skipped':>8}")
@@ -190,8 +183,8 @@ def cmd_verify(args) -> int:
     if is_single:
         return _verify_one(data, args.path)
 
-    # JSONL: verify every certificate record
-    checked = 0
+    # JSONL: verify every certificate record and report each failing line
+    checked = failed = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -207,9 +200,11 @@ def cmd_verify(args) -> int:
         if rec.get("outcome") in ("none", "skipped"):
             continue
         checked += 1
-        result = _verify_one(rec, f"{args.path}:{lineno}")
-        if result != 0:
-            return result
+        if _verify_one(rec, f"{args.path}:{lineno}"):
+            failed += 1
+    if failed:
+        print(f"{failed} of {checked} certificate(s) failed")
+        return 2
     print(f"verified {checked} certificate(s)")
     return 0
 
@@ -223,9 +218,6 @@ def cmd_deviation(args) -> int:
     except (InapplicableError, SmoothnessError) as exc:
         _print_json({"schema": SCHEMA_VERSION, "applicable": False, "reason": str(exc)})
         return 2
-    except FermatSyzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     d = args.a * args.p ** (args.e - 1) + 1
     _print_json(
         {
@@ -249,9 +241,6 @@ def cmd_tc(args) -> int:
     except (InapplicableError, SmoothnessError) as exc:
         _print_json({"schema": SCHEMA_VERSION, "verdict": "error", "reason": str(exc)})
         return 2
-    except FermatSyzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     _print_json(report.to_json_dict())
     return 0 if report.verdict == "certified" else 2
 

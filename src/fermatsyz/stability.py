@@ -31,7 +31,7 @@ from .bundle import (
     SectionVector,
     SyzygySpec,
     first_section_twist,
-    has_section,
+    has_section,  # not called here; perfbench/probes.py wraps stability.has_section
     section_space,
 )
 from .errors import (
@@ -251,25 +251,20 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
     in-window family twist at or above the family's threshold N*(t, A, B),
     found by binary search once per distinct (t, A, B), at most eight
     times per level (see ``bundle.first_section_twist``).  The certificate's
-    section is the first vector of ``section_space`` at that twist.  On the
-    plane (d = 0) every twist of the window is checked to have no section.
+    section is the first vector of ``section_space`` at that twist.  The
+    plane (d = 0) runs the same search; a section found there would give a
+    certificate of degree 0, which ``DestabCertificate`` rejects.
     """
     check_prime(p)
     if a < 1 or e_max < 0 or d < 0:
         raise InapplicableError("need a >= 1, d >= 0, e_max >= 0")
-    if d > 0 and d % p == 0:
+    if not SyzygySpec(p, d, (a, a, a)).smooth:
         raise SmoothnessError(f"p = {p} divides d = {d}: curve not smooth")
     for e in range(e_max + 1):
         q = _check_pq(p, e)
         aq = a * q
         spec = SyzygySpec(p, d, (aq, aq, aq), 0)
         n_lo, n_hi = aq + 1, (3 * aq + 1) // 2 - 1  # ceil(3aq/2) - 1
-        if d == 0:
-            if any(has_section(spec, n) for n in range(n_lo, n_hi + 1)):
-                raise InternalCheckError(
-                    "sections below the Koszul floor on the projective plane"
-                )
-            continue
         n = first_section_twist(spec, n_lo, n_hi)
         if n is not None:
             section = section_space(spec, n)[0]
@@ -384,7 +379,13 @@ def verify_certificate(data: dict) -> list:
         return failures
     need(data.get("smooth") == (d % p != 0), "smooth flag inconsistent with p | d")
     need(d % p != 0, "p divides d: curve not smooth")
-    need(q == p**e, f"q = {q} != p^e = {p**e}")
+    # p^e >= 2^e > |q|, so an e that large never matches and its power is
+    # not taken; below 62 (every e a certificate can hold) the message
+    # shows the power
+    if e >= max(q.bit_length(), 62):
+        failures.append(f"q = {q} != p^e = {p}^{e}")
+    else:
+        need(q == p**e, f"q = {q} != p^e = {p**e}")
     if failures:
         return failures
     aq = a * q

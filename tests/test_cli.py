@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -223,6 +224,59 @@ def test_verify_non_string_section_fails(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "verify", str(path))
     assert code == 2
     assert stdout.startswith("FAIL") and "'section'" in stdout
+
+
+def test_verify_huge_e_fails_without_computing_the_power(tmp_path, capsys):
+    # p^e for e = 10^8 would take far longer than the check itself
+    path = _certificate_file(tmp_path, capsys, e=10**8)
+    started = time.perf_counter()
+    code, stdout, _ = run_cli(capsys, "verify", str(path))
+    assert time.perf_counter() - started < 0.5
+    assert code == 2
+    assert stdout == f"FAIL {path}: q = 25 != p^e = 5^100000000\n"
+    # below 62 the message keeps the computed power, also for e >= bit_length(q)
+    for e, power in ((3, 125), (5, 3125)):
+        path = _certificate_file(tmp_path, capsys, e=e)
+        code, stdout, _ = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert stdout == f"FAIL {path}: q = 25 != p^e = {power}\n"
+
+
+def test_verify_jsonl_reports_every_failing_line(tmp_path, capsys):
+    out = tmp_path / "scan.jsonl"
+    argv = ["scan", "--p", "3,5", "--d", "4..8", "--a", "1,2", "--e-max", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    certs = [k for k, line in enumerate(lines) if json.loads(line)["outcome"] == "certificate"]
+    assert len(certs) >= 3
+    for k in certs[:2]:
+        rec = json.loads(lines[k])
+        rec["degree"] += 1
+        lines[k] = json.dumps(rec)
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code, stdout, _ = run_cli(capsys, "verify", str(out))
+    assert code == 2
+    fails = [line for line in stdout.splitlines() if line.startswith("FAIL")]
+    assert [line.split(": ")[0] for line in fails] == [
+        f"FAIL {out}:{k + 1}" for k in certs[:2]
+    ]
+    assert stdout.count("\nOK ") + stdout.startswith("OK ") == len(certs) - 2
+    assert stdout.endswith(f"2 of {len(certs)} certificate(s) failed\n")
+
+
+@pytest.mark.parametrize(
+    "d, a, e_max",
+    [("4,5", "1,0", "1"), ("4,-1", "1", "1"), ("4", "1", "-1")],
+)
+def test_scan_rejects_bad_ranges_before_writing(tmp_path, capsys, d, a, e_max):
+    out = tmp_path / "x.jsonl"
+    code, stdout, err = run_cli(
+        capsys, "scan", "--p", "3", "--d", d, "--a", a, "--e-max", e_max, "--out", str(out)
+    )
+    assert code == 1
+    assert stdout == "" and err == "error: need a >= 1, d >= 0, e_max >= 0\n"
+    assert not out.exists()
 
 
 def test_scan_unwritable_path_exit_1(capsys):

@@ -15,6 +15,7 @@ from fermatsyz.bundle import (
     _binom_row,
     _family_threshold,
     _rank,
+    _section_kernel,
     first_section_twist,
     has_section,
     section_space,
@@ -56,8 +57,33 @@ def test_first_section_twist_matches_dense_scan(p):
         for lo, hi in ((m + 1, (3 * m + 1) // 2 - 1), (min(exps), exps[1] + exps[2] + 1)):
             expected = _first(spec, lo, hi, "structured")
             assert first_section_twist(spec, lo, hi) == expected, (p, d, exps, lo, hi)
-    with pytest.raises(ValueError):
-        first_section_twist(SyzygySpec(p, 0, (2, 2, 2)), 3, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_plane_runs_through_the_family_path(p):
+    # d = 0 uses an effective degree above every twist in play; the dense
+    # plane elimination, with no relation at all, is the oracle
+    for exps in EQUAL + UNEQUAL:
+        spec = SyzygySpec(p, 0, exps)
+        top = sum(exps) + 2
+        for n in range(top + 1):
+            dense = _section_kernel(spec, n, "dense")
+            assert np.array_equal(_section_kernel(spec, n), dense), (p, exps, n)
+        koszul = exps[1] + exps[2]
+        m = max(exps)
+        windows = [
+            (m + 1, (3 * m + 1) // 2 - 1),  # destabilizing window
+            (0, koszul - 1),
+            (min(exps), koszul),
+            (koszul, koszul + 2),
+            (koszul + 1, top),
+            (0, top),
+            (top, 2),  # empty
+            (-2, -1),  # empty, effective degree 0
+        ]
+        for lo, hi in windows:
+            expected = _first(spec, lo, hi, "dense")
+            assert first_section_twist(spec, lo, hi) == expected, (p, exps, lo, hi)
 
 
 def _nullity(block, p):
