@@ -29,14 +29,34 @@ N >= 0, and its block at level N depends only on
 
 (A or B is 0 when its numerator is negative) and on N.  With u = Y^d and
 w = Z^d the block's kernel is the degree-N part of
-{f in F_p[u, w] : f (u + w)^t in (u^A, w^B)}, the syzygy gaps of
-Han-Monsky ("Some surprising Hilbert-Kunz functions", Math. Z. 1993).
-Multiplying by u keeps f in that set, so once a family has a kernel it
-keeps one at every larger N: each family has a threshold N*(t, A, B),
-found by binary search, and ``first_section_twist`` reads the least
-twist with a section off the thresholds instead of eliminating every
-block at every twist.  Families sharing (t, A, B) share the threshold,
-and there are at most eight such groups per spec.
+{f in F_p[u, w] : f (u + w)^t in (u^A, w^B)}.  When A or B is 0 every f
+qualifies.  Otherwise the triples (g1, g2, f) with
+g1 u^A + g2 w^B + f (u + w)^t = 0 form a free module on two generators of
+degrees m1 <= m2 with m1 + m2 = A + B + t (Hilbert-Burch), and f fixes
+(g1, g2) up to the Koszul syzygies (w^B h, -u^A h, 0).  So with D = N + t
+the block nullity is
+
+    (D - m1 + 1)+ + (D - m2 + 1)+ - (D - A - B + 1)+,
+
+and the family threshold, the least level with a kernel, is
+N*(t, A, B) = max(0, m1 - t).  The difference m2 - m1 is Han's syzygy gap
+delta_p(t, A, B) (C. Han, thesis, Brandeis 1991; Han and Monsky, "Some
+surprising Hilbert-Kunz functions", Math. Z. 1993), computed by
+``_han_gap`` from Han's theorem in its taxicab-distance form: for
+k = (k1, k2, k3) sorted, delta = k3 - k1 - k2 if k3 >= k1 + k2; otherwise
+delta is the largest q - |k - q u|_1 over q = p^s <= k1 + k2 + k3 and
+u in Z^3 with odd coordinate sum, u_i in {floor(k_i / q), ceil(k_i / q)}
+and |k - q u|_1 < q; and delta = (k1 + k2 + k3) mod 2 when there is no
+such pair.  The largest value matters for p = 2, where two levels can
+qualify: for (3, 4, 4), q = 1 gives 1 and q = 4 gives 3, and the gap is
+3.  tests/test_family.py checks both formulas against elimination of
+every block with t, A, B <= 10 and p in {2, 3, 5, 7}.
+
+``first_section_twist`` and ``section_space_dim`` run on these closed
+forms and eliminate nothing; the blocks are built and eliminated only for
+the kernel basis that ``section_space`` returns.  Families sharing
+(t, A, B) share the threshold, and there are at most eight such groups
+per spec.
 
 The plane (d = 0) runs through the same code.  In degrees below d the
 Fermat ring equals F_p[X, Y, Z], so the degree-n syzygies on P^2 are
@@ -236,44 +256,91 @@ def _band(t: int, A: int, B: int, N: int, row: np.ndarray) -> np.ndarray:
     return np.where(ok, row[np.clip(diff, 0, t)], 0)
 
 
-def _curve_blocks(spec: SyzygySpec, n: int):
-    """Yield (i, j0, l0, N, t, block) per nonempty residue class.
+def _classes(spec: SyzygySpec, n: int):
+    """Yield (i, j0, l0, N, t, A, B) per nonempty residue class in twist n.
 
-    ``block`` is the bad-projection matrix on the class coordinates
-    alpha = 0..N, where the class consists of the source monomials
-    X^i Y^(j0 + alpha d) Z^(l0 + beta d) with alpha + beta = N.  The plane
-    uses the effective degree d = n + 1 (see the module docstring).
+    The class consists of the source monomials X^i Y^(j0 + alpha d)
+    Z^(l0 + beta d) with alpha + beta = N.  The plane uses the effective
+    degree d = n + 1 (see the module docstring).
     """
     a1, a2, a3 = spec.exponents
     d = spec.d or n + 1
     src_deg = n - a1
-    cache: dict = {}
     for i in range(min(d, src_deg + 1)):
         t = (i + a1) // d
-        row = _binom_row(t, spec.p, cache)
         for j0 in range(min(d, src_deg - i + 1)):
             l0 = (src_deg - i - j0) % d
             rem = src_deg - i - j0 - l0
             if rem < 0:
                 continue
-            n_alpha = rem // d
             A = (a2 - 1 - j0) // d + 1
             B = (a3 - 1 - l0) // d + 1
-            yield i, j0, l0, n_alpha, t, _band(t, A, B, n_alpha, row)
+            yield i, j0, l0, rem // d, t, A, B
+
+
+def _curve_blocks(spec: SyzygySpec, n: int):
+    """Yield (i, j0, l0, N, block) per nonempty residue class.
+
+    ``block`` is the bad-projection matrix on the class coordinates
+    alpha = 0..N.
+    """
+    cache: dict = {}
+    for i, j0, l0, N, t, A, B in _classes(spec, n):
+        yield i, j0, l0, N, _band(t, A, B, N, _binom_row(t, spec.p, cache))
+
+
+def _han_gap(p: int, t: int, A: int, B: int) -> int:
+    """Han's syzygy gap delta_p(t, A, B) (see the module docstring)."""
+    k = sorted((t, A, B))
+    total = sum(k)
+    if k[2] >= k[0] + k[1]:
+        return k[2] - k[0] - k[1]
+    gap = total % 2
+    q = 1
+    while q <= total:
+        # the u nearest to k / q minimizes |k - q u|_1; if its sum is even,
+        # moving one u_i to its other neighbour of k_i / q costs
+        # |q - 2 r_i| (q when r_i = 0, which never qualifies) and makes the
+        # sum odd; moving three costs more
+        rems = [x % q for x in k]
+        dist = sum(min(r, q - r) for r in rems)
+        if sum((x + q // 2) // q for x in k) % 2 == 0:
+            dist += min(abs(q - 2 * r) for r in rems)
+        if dist < q:
+            gap = max(gap, q - dist)
+        q *= p
+    return gap
+
+
+def _syzygy_degrees(p: int, t: int, A: int, B: int) -> tuple:
+    """Degrees m1 <= m2 of the syzygy generators of (u^A, w^B, (u + w)^t)."""
+    m1 = (A + B + t - _han_gap(p, t, A, B)) // 2
+    return m1, A + B + t - m1
+
+
+def _threshold(p: int, t: int, A: int, B: int) -> int:
+    """Least level N at which the family (t, A, B) has a block kernel."""
+    if min(A, B) == 0:
+        return 0
+    return max(0, _syzygy_degrees(p, t, A, B)[0] - t)
+
+
+def _nullity(p: int, t: int, A: int, B: int, N: int) -> int:
+    """Kernel dimension of the family (t, A, B) block at level N."""
+    if min(A, B) == 0:
+        return N + 1
+    m1, m2 = _syzygy_degrees(p, t, A, B)
+    D = N + t
+    return max(0, D - m1 + 1) + max(0, D - m2 + 1) - max(0, D - A - B + 1)
 
 
 def _structured_dim(spec: SyzygySpec, n: int) -> int:
-    """Kernel dimension via the block decomposition."""
+    """Kernel dimension: the Koszul family plus the closed-form family nullities."""
     _a1, a2, a3 = spec.exponents
-    dim = spec.ring.hilbert(n - a2 - a3)  # Koszul family
-    for *_cls, block in _curve_blocks(spec, n):
-        dim += block.shape[1] - _rank(block, spec.p)
+    dim = spec.ring.hilbert(n - a2 - a3)
+    for *_cls, N, t, A, B in _classes(spec, n):
+        dim += _nullity(spec.p, t, A, B, N)
     return dim
-
-
-def _rank(block: np.ndarray, p: int) -> int:
-    work = np.ascontiguousarray(block.copy())
-    return rref(work, p)[0]
 
 
 def _structured_kernel(spec: SyzygySpec, n: int) -> np.ndarray:
@@ -290,7 +357,7 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> np.ndarray:
 
     d = spec.d or n + 1
     s1_list = []
-    for i, j0, l0, n_alpha, _t, block in _curve_blocks(spec, n):
+    for i, j0, l0, n_alpha, block in _curve_blocks(spec, n):
         work = np.ascontiguousarray(block)
         rank, pivots = rref(work, p) if work.size else (0, [])
         if block.shape[1] - rank == 0:
@@ -383,15 +450,14 @@ def has_section(spec: SyzygySpec, n: int, method: str = "structured") -> bool:
     return section_space_dim(spec, n, method) > 0
 
 
-def _runs(values) -> list:
-    """[value, first, last] for each maximal run of equal consecutive values."""
-    runs: list = []
-    for r, v in enumerate(values):
-        if runs and runs[-1][0] == v:
-            runs[-1][2] = r
-        else:
-            runs.append([v, r, r])
-    return runs
+def _runs(c: int, step: int, d: int) -> list:
+    """[value, first, last] for each run of (c + step x) // d over x in [0, d).
+
+    ``step`` is 1 or -1, so the value changes at most once: one or two runs.
+    """
+    split = d - c % d if step > 0 else c % d + 1  # first x of the second run
+    runs = [(c // d, 0, split - 1), (c // d + step, split, d - 1)]
+    return [run for run in runs if run[1] <= run[2]]
 
 
 def _least_twist(s_lo: int, s_hi: int, d: int, N: int, lo: int) -> int:
@@ -402,56 +468,29 @@ def _least_twist(s_lo: int, s_hi: int, d: int, N: int, lo: int) -> int:
     return lo if lo <= s_hi + d * k else s_lo + d * (k + 1)
 
 
-def _family_threshold(t: int, A: int, B: int, N_lo: int, N_hi: int, p: int, row) -> int:
-    """Least N in [N_lo, N_hi] at which the family (t, A, B) has a nonzero
-    block kernel, or N_hi when there is none below it.
-
-    The kernel is monotone in N (see the module docstring), so binary
-    search applies.  At N = min(A, B) the band has at most min(A, B) rows
-    and N + 1 columns, so the true threshold is at most min(A, B).
-    """
-    lo, hi = N_lo, min(N_hi, A, B)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        block = _band(t, A, B, mid, row)
-        if block.shape[0] <= mid or _rank(block, p) <= mid:  # nullity > 0
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def first_section_twist(spec: SyzygySpec, lo: int, hi: int) -> int | None:
     """Least n in [lo, hi] with a nonzero degree-n module syzygy, or None.
 
-    Agrees with the first n for which ``has_section`` holds.  The plane
-    uses the effective degree hi + 1, so only its level-0 families reach
-    the window.  The Koszul family gives sections from n = a2 + a3 on; every
-    other section comes from a residue family at a level N at or above its
-    threshold N*(t, A, B).  The families sharing (t, A, B) form a box of
-    residues (i, j0, l0) -- t, A and B each take at most two values, each
-    on an interval of residues -- whose base twists a1 + i + j0 + l0 fill
-    an interval, so one threshold per box, at most eight per call, decides
-    them all.
+    Agrees with the first n for which ``has_section`` holds, and eliminates
+    nothing.  The plane uses the effective degree hi + 1, so only its
+    level-0 families reach the window.  The Koszul family gives sections
+    from n = a2 + a3 on; every other section comes from a residue family at
+    a level N at or above its closed-form threshold N*(t, A, B).  The
+    families sharing (t, A, B) form a box of residues (i, j0, l0) -- t, A
+    and B each take at most two values, each on an interval of residues --
+    whose base twists a1 + i + j0 + l0 fill an interval, so one threshold
+    per box, at most eight per call, decides them all.
     """
     a1, a2, a3 = spec.exponents
-    d, p = spec.d or hi + 1, spec.p
+    d, p = spec.d or max(hi, 0) + 1, spec.p
     best = hi + 1  # least twist with a section found so far
     if a2 + a3 <= hi:
         best = max(lo, a2 + a3)
-    boxes = []
-    for t, i_lo, i_hi in _runs((i + a1) // d for i in range(d)):
-        for A, j_lo, j_hi in _runs((a2 - 1 - j) // d + 1 for j in range(d)):
-            for B, l_lo, l_hi in _runs((a3 - 1 - l) // d + 1 for l in range(d)):
+    # A = (a2 - 1 - j0) // d + 1 = (a2 + d - 1 - j0) // d, and B likewise
+    for t, i_lo, i_hi in _runs(a1, 1, d):
+        for A, j_lo, j_hi in _runs(a2 + d - 1, -1, d):
+            for B, l_lo, l_hi in _runs(a3 + d - 1, -1, d):
                 s_lo, s_hi = a1 + i_lo + j_lo + l_lo, a1 + i_hi + j_hi + l_hi
-                boxes.append((_least_twist(s_lo, s_hi, d, 0, lo), s_lo, s_hi, t, A, B))
-    cache: dict = {}
-    for bound, s_lo, s_hi, t, A, B in sorted(boxes):
-        if bound >= best:
-            break
-        # levels whose twists all lie below lo, or all above best, need no test
-        N_lo = max(0, -((s_hi - lo) // d))
-        N_hi = (best - 1 - s_lo) // d + 1
-        N = _family_threshold(t, A, B, N_lo, N_hi, p, _binom_row(t, p, cache))
-        best = min(best, _least_twist(s_lo, s_hi, d, N, lo))
+                N = _threshold(p, t, A, B)
+                best = min(best, _least_twist(s_lo, s_hi, d, N, lo))
     return best if best <= hi else None

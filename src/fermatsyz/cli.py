@@ -25,6 +25,7 @@ import sys
 import time
 
 from . import __version__
+from .bundle import SyzygySpec
 from .errors import FermatSyzError, InapplicableError, SmoothnessError
 from .field import check_prime
 from .stability import (
@@ -33,6 +34,7 @@ from .stability import (
     deviation_lower_bound,
     find_parameters,
     format_fraction,
+    max_level,
     search_destabilization,
     verify_certificate,
 )
@@ -100,7 +102,7 @@ def _scan_cell(p: int, d: int, a: int, e_max: int, timings: bool) -> dict:
         "e_max": e_max,
     }
     started = time.perf_counter()
-    if d % p == 0:
+    if not SyzygySpec(p, d, (a, a, a)).smooth:
         record.update({"outcome": "skipped", "smooth": False, "inconclusive": True})
     else:
         cert = search_destabilization(p, d, a, e_max)
@@ -125,6 +127,13 @@ def cmd_scan(args) -> int:
             check_prime(p)  # NotPrimeError reaches main: exit 1
         if min(as_) < 1 or min(ds) < 0 or args.e_max < 0:
             raise ValueError("need a >= 1, d >= 0, e_max >= 0")
+        for p, a in itertools.product(ps, as_):
+            top = max_level(p, a)
+            if args.e_max > top:
+                raise ValueError(
+                    f"--e-max {args.e_max} is too large for p = {p}, a = {a}: "
+                    f"a p^e leaves the 64-bit range from e = {top + 1} on"
+                )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -176,9 +185,12 @@ def cmd_verify(args) -> int:
     try:
         data = json.loads(text)
         is_single = isinstance(data, dict)
-    except json.JSONDecodeError:
+    except json.JSONDecodeError:  # not one document: read it as JSONL
         is_single = False
         data = None
+    except ValueError as exc:  # e.g. an integer beyond the int-string limit
+        print(f"error: {args.path} is not valid JSON: {exc}", file=sys.stderr)
+        return 1
 
     if is_single:
         return _verify_one(data, args.path)
@@ -191,7 +203,7 @@ def cmd_verify(args) -> int:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or the int-string limit
             print(f"error: line {lineno} is not valid JSON: {exc}", file=sys.stderr)
             return 1
         if not isinstance(rec, dict):

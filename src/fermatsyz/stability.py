@@ -10,9 +10,9 @@ The engine behind three user-facing operations:
   of Syz(X^a, Y^a, Z^a) is not semistable.
 * ``search_destabilization`` is the bounded semidecision: for Frobenius
   levels e = 0..e_max find the least twist n in the window where a
-  section forces negative degree, from the residue-family thresholds of
-  ``bundle.first_section_twist``; report the first hit or "nothing found"
-  (which never asserts strong semistability).
+  section forces negative degree, from the closed-form residue-family
+  thresholds of ``bundle.first_section_twist``; report the first hit or
+  "nothing found" (which never asserts strong semistability).
 * ``deviation_lower_bound`` evaluates the exact normalized slope gap and
   its closed-form lower bound a^2 p^(e-1) - 2a for the degree choice
   d = a p^(e-1) + 1.
@@ -53,6 +53,17 @@ def _check_pq(p: int, e: int) -> int:
             f"p^e = {p}^{e} leaves the 64-bit range; use smaller inputs"
         )
     return q
+
+
+def max_level(p: int, a: int) -> int:
+    """Largest e with a p^e < EXP_LIMIT (-1 when a itself is too large).
+
+    Multiplies up level by level, so it never forms a huge power.
+    """
+    e, aq = -1, a
+    while aq < EXP_LIMIT:
+        e, aq = e + 1, aq * p
+    return e
 
 
 @dataclass(frozen=True)
@@ -249,19 +260,29 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
     stays in that set, a family that has a kernel at N has one at every
     larger N.  The least twist with a section is therefore the least
     in-window family twist at or above the family's threshold N*(t, A, B),
-    found by binary search once per distinct (t, A, B), at most eight
-    times per level (see ``bundle.first_section_twist``).  The certificate's
-    section is the first vector of ``section_space`` at that twist.  The
-    plane (d = 0) runs the same search; a section found there would give a
+    which Han's syzygy gap delta_p(t, A, B) gives in closed form, once per
+    distinct (t, A, B), at most eight times per level (see the ``bundle``
+    module docstring and ``bundle.first_section_twist``).  No level is
+    eliminated; the only elimination is the certificate's section, the
+    first vector of ``section_space`` at the twist found.  The plane
+    (d = 0) runs the same search; a section found there would give a
     certificate of degree 0, which ``DestabCertificate`` rejects.
+
+    Raises ``ExponentOverflowError`` on reaching the first level whose
+    exponent a p^e is not below ``EXP_LIMIT``.
     """
     check_prime(p)
     if a < 1 or e_max < 0 or d < 0:
         raise InapplicableError("need a >= 1, d >= 0, e_max >= 0")
     if not SyzygySpec(p, d, (a, a, a)).smooth:
         raise SmoothnessError(f"p = {p} divides d = {d}: curve not smooth")
+    top = max_level(p, a)
     for e in range(e_max + 1):
-        q = _check_pq(p, e)
+        if e > top:
+            raise ExponentOverflowError(
+                f"a p^e = {a}*{p}^{e} leaves the 64-bit range; use smaller inputs"
+            )
+        q = p**e
         aq = a * q
         spec = SyzygySpec(p, d, (aq, aq, aq), 0)
         n_lo, n_hi = aq + 1, (3 * aq + 1) // 2 - 1  # ceil(3aq/2) - 1
@@ -349,7 +370,9 @@ def verify_certificate(data: dict) -> list:
     """Re-check a certificate dict; returns the list of failed checks.
 
     Every mathematical field participates in at least one cross-check, so
-    any single-field corruption that changes a quantity is caught.
+    any single-field corruption that changes a quantity is caught.  A
+    ``schema`` other than SCHEMA_VERSION fails at once; one that is absent
+    is read as SCHEMA_VERSION.
     """
     failures = []
 
@@ -357,6 +380,9 @@ def verify_certificate(data: dict) -> list:
         if not cond:
             failures.append(msg)
 
+    schema = data.get("schema", SCHEMA_VERSION)
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        return [f"unknown schema {schema!r}; this version reads schema {SCHEMA_VERSION}"]
     for f in _INT_FIELDS:
         if not isinstance(data.get(f), int):
             return [f"field {f!r} missing or not an integer"]
@@ -398,7 +424,7 @@ def verify_certificate(data: dict) -> list:
     need(data["slope_quotient"] == data["degree"], "quotient slope must equal degree")
     try:
         gap = parse_fraction(data["normalized_gap"])
-    except (ValueError, TypeError, KeyError):
+    except (ValueError, TypeError, KeyError, ZeroDivisionError):
         return failures + ["normalized_gap is not a rational"]
     need(gap == Fraction(-data["degree"], q), "normalized gap formula mismatch")
 

@@ -279,6 +279,82 @@ def test_scan_rejects_bad_ranges_before_writing(tmp_path, capsys, d, a, e_max):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "p, a, e_max", [("2", "1", "70"), ("2", "1", "62"), ("3,2", "1,2", "61"), ("7", "1", "23")]
+)
+def test_scan_rejects_e_max_beyond_exponent_range_before_writing(tmp_path, capsys, p, a, e_max):
+    # some listed (p, a) reaches a p^e >= 2^62 within e_max, even where
+    # every cell would certify at an earlier level
+    out = tmp_path / "x.jsonl"
+    code, stdout, err = run_cli(
+        capsys, "scan", "--p", p, "--d", "3,5", "--a", a, "--e-max", e_max, "--out", str(out)
+    )
+    assert code == 1
+    assert stdout == "" and err.startswith(f"error: --e-max {e_max} is too large")
+    assert not out.exists()
+
+
+def test_scan_runs_to_the_last_level_in_range(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    code, _, _ = run_cli(
+        capsys, "scan", "--p", "2", "--d", "3", "--a", "1", "--e-max", "61", "--out", str(out)
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["outcome"] == "none"
+
+
+def test_scan_searches_the_plane(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    code, _, _ = run_cli(
+        capsys, "scan", "--p", "3", "--d", "0", "--a", "1,2", "--e-max", "2", "--out", str(out)
+    )
+    assert code == 0
+    for line in out.read_text().splitlines():
+        rec = json.loads(line)
+        assert (rec["outcome"], rec["smooth"], rec["inconclusive"]) == ("none", True, True)
+
+
+def test_verify_huge_integer_exit_1(tmp_path, capsys):
+    # json.loads refuses integers of more than 4,300 digits with a plain
+    # ValueError; verify must report invalid JSON, not a traceback
+    huge = "1" + "0" * 5000
+    single = tmp_path / "cert.json"
+    single.write_text('{"schema": 1, "q": ' + huge + "}")
+    code, stdout, err = run_cli(capsys, "verify", str(single))
+    assert code == 1
+    assert stdout == "" and err.startswith(f"error: {single} is not valid JSON")
+    lines = tmp_path / "scan.jsonl"
+    _, cert, _ = run_cli(capsys, "certify", "--p", "5", "--a", "2", "--d0", "8")
+    lines.write_text(json.dumps(json.loads(cert)) + '\n{"q": ' + huge + "}\n")
+    code, stdout, err = run_cli(capsys, "verify", str(lines))
+    assert code == 1
+    assert err.startswith("error: line 2 is not valid JSON")
+
+
+@pytest.mark.parametrize("schema", [2, 0, "1", 1.0, None])
+def test_verify_rejects_unknown_schema(tmp_path, capsys, schema):
+    path = _certificate_file(tmp_path, capsys, schema=schema)
+    code, stdout, _ = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert stdout == f"FAIL {path}: unknown schema {schema!r}; this version reads schema 1\n"
+
+
+def test_verify_zero_denominator_gap_fails(tmp_path, capsys):
+    path = _certificate_file(tmp_path, capsys, normalized_gap="1/0")
+    code, stdout, _ = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert stdout == f"FAIL {path}: normalized_gap is not a rational\n"
+
+
+def test_verify_accepts_a_certificate_without_schema(tmp_path, capsys):
+    path = _certificate_file(tmp_path, capsys)
+    data = json.loads(path.read_text())
+    del data["schema"]
+    path.write_text(json.dumps(data))
+    code, stdout, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0 and stdout.startswith("OK")
+
+
 def test_scan_unwritable_path_exit_1(capsys):
     code, _, err = run_cli(
         capsys,

@@ -1,7 +1,8 @@
-"""Residue-family thresholds against dense elimination.
+"""Residue-family thresholds against elimination.
 
-``first_section_twist`` and the search built on it never eliminate the
-full syzygy matrix; these tests keep the dense path as the oracle.
+``first_section_twist``, ``section_space_dim`` and the search built on
+them eliminate nothing: they read Han's syzygy gap in closed form.  These
+tests keep the dense path and the per-family band elimination as oracles.
 """
 
 import itertools
@@ -13,15 +14,16 @@ from fermatsyz.bundle import (
     SyzygySpec,
     _band,
     _binom_row,
-    _family_threshold,
-    _rank,
+    _han_gap,
+    _nullity,
     _section_kernel,
+    _threshold,
     first_section_twist,
     has_section,
     section_space,
 )
 from fermatsyz.field import binom_uint
-from fermatsyz.linalg import MatrixModP
+from fermatsyz.linalg import MatrixModP, rref
 from fermatsyz.stability import _build_certificate, search_destabilization
 
 EQUAL = [(a, a, a) for a in (1, 2, 3, 5)]
@@ -86,8 +88,34 @@ def test_plane_runs_through_the_family_path(p):
             assert first_section_twist(spec, lo, hi) == expected, (p, exps, lo, hi)
 
 
-def _nullity(block, p):
-    return block.shape[1] - (_rank(block, p) if block.shape[0] else 0)
+def _band_nullity(t, A, B, N, p, cache):
+    block = _band(t, A, B, N, _binom_row(t, p, cache))
+    if not block.shape[0]:
+        return N + 1
+    return N + 1 - rref(np.ascontiguousarray(block), p)[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_closed_form_gap_matches_band_elimination(p):
+    # every family block with t, A, B <= 10, up to the level where the
+    # Koszul syzygies take over: nullity and threshold against elimination
+    cache = {}
+    for t, A, B in itertools.product(range(11), repeat=3):
+        nullities = []
+        for N in range(A + B + t + 3):
+            nullities.append(_band_nullity(t, A, B, N, p, cache))
+            assert _nullity(p, t, A, B, N) == nullities[-1], (p, t, A, B, N)
+        n_star = next(N for N, v in enumerate(nullities) if v)
+        assert _threshold(p, t, A, B) == n_star, (p, t, A, B)
+
+
+def test_han_gap_takes_the_largest_level():
+    # p = 2, k = (3, 4, 4): q = 1 and q = 4 both qualify, with values 1 and
+    # 3; taking the first qualifying level instead of the largest value
+    # would give 1 and move the threshold from 1 to 2
+    assert _han_gap(2, 3, 4, 4) == 3
+    assert _threshold(2, 3, 4, 4) == 1
+    assert [_band_nullity(3, 4, 4, N, 2, {}) for N in range(3)] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -99,7 +127,7 @@ def test_family_kernel_monotone_in_level(p):
         nullities = []
         for N in range(min(A, B) + 3):
             block = _band(t, A, B, N, row)
-            nullities.append(_nullity(block, p))
+            nullities.append(_band_nullity(t, A, B, N, p, cache))
             # every kernel vector f satisfies f (u + w)^t in (u^A, w^B)
             if block.shape[0]:
                 for f in MatrixModP(block, p).kernel_basis():
@@ -110,7 +138,7 @@ def test_family_kernel_monotone_in_level(p):
                     assert not np.any(prod[bad] % p), (p, t, A, B, N)
         # multiplication by u embeds the level-N kernel into level N + 1
         assert nullities == sorted(nullities), (p, t, A, B, nullities)
-        n_star = _family_threshold(t, A, B, 0, min(A, B) + 2, p, row)
+        n_star = _threshold(p, t, A, B)
         assert nullities[n_star] > 0 and (n_star == 0 or nullities[n_star - 1] == 0)
 
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from fermatsyz.bundle import SyzygySpec, _section_kernel, section_space
-from fermatsyz.errors import InapplicableError, NotPrimeError, SmoothnessError
+from fermatsyz.errors import (
+    ExponentOverflowError,
+    InapplicableError,
+    NotPrimeError,
+    SmoothnessError,
+)
+from fermatsyz.poly import EXP_LIMIT
 from fermatsyz.stability import (
     _build_certificate,
     certify_destabilization,
@@ -12,6 +18,7 @@ from fermatsyz.stability import (
     find_parameters,
     format_fraction,
     hn_data,
+    max_level,
     search_destabilization,
     verify_certificate,
 )
@@ -154,6 +161,17 @@ def test_search_methods_agree_on_small_grid():
 def test_search_plane_returns_none():
     assert search_destabilization(5, 0, 2, 2) is None
     assert search_destabilization(3, 0, 1, 3) is None
+
+
+def test_search_reaches_the_exponent_range_and_stops_there():
+    assert (max_level(2, 1), max_level(2, 2), max_level(3, 1)) == (61, 60, 39)
+    assert max_level(7, EXP_LIMIT) == -1
+    # every level up to a q = 2^61 runs, with no elimination, and finds nothing
+    assert search_destabilization(2, 3, 1, 61) is None
+    # a = 2 reaches a q = 2^62 at e = 61: raise there, not return None
+    with pytest.raises(ExponentOverflowError, match=r"2\*2\^61"):
+        search_destabilization(2, 3, 2, 61)
+    assert search_destabilization(2, 3, 2, 60) is None
 
 
 def test_search_smoothness():
