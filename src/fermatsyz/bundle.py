@@ -18,8 +18,9 @@ exponents only in steps of d).
 
 ``dense`` -- assemble the full block matrix (``syzygy_matrix``) and take
 its kernel -- is the reference that tests compare against; pass
-``method="dense"`` to select it.  Both paths canonicalize through a final
-reduced-echelon pass, so they return identical bases.
+``method="dense"`` to select it.  Both paths return the reduced echelon
+basis of the kernel (columns s1, then s2, then s3, each in basis order),
+which is unique, so they return identical bases.
 
 Residue families.  On a curve (d > 0) the blocks come in families: the
 class (i, j0, l0) in [0, d)^3 owns the twists n = a1 + i + j0 + l0 + d N,
@@ -53,10 +54,30 @@ qualify: for (3, 4, 4), q = 1 gives 1 and q = 4 gives 3, and the gap is
 every block with t, A, B <= 10 and p in {2, 3, 5, 7}.
 
 ``first_section_twist`` and ``section_space_dim`` run on these closed
-forms and eliminate nothing; the blocks are built and eliminated only for
-the kernel basis that ``section_space`` returns.  Families sharing
-(t, A, B) share the threshold, and there are at most eight such groups
-per spec.
+forms and eliminate nothing.  Families sharing (t, A, B) share the
+threshold, and there are at most eight such groups per spec.
+
+The basis without a global elimination.  ``section_space`` builds and
+eliminates only the blocks whose closed-form nullity is positive, and
+checks each block's rank against it.  A kernel vector f of a block is s1;
+s2 and s3 follow in closed form, because s2 Y^a2 + s3 Z^a3 = -s1 X^a1 is
+f times the band (-1)^(t + 1) C(t, v) (see the structured-path comment).
+Each of its monomials has Y-exponent >= a2 or Z-exponent >= a3, and it is
+put on s3 whenever its Z-exponent allows, else on s2.  The rows -- the
+block kernels in reduced echelon form, ordered by their s1 pivots, then
+the Koszul rows g (0, Z^a3, -Y^a2) in basis order -- are then already the
+reduced echelon form of the whole kernel:
+
+- every family row has its leading 1 in s1, and the classes have disjoint
+  s1 supports whose basis order follows alpha, so the s1 parts are in
+  reduced echelon form;
+- a Koszul row has no s1 part and its leading 1 at the s2 coordinate of
+  g Z^a3, i.e. the s2 monomials with Z-exponent >= a3, increasing with g;
+- no family row has an s2 entry at such a monomial: those coefficients
+  went to s3.  Moving them there is exactly the reduction of the row
+  against the Koszul pivots, so the span is unchanged.
+
+The RREF is unique, so this is the basis the dense elimination returns.
 
 The plane (d = 0) runs through the same code.  In degrees below d the
 Fermat ring equals F_p[X, Y, Z], so the degree-n syzygies on P^2 are
@@ -82,7 +103,7 @@ import numpy as np
 from .errors import ExponentOverflowError, InternalCheckError
 from .field import PrimeField, binom_uint
 from .linalg import MatrixModP, kernel_from_rref, rref
-from .poly import EXP_LIMIT, GradedPoly, Monomial
+from .poly import EXP_LIMIT, GradedPoly
 from .ring import FermatRing
 
 _RING_CACHE: dict = {}
@@ -227,7 +248,10 @@ def _dense_kernel(spec: SyzygySpec, n: int) -> np.ndarray:
 # where i + A1 = i' + t d with 0 <= i' < d.  Grouping source monomials by
 # (i, j mod d) makes the bad-projection (coordinates on target monomials
 # with j < A2 and l < A3) block diagonal; within one class the matrix is a
-# band of binomial coefficients C(t, gamma - alpha).
+# band of binomial coefficients C(t, gamma - alpha).  The same band, applied
+# to a block kernel vector, gives the rest of the product: its coefficients
+# at gamma with l >= A3 form s3, the others with j >= A2 form s2 (s3 first
+# is the reduction against the Koszul pivots; see the module docstring).
 
 
 def _binom_row(t: int, p: int, cache: dict) -> np.ndarray:
@@ -276,17 +300,6 @@ def _classes(spec: SyzygySpec, n: int):
             A = (a2 - 1 - j0) // d + 1
             B = (a3 - 1 - l0) // d + 1
             yield i, j0, l0, rem // d, t, A, B
-
-
-def _curve_blocks(spec: SyzygySpec, n: int):
-    """Yield (i, j0, l0, N, block) per nonempty residue class.
-
-    ``block`` is the bad-projection matrix on the class coordinates
-    alpha = 0..N.
-    """
-    cache: dict = {}
-    for i, j0, l0, N, t, A, B in _classes(spec, n):
-        yield i, j0, l0, N, _band(t, A, B, N, _binom_row(t, spec.p, cache))
 
 
 def _han_gap(p: int, t: int, A: int, B: int) -> int:
@@ -343,62 +356,119 @@ def _structured_dim(spec: SyzygySpec, n: int) -> int:
     return dim
 
 
+def _basis_pos(i, j, m):
+    """Index of X^i Y^j Z^(m - i - j) in ``FermatRing.basis(m)`` (ints or arrays)."""
+    return i * (m + 1) - i * (i - 1) // 2 + j
+
+
+def _block_kernel(t: int, A: int, B: int, N: int, row: np.ndarray, p: int) -> np.ndarray:
+    """Kernel of the family (t, A, B) block at level N, in reduced echelon form.
+
+    The block is eliminated with its columns reversed.  Each kernel vector
+    that ``kernel_from_rref`` reads off then has a 1 at its free column f
+    and other entries only at pivot columns, which all lie right of f in
+    the original order, and zeros at the other free columns: reversed
+    back, the vectors are already the kernel's RREF.
+    """
+    block = _band(t, A, B, N, row)
+    if not block.shape[0]:
+        return np.eye(N + 1, dtype=np.int64)
+    work = np.ascontiguousarray(block[:, ::-1])
+    rank, pivots = rref(work, p)
+    return kernel_from_rref(work, rank, pivots, p)[::-1, ::-1]
+
+
+def _times_band(K: np.ndarray, row: np.ndarray, p: int) -> np.ndarray:
+    """Each row of K convolved with ``row``, mod p.
+
+    Reduced after every shifted add, so no int64 sum exceeds p^2 + p.
+    """
+    k, width = K.shape
+    out = np.zeros((k, width + len(row) - 1), dtype=np.int64)
+    if width <= len(row):
+        for alpha in np.flatnonzero(K.any(axis=0)).tolist():
+            seg = out[:, alpha : alpha + len(row)]
+            seg[:] = (seg + K[:, alpha : alpha + 1] * row) % p
+    else:
+        for v in np.flatnonzero(row).tolist():
+            seg = out[:, v : v + width]
+            seg[:] = (seg + K * int(row[v])) % p
+    return out
+
+
 def _structured_kernel(spec: SyzygySpec, n: int) -> np.ndarray:
-    """Full canonical kernel basis via the block decomposition."""
+    """Full canonical kernel basis, assembled from the residue blocks.
+
+    Only blocks with a closed-form kernel are built and eliminated, and
+    each one's nullity is checked against ``_nullity``.  A kernel vector
+    f of the class (i, j0, l0) is s1; then s2 Y^a2 + s3 Z^a3 = -s1 X^a1 is
+    the band product w = (-1)^(t + 1) f * [C(t, v)], whose coefficient
+    w[gamma] sits on X^i' Y^(j0 + gamma d) Z^(l0 + (N + t - gamma) d).  It
+    goes to s3 when N + t - gamma >= B (the Z-exponent reaches a3), else
+    to s2 when gamma >= A; the block kernel makes every other w[gamma] 0.
+    Preferring s3 is the reduction against the Koszul pivots, so the rows
+    -- families ordered by s1 pivot, then the Koszul family -- are the
+    reduced echelon form with no further elimination (module docstring).
+    """
     ring = spec.ring
     a1, a2, a3 = spec.exponents
     p = spec.p
-    src1 = ring.basis_index(n - a1)
-    src2 = ring.basis_index(n - a2)
-    src3 = ring.basis_index(n - a3)
-    d1, d2, d3 = len(src1), len(src2), len(src3)
-    total = d1 + d2 + d3
-    x_a1 = GradedPoly.monomial(ring.field, 1, (a1, 0, 0))
-
+    m1, m2, m3 = n - a1, n - a2, n - a3
+    d1, d2 = ring.hilbert(m1), ring.hilbert(m2)
+    total = d1 + d2 + ring.hilbert(m3)
     d = spec.d or n + 1
-    s1_list = []
-    for i, j0, l0, n_alpha, block in _curve_blocks(spec, n):
-        work = np.ascontiguousarray(block)
-        rank, pivots = rref(work, p) if work.size else (0, [])
-        if block.shape[1] - rank == 0:
+
+    cache: dict = {}
+    pivots, placed = [], []  # per kernel block: s1 pivots; (columns, values)
+    for i, j0, l0, N, t, A, B in _classes(spec, n):
+        nullity = _nullity(p, t, A, B, N)
+        if nullity == 0:
             continue
-        for kv in kernel_from_rref(work, rank, pivots, p):
-            terms = {}
-            for alpha, c in enumerate(kv):
-                if c:
-                    beta = n_alpha - alpha
-                    terms[Monomial(i, j0 + alpha * d, l0 + beta * d)] = int(c)
-            s1_list.append(GradedPoly(ring.field, n - a1, terms))
+        row = _binom_row(t, p, cache)
+        K = _block_kernel(t, A, B, N, row, p)
+        if len(K) != nullity:
+            raise InternalCheckError(
+                f"block (t, A, B, N) = {(t, A, B, N)} has nullity {len(K)}, "
+                f"closed form {nullity}"
+            )
+        w = _times_band(K, row, p)
+        if t % 2 == 0:
+            w = (-w) % p
+        gamma = np.arange(N + t + 1)
+        on3 = N + t - gamma >= B
+        on2 = ~on3 & (gamma >= A)
+        if np.any(w[:, ~(on2 | on3)]):
+            raise InternalCheckError("bad-projection of a kernel element is nonzero")
+        i2 = i + a1 - t * d
+        cols1 = _basis_pos(i, j0 + d * np.arange(N + 1), m1)
+        cols = np.concatenate(
+            [
+                cols1,
+                d1 + _basis_pos(i2, j0 + d * gamma[on2] - a2, m2),
+                d1 + d2 + _basis_pos(i2, j0 + d * gamma[on3], m3),
+            ]
+        )
+        pivots.append(cols1[np.argmax(K != 0, axis=1)])
+        placed.append((cols, np.hstack([K, w[:, on2], w[:, on3]])))
 
-    raw_rows = []
-    for s1 in s1_list:
-        w = ring.normal_form(s1 * x_a1)
-        row = np.zeros(total, dtype=np.int64)
-        for mono, c in s1.terms.items():
-            row[src1[mono]] = c
-        for mono, c in w.terms.items():
-            c_neg = (-c) % p
-            if mono.j >= a2:
-                row[d1 + src2[Monomial(mono.i, mono.j - a2, mono.l)]] = c_neg
-            elif mono.l >= a3:
-                row[d1 + d2 + src3[Monomial(mono.i, mono.j, mono.l - a3)]] = c_neg
-            else:
-                raise InternalCheckError("bad-projection of a kernel element is nonzero")
-        raw_rows.append(row)
+    # Koszul family g * (0, Z^a3, -Y^a2), g in the basis of R_{n - a2 - a3}
+    mk = n - a2 - a3
+    top = min(mk, d - 1)
+    gi = np.repeat(np.arange(top + 1), mk + 1 - np.arange(top + 1))
+    gj = np.arange(len(gi)) - _basis_pos(gi, 0, mk)
 
-    # Koszul family g * (0, Z^a3, -Y^a2); present only when n >= a2 + a3
-    for g in ring.basis(n - a2 - a3):
-        row = np.zeros(total, dtype=np.int64)
-        row[d1 + src2[Monomial(g.i, g.j, g.l + a3)]] = 1
-        row[d1 + d2 + src3[Monomial(g.i, g.j + a2, g.l)]] = p - 1
-        raw_rows.append(row)
-
-    if not raw_rows:
-        return np.zeros((0, total), dtype=np.int64)
-    m = np.ascontiguousarray(np.vstack(raw_rows))
-    rref(m, p)
-    nonzero = np.any(m, axis=1)  # rows are independent, but stay defensive
-    return m[nonzero]
+    n_family = sum(len(values) for _cols, values in placed)
+    out = np.zeros((n_family + len(gi), total), dtype=np.int64)
+    start = 0
+    for cols, values in placed:
+        out[start : start + len(values), cols] = values
+        start += len(values)
+    if placed:
+        out[:n_family] = out[:n_family][np.argsort(np.concatenate(pivots))]
+    koszul = np.arange(n_family, len(out))
+    out[koszul, d1 + _basis_pos(gi, gj, m2)] = 1
+    out[koszul, d1 + d2 + _basis_pos(gi, gj + a2, m3)] = p - 1
+    return out
 
 
 # -- public API ----------------------------------------------------------------

@@ -112,7 +112,9 @@ class FermatRing:
 
     def from_coords(self, v, n: int) -> GradedPoly:
         basis = self.basis(n)
-        terms = {basis[k]: int(c) for k, c in enumerate(v) if c}
+        v = np.asarray(v)
+        nz = np.flatnonzero(v)
+        terms = {basis[k]: c for k, c in zip(nz.tolist(), v[nz].tolist())}
         return GradedPoly(self.field, n, terms)
 
     def multiplication_matrix(self, g: GradedPoly, n: int) -> MatrixModP:

@@ -3,16 +3,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fermatsyz import bundle
 from fermatsyz.bundle import (
     SectionVector,
     SyzygySpec,
+    _binom_row,
     _section_kernel,
+    _structured_dim,
+    _structured_kernel,
     has_section,
     section_space,
     section_space_dim,
     syzygy_matrix,
 )
-from fermatsyz.errors import ExponentOverflowError
+from fermatsyz.errors import ExponentOverflowError, InternalCheckError
 from fermatsyz.field import PrimeField
 from fermatsyz.poly import GradedPoly, frobenius_power
 
@@ -181,6 +185,62 @@ def test_dense_structured_equality_battery():
     for call in (section_space, section_space_dim, has_section):
         with pytest.raises(ValueError):
             call(specs[0], 5, "sparse")
+
+
+P31 = 2**31 - 1  # the largest prime the package accepts
+
+
+def test_dense_structured_equality_at_the_largest_prime():
+    # near p = 2^31, kernel entries and binomial residues are full-size, so
+    # every product in the band convolution is close to 2^62; the twists
+    # start at the first section and reach blocks that fill both s2 and s3
+    cases = [
+        (SyzygySpec(P31, 3, (104, 100, 108)), range(156, 160)),  # t = 34, 35
+        (SyzygySpec(P31, 1, (40, 41, 43)), range(62, 66)),  # t = 40
+        (SyzygySpec(P31, 5, (23, 19, 21)), range(31, 35)),
+        (SyzygySpec(P31, 0, (5, 7, 6)), range(11, 15)),  # the plane
+    ]
+    assert max(_binom_row(34, P31, {})) > P31 // 2
+    for spec, twists in cases:
+        for n in twists:
+            dense = _section_kernel(spec, n, "dense")
+            assert dense.shape[0], (spec, n)
+            assert np.array_equal(_section_kernel(spec, n), dense), (spec, n)
+
+
+def test_structured_rows_match_the_closed_form_dimension():
+    # beyond the dense battery's reach: the assembled basis has exactly the
+    # closed-form number of rows, one leading 1 per row, in echelon order
+    specs = [
+        SyzygySpec(2, 5, (16, 16, 16)),
+        SyzygySpec(3, 7, (18, 9, 13)),
+        SyzygySpec(5, 4, (50, 50, 50)),
+        SyzygySpec(7, 6, (49, 49, 49)),
+        SyzygySpec(7, 0, (9, 11, 10)),
+        SyzygySpec(P31, 3, (104, 100, 108)),
+    ]
+    for spec in specs:
+        a = max(spec.exponents)
+        for n in range(a + 1, 3 * a + 2, max(1, a // 6)):
+            rows = _structured_kernel(spec, n)
+            assert rows.shape[0] == _structured_dim(spec, n), (spec, n)
+            leads = np.argmax(rows != 0, axis=1)
+            assert np.all(rows[np.arange(len(rows)), leads] == 1), (spec, n)
+            assert np.all(np.diff(leads) > 0), (spec, n)
+
+
+def test_block_nullity_disagreeing_with_the_closed_form_raises(monkeypatch):
+    spec = SyzygySpec(5, 11, (10, 10, 10))
+    assert len(_structured_kernel(spec, 11)) == 1
+    closed_form = bundle._nullity
+
+    def one_too_many(p, t, A, B, N):
+        nullity = closed_form(p, t, A, B, N)
+        return nullity + 1 if nullity else 0
+
+    monkeypatch.setattr(bundle, "_nullity", one_too_many)
+    with pytest.raises(InternalCheckError, match="closed form"):
+        _structured_kernel(spec, 11)
 
 
 def test_all_returned_sections_satisfy_relation():

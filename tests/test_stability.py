@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +158,21 @@ def test_search_methods_agree_on_small_grid():
                 else:
                     assert (cert.e, cert.twist) == (expected["e"], expected["twist"])
                     assert cert.to_json_dict() == expected, (p, d, a)
+
+
+def test_deep_certificate_is_built_from_its_family_block():
+    # (7, 11, 3) first destabilizes at e = 4, twist 10,802, in a space of
+    # dimension 1.  The section is pinned by the sha256 of its serialization
+    # as the full structured elimination produced it; building the basis
+    # from the kernel blocks alone takes a fraction of a second.
+    cert = search_destabilization(7, 11, 3, 4)
+    assert (cert.e, cert.twist) == (4, 10802)
+    text = json.dumps(cert.section.serialize())
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "8b1e39fd0eafeb7fd4a10ec328b42a5fab3bd7f6df1fff2408baedd3d6c46b93"
+    )
+    assert verify_certificate(cert.to_json_dict()) == []
 
 
 def test_search_plane_returns_none():
