@@ -79,6 +79,16 @@ reduced echelon form of the whole kernel:
 
 The RREF is unique, so this is the basis the dense elimination returns.
 
+Verification.  ``section_space`` verifies each call's basis with one
+batch check, ``FermatRing.check_syzygies``, which shares no code with the
+kernel's construction (``_classes``, ``_band``, ``_binom_row``,
+``_block_kernel``, ``_times_band``): it multiplies every row out term by
+term with the normal-form rewrite of ``poly`` and sums the result per
+monomial of R_n.  A change to any single entry of a row makes it raise.
+The vectors are then built without a check each.  The public
+``SectionVector`` constructor still checks its vector by ``normal_form``,
+and so does the search for the one section it certifies.
+
 The plane (d = 0) runs through the same code.  In degrees below d the
 Fermat ring equals F_p[X, Y, Z], so the degree-n syzygies on P^2 are
 exactly those on a Fermat curve of any degree above n.  The plane uses
@@ -97,6 +107,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,7 +115,7 @@ from .errors import ExponentOverflowError, InternalCheckError
 from .field import PrimeField, binom_uint
 from .linalg import MatrixModP, kernel_from_rref, rref
 from .poly import EXP_LIMIT, GradedPoly
-from .ring import FermatRing
+from .ring import FermatRing, basis_pos
 
 _RING_CACHE: dict = {}
 
@@ -169,10 +180,22 @@ class SectionVector:
     """A verified syzygy (s1, s2, s3): sum s_i * gen_i = 0 in the ring.
 
     Components are normal-form polynomials with deg s_i = twist - a_i
-    (zero components allowed, including in negative degrees).
+    (zero components allowed, including in negative degrees).  The
+    constructor checks the relation by ``normal_form``, vector by vector.
+    ``section_space`` instead checks its whole basis with one batch check
+    (``FermatRing.check_syzygies``) and builds its vectors unchecked.
     """
 
     __slots__ = ("spec", "twist", "components")
+
+    @classmethod
+    def _trusted(cls, spec: SyzygySpec, twist: int, components: tuple) -> "SectionVector":
+        """A section whose relation the caller has already checked."""
+        section = cls.__new__(cls)
+        section.spec = spec
+        section.twist = twist
+        section.components = components
+        return section
 
     def __init__(self, spec: SyzygySpec, twist: int, components):
         s1, s2, s3 = components
@@ -325,6 +348,7 @@ def _han_gap(p: int, t: int, A: int, B: int) -> int:
     return gap
 
 
+@lru_cache(maxsize=4096)
 def _syzygy_degrees(p: int, t: int, A: int, B: int) -> tuple:
     """Degrees m1 <= m2 of the syzygy generators of (u^A, w^B, (u + w)^t)."""
     m1 = (A + B + t - _han_gap(p, t, A, B)) // 2
@@ -354,11 +378,6 @@ def _structured_dim(spec: SyzygySpec, n: int) -> int:
     for *_cls, N, t, A, B in _classes(spec, n):
         dim += _nullity(spec.p, t, A, B, N)
     return dim
-
-
-def _basis_pos(i, j, m):
-    """Index of X^i Y^j Z^(m - i - j) in ``FermatRing.basis(m)`` (ints or arrays)."""
-    return i * (m + 1) - i * (i - 1) // 2 + j
 
 
 def _block_kernel(t: int, A: int, B: int, N: int, row: np.ndarray, p: int) -> np.ndarray:
@@ -440,12 +459,12 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> np.ndarray:
         if np.any(w[:, ~(on2 | on3)]):
             raise InternalCheckError("bad-projection of a kernel element is nonzero")
         i2 = i + a1 - t * d
-        cols1 = _basis_pos(i, j0 + d * np.arange(N + 1), m1)
+        cols1 = basis_pos(i, j0 + d * np.arange(N + 1), m1)
         cols = np.concatenate(
             [
                 cols1,
-                d1 + _basis_pos(i2, j0 + d * gamma[on2] - a2, m2),
-                d1 + d2 + _basis_pos(i2, j0 + d * gamma[on3], m3),
+                d1 + basis_pos(i2, j0 + d * gamma[on2] - a2, m2),
+                d1 + d2 + basis_pos(i2, j0 + d * gamma[on3], m3),
             ]
         )
         pivots.append(cols1[np.argmax(K != 0, axis=1)])
@@ -455,7 +474,7 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> np.ndarray:
     mk = n - a2 - a3
     top = min(mk, d - 1)
     gi = np.repeat(np.arange(top + 1), mk + 1 - np.arange(top + 1))
-    gj = np.arange(len(gi)) - _basis_pos(gi, 0, mk)
+    gj = np.arange(len(gi)) - basis_pos(gi, 0, mk)
 
     n_family = sum(len(values) for _cols, values in placed)
     out = np.zeros((n_family + len(gi), total), dtype=np.int64)
@@ -466,25 +485,40 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> np.ndarray:
     if placed:
         out[:n_family] = out[:n_family][np.argsort(np.concatenate(pivots))]
     koszul = np.arange(n_family, len(out))
-    out[koszul, d1 + _basis_pos(gi, gj, m2)] = 1
-    out[koszul, d1 + d2 + _basis_pos(gi, gj + a2, m3)] = p - 1
+    out[koszul, d1 + basis_pos(gi, gj, m2)] = 1
+    out[koszul, d1 + d2 + basis_pos(gi, gj + a2, m3)] = p - 1
     return out
 
 
 # -- public API ----------------------------------------------------------------
 
-def _unpack_rows(spec: SyzygySpec, n: int, rows) -> list:
+def _unpack_rows(spec: SyzygySpec, n: int, rows: np.ndarray) -> list:
+    """Each row's components (s1, s2, s3) as polynomials, unchecked.
+
+    The rows must hold residues in [0, p), as kernels do.
+    """
     ring = spec.ring
-    a1, a2, a3 = spec.exponents
-    d1 = ring.hilbert(n - a1)
-    d2 = ring.hilbert(n - a2)
-    sections = []
-    for v in rows:
-        s1 = ring.from_coords(v[:d1], n - a1)
-        s2 = ring.from_coords(v[d1 : d1 + d2], n - a2)
-        s3 = ring.from_coords(v[d1 + d2 :], n - a3)
-        sections.append(SectionVector(spec, n, (s1, s2, s3)))
-    return sections
+    field = ring.field
+    bounds = np.arange(len(rows) + 1)
+    comps = []  # per component: one polynomial per row
+    start = 0
+    for a in spec.exponents:
+        m = n - a
+        width = ring.hilbert(m)
+        block = rows[:, start : start + width]
+        start += width
+        r, pos = np.nonzero(block)
+        basis = ring.basis(m)
+        monos = list(map(basis.__getitem__, pos.tolist()))
+        coeffs = block[r, pos].tolist()
+        cuts = np.searchsorted(r, bounds).tolist()
+        comps.append(
+            [
+                GradedPoly._trusted(field, m, dict(zip(monos[lo:hi], coeffs[lo:hi])))
+                for lo, hi in zip(cuts, cuts[1:])
+            ]
+        )
+    return list(zip(*comps))
 
 
 def _is_dense(method: str) -> bool:
@@ -503,9 +537,14 @@ def section_space(spec: SyzygySpec, n: int, method: str = "structured") -> list:
     """Basis of the degree-n module syzygies, as verified SectionVectors.
 
     ``method="dense"`` selects the reference elimination; both paths
-    return the same canonical basis.
+    return the same canonical basis.  One batch check per call,
+    ``FermatRing.check_syzygies``, verifies the whole basis; it shares no
+    code with the kernel's construction, so the vectors are built without
+    a check each.
     """
-    return _unpack_rows(spec, n, _section_kernel(spec, n, method))
+    rows = _section_kernel(spec, n, method)
+    spec.ring.check_syzygies(rows, n, spec.exponents)
+    return [SectionVector._trusted(spec, n, parts) for parts in _unpack_rows(spec, n, rows)]
 
 
 def section_space_dim(spec: SyzygySpec, n: int, method: str = "structured") -> int:

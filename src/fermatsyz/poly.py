@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import ExponentOverflowError
@@ -94,6 +95,17 @@ class GradedPoly:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, field: PrimeField, degree: int, terms: dict) -> "GradedPoly":
+        """Wrap ``terms`` unchecked: callers pass Monomial keys of degree
+        ``degree`` and nonzero residues mod p, as ``__init__`` would keep.
+        """
+        f = cls.__new__(cls)
+        f.field = field
+        f.degree = degree
+        f.terms = terms
+        return f
 
     @classmethod
     def zero(cls, field: PrimeField, degree: int = 0) -> "GradedPoly":
@@ -239,6 +251,17 @@ def frobenius_power(f: GradedPoly, e: int) -> GradedPoly:
     return GradedPoly(f.field, f.degree * q, terms)
 
 
+# reduce_monomial keeps no row longer than this: a row holds t + 1 entries,
+# and a certificate read from a file can carry an astronomically large t
+ROW_LIMIT = 1024
+
+
+@lru_cache(maxsize=256)
+def binom_row(t: int, p: int) -> tuple:
+    """(C(t, 0), ..., C(t, t)) mod p: the coefficients of (Y^d + Z^d)^t."""
+    return tuple(binom_uint(t, v, p) for v in range(t + 1))
+
+
 def reduce_monomial(mono: Monomial, coeff: int, d: int, p: int) -> Iterable[tuple]:
     """Yield the normal-form terms of coeff * X^i Y^j Z^l modulo X^d + Y^d + Z^d."""
     t, i2 = divmod(mono.i, d)
@@ -247,8 +270,12 @@ def reduce_monomial(mono: Monomial, coeff: int, d: int, p: int) -> Iterable[tupl
         return
     sign = p - 1 if t % 2 else 1
     base = coeff * sign % p
-    for v in range(t + 1):
-        c = base * binom_uint(t, v, p) % p
+    if t <= ROW_LIMIT:
+        row = binom_row(t, p)
+    else:
+        row = (binom_uint(t, v, p) for v in range(t + 1))
+    for v, b in enumerate(row):
+        c = base * b % p
         if c:
             yield Monomial(i2, mono.j + v * d, mono.l + (t - v) * d), c
 

@@ -15,11 +15,19 @@ import numpy as np
 
 from .field import PrimeField
 from .linalg import MatrixModP
-from .poly import FermatRelation, GradedPoly, Monomial, normal_form, reduce_monomial
+from .poly import FermatRelation, GradedPoly, Monomial, binom_row, normal_form, reduce_monomial
 
 
 def _choose2(m: int) -> int:
     return m * (m - 1) // 2 if m >= 2 else 0
+
+
+def basis_pos(i, j, m):
+    """Index of X^i Y^j Z^(m - i - j) in ``FermatRing.basis(m)`` (ints or arrays).
+
+    Degree m has m - i + 1 basis monomials with X-exponent i, whatever d is.
+    """
+    return i * (m + 1) - i * (i - 1) // 2 + j
 
 
 class FermatRing:
@@ -116,6 +124,68 @@ class FermatRing:
         nz = np.flatnonzero(v)
         terms = {basis[k]: c for k, c in zip(nz.tolist(), v[nz].tolist())}
         return GradedPoly(self.field, n, terms)
+
+    def _basis_exponents(self, pos: np.ndarray, m: int) -> tuple:
+        """(i, j) arrays of the basis monomials of R_m at positions ``pos``."""
+        top = m if self.d == 0 else min(m, self.d - 1)
+        starts = basis_pos(np.arange(top + 1), 0, m)
+        i = np.searchsorted(starts, pos, side="right") - 1
+        return i, pos - starts[i]
+
+    def check_syzygies(self, rows, n: int, exponents) -> None:
+        """Raise ValueError unless every row is a degree-n syzygy.
+
+        A row holds the coordinates of (s1, s2, s3) in the bases of
+        R_(n - a_i), one after the other, as residues in [0, p).  One
+        vectorized pass checks s1 X^a1 + s2 Y^a2 + s3 Z^a3 = 0 in R_n for
+        all of them.  Y^a2 and Z^a3 move a basis monomial to a basis
+        monomial; X^a1 does too once its X-exponent i + a1 = i' + t d is
+        rewritten as in ``poly.reduce_monomial``,
+
+            (-1)^t sum_v C(t, v) X^i' Y^(j + v d) Z^(l + (t - v) d).
+
+        Each contribution is reduced mod p, and a coordinate of R_n gets at
+        most t + 3 of them, so no int64 sum passes (t + 3) p.
+        """
+        p = self.p
+        d = self.d or n + 1  # the plane: no rewrite below degree n + 1
+        degrees = [n - a for a in exponents]
+        widths = [self.hilbert(m) for m in degrees]
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != sum(widths):
+            raise ValueError(f"rows have shape {rows.shape}, expected width {sum(widths)}")
+        rs, targets, values = [], [], []
+        start = 0
+        for var, (a, m, width) in enumerate(zip(exponents, degrees, widths)):
+            r, pos = np.nonzero(rows[:, start : start + width])
+            c = rows[r, start + pos]
+            start += width
+            if len(c) and (c.min() < 0 or c.max() >= p):
+                raise ValueError(f"row entries must be residues in [0, {p})")
+            i, j = self._basis_exponents(pos, m)
+            if var == 0:
+                t, i2 = np.divmod(i + a, d)
+                k = np.repeat(np.arange(len(t)), t + 1)  # term -> its s1 entry
+                v = np.arange(len(k)) - (np.cumsum(t + 1) - (t + 1))[k]
+                t, r, c = t[k], r[k], c[k]
+                b = np.zeros(len(k), dtype=np.int64)
+                for tt in np.unique(t).tolist():
+                    at = t == tt
+                    b[at] = np.array(binom_row(tt, p), dtype=np.int64)[v[at]]
+                c = c * b % p
+                c = np.where(t % 2 == 1, (p - c) % p, c)
+                pos = basis_pos(i2[k], j[k] + v * d, n)
+            else:
+                pos = basis_pos(i, j + a if var == 1 else j, n)
+            rs.append(r)
+            targets.append(pos)
+            values.append(c)
+        key = np.concatenate(rs) * self.hilbert(n) + np.concatenate(targets)
+        order = np.argsort(key)
+        key, value = key[order], np.concatenate(values)[order]
+        firsts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        if len(key) and np.any(np.add.reduceat(value, firsts) % p):
+            raise ValueError("components do not satisfy the syzygy relation")
 
     def multiplication_matrix(self, g: GradedPoly, n: int) -> MatrixModP:
         """Matrix of (.g): R_n -> R_{n+deg g} in the monomial bases."""

@@ -30,9 +30,11 @@ from fractions import Fraction
 from .bundle import (
     SectionVector,
     SyzygySpec,
+    _section_kernel,
+    _unpack_rows,
     first_section_twist,
     has_section,  # not called here; perfbench/probes.py wraps stability.has_section
-    section_space,
+    section_space,  # likewise: the search unpacks only the row it uses
 )
 from .errors import (
     ExponentOverflowError,
@@ -264,7 +266,8 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
     distinct (t, A, B), at most eight times per level (see the ``bundle``
     module docstring and ``bundle.first_section_twist``).  No level is
     eliminated; the only elimination is the certificate's section, the
-    first vector of ``section_space`` at the twist found.  The plane
+    first vector of ``section_space`` at the twist found.  Only that row
+    is unpacked, and the ``SectionVector`` constructor checks it.  The plane
     (d = 0) runs the same search; a section found there would give a
     certificate of degree 0, which ``DestabCertificate`` rejects.
 
@@ -288,7 +291,8 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
         n_lo, n_hi = aq + 1, (3 * aq + 1) // 2 - 1  # ceil(3aq/2) - 1
         n = first_section_twist(spec, n_lo, n_hi)
         if n is not None:
-            section = section_space(spec, n)[0]
+            row = _unpack_rows(spec, n, _section_kernel(spec, n)[:1])[0]
+            section = SectionVector(spec, n, row)
             return _build_certificate(p, a, d, e, q, n, section)
     return None
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -172,13 +173,20 @@ def test_dense_structured_equality_battery():
         SyzygySpec(3, 6, (2, 3, 1), 0),
     ]
     for spec in specs:
-        a1, a2, a3 = spec.exponents
+        ring = spec.ring
         top = sum(spec.exponents) + 2 * max(spec.exponents)
         for n in range(top + 1):
             dense = _section_kernel(spec, n, "dense")
             structured = _section_kernel(spec, n, "structured")
             assert dense.shape == structured.shape, (spec, n)
             assert np.array_equal(dense, structured), (spec, n)
+            # the sections are the rows, and each passes the constructor's
+            # own normal-form check, which the batch check does not use
+            sections = section_space(spec, n)
+            coords = [np.concatenate([ring.coords(c) for c in s.components]) for s in sections]
+            assert np.array_equal(np.reshape(coords, dense.shape), dense), (spec, n)
+            for s in sections:
+                assert s == SectionVector(spec, n, s.components), (spec, n)
             assert section_space_dim(spec, n, "dense") == dense.shape[0]
             assert section_space_dim(spec, n, "structured") == dense.shape[0]
             assert has_section(spec, n) == bool(dense.shape[0])
@@ -243,8 +251,43 @@ def test_block_nullity_disagreeing_with_the_closed_form_raises(monkeypatch):
         _structured_kernel(spec, 11)
 
 
+def test_one_corrupted_kernel_entry_makes_section_space_raise(monkeypatch):
+    # the batch check shares no code with _structured_kernel, so it catches
+    # a wrong entry anywhere in s1, s2 or s3: changing one coordinate by c
+    # adds c times a nonzero element of R_n to the relation
+    rng = random.Random(2029)
+    real = bundle._structured_kernel
+    cases = [
+        (SyzygySpec(3, 4, (9, 9, 9)), 13),
+        (SyzygySpec(2, 5, (4, 4, 4)), 7),
+        (SyzygySpec(5, 0, (2, 3, 4)), 7),  # the plane
+        (SyzygySpec(P31, 3, (104, 100, 108)), 157),
+    ]
+    for spec, n in cases:
+        p = spec.p
+        rows = real(spec, n)
+        assert len(section_space(spec, n)) == len(rows) > 0, (spec, n)
+        widths = [spec.ring.hilbert(n - a) for a in spec.exponents]
+        starts = np.cumsum([0] + widths)
+        for var in range(3):
+            for _ in range(20 if widths[var] else 0):
+                bad = rows.copy()
+                r = rng.randrange(len(rows))
+                c = starts[var] + rng.randrange(widths[var])
+                bad[r, c] = (bad[r, c] + rng.randrange(1, p)) % p
+                monkeypatch.setattr(bundle, "_structured_kernel", lambda *_, bad=bad: bad)
+                with pytest.raises(ValueError, match="syzygy relation"):
+                    section_space(spec, n)
+        bad = rows.copy()
+        bad[0, np.flatnonzero(bad[0])[0]] += p  # same residue, out of range
+        monkeypatch.setattr(bundle, "_structured_kernel", lambda *_, bad=bad: bad)
+        with pytest.raises(ValueError, match="residues"):
+            section_space(spec, n)
+        monkeypatch.undo()
+
+
 def test_all_returned_sections_satisfy_relation():
-    # SectionVector re-verifies the relation via normal_form on construction
+    # section_space checks the relation for the whole basis at once
     for spec, n, count in [
         (SyzygySpec(3, 4, (9, 9, 9), 0), 13, 3),
         (SyzygySpec(7, 5, (7, 7, 7), 0), 10, 0),

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from fermatsyz.errors import ExponentOverflowError
 from fermatsyz.field import PrimeField
 from fermatsyz.poly import (
     EXP_LIMIT,
+    ROW_LIMIT,
     FermatRelation,
     GradedPoly,
     frobenius_power,
@@ -12,6 +15,7 @@ from fermatsyz.poly import (
     make_monomial,
     normal_form,
     parse_poly,
+    reduce_monomial,
 )
 
 F5 = PrimeField(5)
@@ -91,6 +95,20 @@ def test_normal_form_frobenius_power_vanishes():
     rel = FermatRelation(11, F5)
     f = frobenius_power(rel.poly(), 1)
     assert normal_form(f, rel).is_zero()
+
+
+def test_reduce_monomial_on_both_sides_of_the_row_limit():
+    # up to ROW_LIMIT the binomials come from one cached row per (t, p),
+    # above it term by term; both give (-1)^t C(t, v) per term
+    for p in (5, 7):
+        for t in (ROW_LIMIT, ROW_LIMIT + 1):
+            sign = (-1) ** t
+            expected = {
+                Monomial(2, 1 + 3 * v, 3 * (t - v)): sign * 2 * math.comb(t, v) % p
+                for v in range(t + 1)
+                if math.comb(t, v) % p
+            }
+            assert dict(reduce_monomial(Monomial(2 + 3 * t, 1, 0), 2, 3, p)) == expected
 
 
 def test_normal_form_single_step():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fermatsyz.field import PrimeField
 from fermatsyz.poly import GradedPoly
-from fermatsyz.ring import FermatRing
+from fermatsyz.ring import FermatRing, basis_pos
 
 F5 = PrimeField(5)
 
@@ -33,6 +33,18 @@ def test_hilbert_counts_basis():
         ring = FermatRing(5, d)
         for n in range(3 * d + 1):
             assert ring.hilbert(n) == len(ring.basis(n)) == brute_force_basis_count(d, n)
+
+
+def test_basis_pos_matches_the_basis_order():
+    # the closed form both the kernel and the batch check index R_m with
+    for d in (0, 1, 2, 5):
+        ring = FermatRing(5, d)
+        for m in range(3 * max(d, 3) + 1):
+            basis = ring.basis(m)
+            i = np.array([mono.i for mono in basis], dtype=np.int64)
+            j = np.array([mono.j for mono in basis], dtype=np.int64)
+            assert np.array_equal(basis_pos(i, j, m), np.arange(len(basis))), (d, m)
+            assert [basis_pos(mono.i, mono.j, m) for mono in basis] == list(range(len(basis)))
 
 
 def test_hilbert_polynomial_ring_limit():
