@@ -58,8 +58,9 @@ forms and eliminate nothing.  Families sharing (t, A, B) share the
 threshold, and there are at most eight such groups per spec.
 
 The basis without a global elimination.  ``section_space`` builds and
-eliminates only the blocks whose closed-form nullity is positive, and
-checks each block's rank against it.  A kernel vector f of a block is s1;
+eliminates only the blocks whose closed-form nullity is positive, each
+distinct (t, A, B, N) once per call, and checks each block's rank against
+it.  A kernel vector f of a block is s1;
 s2 and s3 follow in closed form, because s2 Y^a2 + s3 Z^a3 = -s1 X^a1 is
 f times the band (-1)^(t + 1) C(t, v) (see the structured-path comment).
 Each of its monomials has Y-exponent >= a2 or Z-exponent >= a3, and it is
@@ -79,15 +80,27 @@ reduced echelon form of the whole kernel:
 
 The RREF is unique, so this is the basis the dense elimination returns.
 
-Verification.  ``section_space`` verifies each call's basis with one
-batch check, ``FermatRing.check_syzygies``, which shares no code with the
-kernel's construction (``_classes``, ``_band``, ``_binom_row``,
-``_block_kernel``, ``_times_band``): it multiplies every row out term by
-term with the normal-form rewrite of ``poly`` and sums the result per
-monomial of R_n.  A change to any single entry of a row makes it raise.
-The vectors are then built without a check each.  The public
-``SectionVector`` constructor still checks its vector by ``normal_form``,
-and so does the search for the one section it certifies.
+Sparse triples and verification.  The basis is almost all zeros, so
+both paths return it as sparse triples (row count, rows, columns, values):
+the nonzero entries only, sorted by (row, column), with values in [1, p).
+``_structured_kernel`` never forms a dense matrix.  A dict local to one
+call, keyed by (t, A, B, N), holds each distinct block's split into s1,
+s2 and s3 (its kernel, the band product, the s1 pivots and the
+block-local nonzeros), so a block that recurs across residue classes is
+eliminated and checked once; nothing persists between calls.  Each class
+places those nonzeros at its own column offsets, and ranking the s1
+pivots gives the rows their canonical order.  ``section_space`` verifies
+each call's triples with one batch check, ``FermatRing.check_syzygies``,
+which shares no code with the kernel's construction (``_classes``,
+``_band``, ``_binom_row``, ``_block_kernel``, ``_times_band``): it
+multiplies every row out term by term with the normal-form rewrite of
+``poly`` and sums the result per monomial of R_n.  A change to any single
+entry of a row, an added entry, and triples out of shape, out of order,
+repeated or outside [1, p) all make it raise.  The vectors are then
+built without a check each.  The public ``SectionVector`` constructor
+still checks its vector by ``normal_form``, and so does the search for
+the one section it certifies.  The dense path converts its matrix to
+triples once and serves only as the tests' oracle.
 
 The plane (d = 0) runs through the same code.  In degrees below d the
 Fermat ring equals F_p[X, Y, Z], so the degree-n syzygies on P^2 are
@@ -182,8 +195,9 @@ class SectionVector:
     Components are normal-form polynomials with deg s_i = twist - a_i
     (zero components allowed, including in negative degrees).  The
     constructor checks the relation by ``normal_form``, vector by vector.
-    ``section_space`` instead checks its whole basis with one batch check
-    (``FermatRing.check_syzygies``) and builds its vectors unchecked.
+    ``section_space`` instead checks its whole basis, as sparse triples,
+    with one batch check (``FermatRing.check_syzygies``) and builds its
+    vectors from the triples unchecked.
     """
 
     __slots__ = ("spec", "twist", "components")
@@ -255,10 +269,6 @@ def syzygy_matrix(spec: SyzygySpec, n: int) -> MatrixModP:
         g = GradedPoly.monomial(ring.field, 1, tuple(exps))
         blocks.append(ring.multiplication_matrix(g, n - a).array)
     return MatrixModP(np.hstack(blocks), spec.p)
-
-
-def _dense_kernel(spec: SyzygySpec, n: int) -> np.ndarray:
-    return syzygy_matrix(spec, n).kernel_basis()
 
 
 # -- structured path ----------------------------------------------------------
@@ -415,102 +425,148 @@ def _times_band(K: np.ndarray, row: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _structured_kernel(spec: SyzygySpec, n: int) -> np.ndarray:
+def _block_entry(p: int, t: int, A: int, B: int, N: int, rows_cache: dict):
+    """Block-local nonzeros of the family (t, A, B) kernel at level N, or None.
+
+    Returns (pivots, rows, parts, exps, values): the s1 exponent alpha of
+    each kernel row's leading 1, then per nonzero its row, its component
+    (0, 1, 2 for s1, s2, s3), its exponent (alpha for s1, gamma for s2 and
+    s3) and its value, in the order (row, component, exponent).  Checks the
+    block's nullity against ``_nullity`` and its bad-projection.
+    """
+    nullity = _nullity(p, t, A, B, N)
+    if nullity == 0:
+        return None
+    row = _binom_row(t, p, rows_cache)
+    K = _block_kernel(t, A, B, N, row, p)
+    if len(K) != nullity:
+        raise InternalCheckError(
+            f"block (t, A, B, N) = {(t, A, B, N)} has nullity {len(K)}, "
+            f"closed form {nullity}"
+        )
+    w = _times_band(K, row, p)
+    if t % 2 == 0:
+        w = (-w) % p
+    # w[gamma] goes to s3 for gamma < g3 (N + t - gamma >= B), else to s2
+    # for gamma >= g2 (gamma >= A); between them lies the bad-projection
+    top = N + t + 1
+    g3 = max(0, top - B)
+    g2 = min(top, max(A, g3))
+    if np.any(w[:, g3:g2]):
+        raise InternalCheckError("bad-projection of a kernel element is nonzero")
+    exps = np.concatenate([np.arange(N + 1), np.arange(g2, top), np.arange(g3)])
+    parts = np.repeat([0, 1, 2], [N + 1, top - g2, g3])
+    local = np.hstack([K, w[:, g2:], w[:, :g3]])
+    r, c = np.nonzero(local)
+    return np.argmax(K != 0, axis=1), r, parts[c], exps[c], local[r, c]
+
+
+def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     """Full canonical kernel basis, assembled from the residue blocks.
 
-    Only blocks with a closed-form kernel are built and eliminated, and
-    each one's nullity is checked against ``_nullity``.  A kernel vector
-    f of the class (i, j0, l0) is s1; then s2 Y^a2 + s3 Z^a3 = -s1 X^a1 is
-    the band product w = (-1)^(t + 1) f * [C(t, v)], whose coefficient
-    w[gamma] sits on X^i' Y^(j0 + gamma d) Z^(l0 + (N + t - gamma) d).  It
-    goes to s3 when N + t - gamma >= B (the Z-exponent reaches a3), else
-    to s2 when gamma >= A; the block kernel makes every other w[gamma] 0.
-    Preferring s3 is the reduction against the Koszul pivots, so the rows
-    -- families ordered by s1 pivot, then the Koszul family -- are the
-    reduced echelon form with no further elimination (module docstring).
+    Returned as sparse triples (row count, rows, columns, values): only the
+    nonzero entries, sorted by (row, column), with values in [1, p).
+    Only blocks with a closed-form kernel are built and eliminated, each
+    distinct (t, A, B, N) once per call (``_block_entry``, which checks its
+    nullity and bad-projection).  A kernel vector f of the class
+    (i, j0, l0) is s1; then s2 Y^a2 + s3 Z^a3 = -s1 X^a1 is the band
+    product w = (-1)^(t + 1) f * [C(t, v)], whose coefficient w[gamma]
+    sits on X^i' Y^(j0 + gamma d) Z^(l0 + (N + t - gamma) d).  It goes to
+    s3 when N + t - gamma >= B (the Z-exponent reaches a3), else to s2 when
+    gamma >= A; the block kernel makes every other w[gamma] 0.  Preferring
+    s3 is the reduction against the Koszul pivots, so the rows -- families
+    ranked by s1 pivot, then the Koszul family -- are the reduced echelon
+    form with no further elimination (module docstring).  ``basis_pos`` is
+    linear in the Y-exponent, so a class places its block's entries at
+    one offset per component plus d times their exponent.
     """
     ring = spec.ring
     a1, a2, a3 = spec.exponents
     p = spec.p
     m1, m2, m3 = n - a1, n - a2, n - a3
     d1, d2 = ring.hilbert(m1), ring.hilbert(m2)
-    total = d1 + d2 + ring.hilbert(m3)
     d = spec.d or n + 1
 
-    cache: dict = {}
-    pivots, placed = [], []  # per kernel block: s1 pivots; (columns, values)
+    rows_cache: dict = {}
+    memo: dict = {}  # (t, A, B, N) -> _block_entry, for this call only
+    entries, offsets = [], []  # per class with a kernel
     for i, j0, l0, N, t, A, B in _classes(spec, n):
-        nullity = _nullity(p, t, A, B, N)
-        if nullity == 0:
+        key = (t, A, B, N)
+        if key not in memo:
+            memo[key] = _block_entry(p, t, A, B, N, rows_cache)
+        entry = memo[key]
+        if entry is None:
             continue
-        row = _binom_row(t, p, cache)
-        K = _block_kernel(t, A, B, N, row, p)
-        if len(K) != nullity:
-            raise InternalCheckError(
-                f"block (t, A, B, N) = {(t, A, B, N)} has nullity {len(K)}, "
-                f"closed form {nullity}"
-            )
-        w = _times_band(K, row, p)
-        if t % 2 == 0:
-            w = (-w) % p
-        gamma = np.arange(N + t + 1)
-        on3 = N + t - gamma >= B
-        on2 = ~on3 & (gamma >= A)
-        if np.any(w[:, ~(on2 | on3)]):
-            raise InternalCheckError("bad-projection of a kernel element is nonzero")
         i2 = i + a1 - t * d
-        cols1 = basis_pos(i, j0 + d * np.arange(N + 1), m1)
-        cols = np.concatenate(
-            [
-                cols1,
-                d1 + basis_pos(i2, j0 + d * gamma[on2] - a2, m2),
-                d1 + d2 + basis_pos(i2, j0 + d * gamma[on3], m3),
-            ]
+        entries.append(entry)
+        offsets.append(
+            (
+                basis_pos(i, j0, m1),
+                d1 + basis_pos(i2, j0 - a2, m2),
+                d1 + d2 + basis_pos(i2, j0, m3),
+            )
         )
-        pivots.append(cols1[np.argmax(K != 0, axis=1)])
-        placed.append((cols, np.hstack([K, w[:, on2], w[:, on3]])))
+
+    empty = np.zeros(0, dtype=np.int64)
+    n_family, family = 0, (empty, empty, empty)
+    if entries:
+        pivots, r, parts, exps, values = (np.concatenate(x) for x in zip(*entries))
+        sizes = np.array([[len(e[0]), len(e[4])] for e in entries])
+        n_family = len(pivots)
+        offsets = np.array(offsets, dtype=np.int64)
+        owner = np.repeat(np.arange(len(entries)), sizes[:, 1])  # nonzero -> class
+        cols = offsets[owner, parts] + d * exps
+        # a family row's rank among the s1 pivots is its row in the basis;
+        # each row's entries are contiguous and in column order, so a stable
+        # sort by the new row leaves the triples sorted by (row, column)
+        rank = np.empty(n_family, dtype=np.int64)
+        rank[np.argsort(np.repeat(offsets[:, 0], sizes[:, 0]) + d * pivots)] = np.arange(n_family)
+        row_base = np.cumsum(sizes[:, 0]) - sizes[:, 0]
+        r = rank[r + np.repeat(row_base, sizes[:, 1])]
+        order = np.argsort(r, kind="stable")
+        family = (r[order], cols[order], values[order])
 
     # Koszul family g * (0, Z^a3, -Y^a2), g in the basis of R_{n - a2 - a3}
     mk = n - a2 - a3
-    top = min(mk, d - 1)
-    gi = np.repeat(np.arange(top + 1), mk + 1 - np.arange(top + 1))
-    gj = np.arange(len(gi)) - basis_pos(gi, 0, mk)
-
-    n_family = sum(len(values) for _cols, values in placed)
-    out = np.zeros((n_family + len(gi), total), dtype=np.int64)
-    start = 0
-    for cols, values in placed:
-        out[start : start + len(values), cols] = values
-        start += len(values)
-    if placed:
-        out[:n_family] = out[:n_family][np.argsort(np.concatenate(pivots))]
-    koszul = np.arange(n_family, len(out))
-    out[koszul, d1 + basis_pos(gi, gj, m2)] = 1
-    out[koszul, d1 + d2 + basis_pos(gi, gj + a2, m3)] = p - 1
-    return out
+    n_koszul, koszul = 0, (empty, empty, empty)
+    if mk >= 0:
+        top = min(mk, d - 1)
+        gi = np.repeat(np.arange(top + 1), mk + 1 - np.arange(top + 1))
+        gj = np.arange(len(gi)) - basis_pos(gi, 0, mk)
+        n_koszul = len(gi)
+        koszul = (
+            n_family + np.repeat(np.arange(n_koszul), 2),
+            np.column_stack(
+                [d1 + basis_pos(gi, gj, m2), d1 + d2 + basis_pos(gi, gj + a2, m3)]
+            ).ravel(),
+            np.tile(np.array([1, p - 1], dtype=np.int64), n_koszul),
+        )
+    return n_family + n_koszul, *(np.concatenate(x) for x in zip(family, koszul))
 
 
 # -- public API ----------------------------------------------------------------
 
-def _unpack_rows(spec: SyzygySpec, n: int, rows: np.ndarray) -> list:
+def _unpack_rows(spec: SyzygySpec, n: int, kernel: tuple) -> list:
     """Each row's components (s1, s2, s3) as polynomials, unchecked.
 
-    The rows must hold residues in [0, p), as kernels do.
+    ``kernel`` is sparse triples (row count, rows, columns, values) sorted
+    by (row, column), with values in [1, p), as kernels are.
     """
     ring = spec.ring
     field = ring.field
-    bounds = np.arange(len(rows) + 1)
+    count, rows, cols, values = kernel
+    bounds = np.arange(count + 1)
     comps = []  # per component: one polynomial per row
     start = 0
     for a in spec.exponents:
         m = n - a
         width = ring.hilbert(m)
-        block = rows[:, start : start + width]
-        start += width
-        r, pos = np.nonzero(block)
+        mask = (cols >= start) & (cols < start + width)
+        r = rows[mask]
         basis = ring.basis(m)
-        monos = list(map(basis.__getitem__, pos.tolist()))
-        coeffs = block[r, pos].tolist()
+        monos = list(map(basis.__getitem__, (cols[mask] - start).tolist()))
+        coeffs = values[mask].tolist()
+        start += width
         cuts = np.searchsorted(r, bounds).tolist()
         comps.append(
             [
@@ -527,9 +583,12 @@ def _is_dense(method: str) -> bool:
     return method == "dense"
 
 
-def _section_kernel(spec: SyzygySpec, n: int, method: str = "structured") -> np.ndarray:
+def _section_kernel(spec: SyzygySpec, n: int, method: str = "structured") -> tuple:
+    """The canonical kernel basis as sparse triples (row count, rows, columns, values)."""
     if _is_dense(method):
-        return _dense_kernel(spec, n)
+        dense = syzygy_matrix(spec, n).kernel_basis()
+        r, c = np.nonzero(dense)
+        return len(dense), r, c, dense[r, c]
     return _structured_kernel(spec, n)
 
 
@@ -537,14 +596,15 @@ def section_space(spec: SyzygySpec, n: int, method: str = "structured") -> list:
     """Basis of the degree-n module syzygies, as verified SectionVectors.
 
     ``method="dense"`` selects the reference elimination; both paths
-    return the same canonical basis.  One batch check per call,
-    ``FermatRing.check_syzygies``, verifies the whole basis; it shares no
-    code with the kernel's construction, so the vectors are built without
-    a check each.
+    return the same canonical basis as sparse triples (row count, rows,
+    columns, values).  One batch check per call,
+    ``FermatRing.check_syzygies``, verifies the triples; it shares no code
+    with the kernel's construction, so the vectors are built from the
+    triples without a check each.
     """
-    rows = _section_kernel(spec, n, method)
-    spec.ring.check_syzygies(rows, n, spec.exponents)
-    return [SectionVector._trusted(spec, n, parts) for parts in _unpack_rows(spec, n, rows)]
+    kernel = _section_kernel(spec, n, method)
+    spec.ring.check_syzygies(kernel, n, spec.exponents)
+    return [SectionVector._trusted(spec, n, parts) for parts in _unpack_rows(spec, n, kernel)]
 
 
 def section_space_dim(spec: SyzygySpec, n: int, method: str = "structured") -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, NamedTuple
 
 from .errors import ExponentOverflowError
@@ -252,7 +253,8 @@ def frobenius_power(f: GradedPoly, e: int) -> GradedPoly:
 
 
 # reduce_monomial keeps no row longer than this: a row holds t + 1 entries,
-# and a certificate read from a file can carry an astronomically large t
+# and a certificate read from a file can carry an astronomically large t;
+# above it only the Lucas-nonzero binomials are enumerated
 ROW_LIMIT = 1024
 
 
@@ -260,6 +262,29 @@ ROW_LIMIT = 1024
 def binom_row(t: int, p: int) -> tuple:
     """(C(t, 0), ..., C(t, t)) mod p: the coefficients of (Y^d + Z^d)^t."""
     return tuple(binom_uint(t, v, p) for v in range(t + 1))
+
+
+def lucas_terms(t: int, p: int) -> Iterable[tuple]:
+    """Yield (v, C(t, v) mod p) for every v with C(t, v) != 0 mod p, v increasing.
+
+    By Lucas' theorem these are the v whose base-p digits are each at most
+    t's, and C(t, v) is the product of the digit binomials, so the work
+    follows the number of terms, not t.
+    """
+    digits = []  # per base-p digit of t, least significant first: (v part, C) pairs
+    place = 1
+    while t:
+        t, r = divmod(t, p)
+        row = [1]
+        for k in range(r):  # C(r, k + 1) = C(r, k) (r - k) / (k + 1), k + 1 < p
+            row.append(row[-1] * (r - k) * pow(k + 1, -1, p) % p)
+        digits.append([(k * place, c) for k, c in enumerate(row)])
+        place *= p
+    for combo in product(*reversed(digits)):
+        coeff = 1
+        for _v, c in combo:
+            coeff = coeff * c % p
+        yield sum(v for v, _c in combo), coeff
 
 
 def reduce_monomial(mono: Monomial, coeff: int, d: int, p: int) -> Iterable[tuple]:
@@ -270,11 +295,8 @@ def reduce_monomial(mono: Monomial, coeff: int, d: int, p: int) -> Iterable[tupl
         return
     sign = p - 1 if t % 2 else 1
     base = coeff * sign % p
-    if t <= ROW_LIMIT:
-        row = binom_row(t, p)
-    else:
-        row = (binom_uint(t, v, p) for v in range(t + 1))
-    for v, b in enumerate(row):
+    terms = enumerate(binom_row(t, p)) if t <= ROW_LIMIT else lucas_terms(t, p)
+    for v, b in terms:
         c = base * b % p
         if c:
             yield Monomial(i2, mono.j + v * d, mono.l + (t - v) * d), c

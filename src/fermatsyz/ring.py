@@ -132,15 +132,18 @@ class FermatRing:
         i = np.searchsorted(starts, pos, side="right") - 1
         return i, pos - starts[i]
 
-    def check_syzygies(self, rows, n: int, exponents) -> None:
-        """Raise ValueError unless every row is a degree-n syzygy.
+    def check_syzygies(self, kernel, n: int, exponents) -> None:
+        """Raise ValueError unless every row of ``kernel`` is a degree-n syzygy.
 
-        A row holds the coordinates of (s1, s2, s3) in the bases of
-        R_(n - a_i), one after the other, as residues in [0, p).  One
-        vectorized pass checks s1 X^a1 + s2 Y^a2 + s3 Z^a3 = 0 in R_n for
-        all of them.  Y^a2 and Z^a3 move a basis monomial to a basis
-        monomial; X^a1 does too once its X-exponent i + a1 = i' + t d is
-        rewritten as in ``poly.reduce_monomial``,
+        ``kernel`` is sparse triples (row count, rows, columns, values): the
+        nonzero coordinates of each row's (s1, s2, s3) in the bases of
+        R_(n - a_i), one after the other, sorted by (row, column) with no
+        pair twice and values in [1, p).  Input that breaks any of this is
+        rejected, never summed.  One vectorized pass checks
+        s1 X^a1 + s2 Y^a2 + s3 Z^a3 = 0 in R_n for all rows.  Y^a2 and Z^a3
+        move a basis monomial to a basis monomial; X^a1 does too once its
+        X-exponent i + a1 = i' + t d is rewritten as in
+        ``poly.reduce_monomial``,
 
             (-1)^t sum_v C(t, v) X^i' Y^(j + v d) Z^(l + (t - v) d).
 
@@ -151,17 +154,25 @@ class FermatRing:
         d = self.d or n + 1  # the plane: no rewrite below degree n + 1
         degrees = [n - a for a in exponents]
         widths = [self.hilbert(m) for m in degrees]
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != sum(widths):
-            raise ValueError(f"rows have shape {rows.shape}, expected width {sum(widths)}")
-        rs, targets, values = [], [], []
+        count, rows, cols, values = kernel
+        rows, cols, values = (np.asarray(x, dtype=np.int64) for x in (rows, cols, values))
+        if rows.ndim != 1 or not rows.shape == cols.shape == values.shape:
+            raise ValueError("rows, columns and values must be 1-d arrays of one length")
+        if len(rows) and (
+            rows.min() < 0 or rows.max() >= count or cols.min() < 0 or cols.max() >= sum(widths)
+        ):
+            raise ValueError(f"an index lies outside the shape ({count}, {sum(widths)})")
+        if len(values) and (values.min() < 1 or values.max() >= p):
+            raise ValueError(f"row entries must be nonzero residues in [1, {p})")
+        step_r, step_c = np.diff(rows), np.diff(cols)
+        if np.any((step_r < 0) | ((step_r == 0) & (step_c <= 0))):
+            raise ValueError("(row, column) pairs must be sorted and unique")
+        rs, targets, terms = [], [], []
         start = 0
         for var, (a, m, width) in enumerate(zip(exponents, degrees, widths)):
-            r, pos = np.nonzero(rows[:, start : start + width])
-            c = rows[r, start + pos]
+            mask = (cols >= start) & (cols < start + width)
+            r, pos, c = rows[mask], cols[mask] - start, values[mask]
             start += width
-            if len(c) and (c.min() < 0 or c.max() >= p):
-                raise ValueError(f"row entries must be residues in [0, {p})")
             i, j = self._basis_exponents(pos, m)
             if var == 0:
                 t, i2 = np.divmod(i + a, d)
@@ -179,10 +190,10 @@ class FermatRing:
                 pos = basis_pos(i, j + a if var == 1 else j, n)
             rs.append(r)
             targets.append(pos)
-            values.append(c)
+            terms.append(c)
         key = np.concatenate(rs) * self.hilbert(n) + np.concatenate(targets)
         order = np.argsort(key)
-        key, value = key[order], np.concatenate(values)[order]
+        key, value = key[order], np.concatenate(terms)[order]
         firsts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         if len(key) and np.any(np.add.reduceat(value, firsts) % p):
             raise ValueError("components do not satisfy the syzygy relation")

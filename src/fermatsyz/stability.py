@@ -291,7 +291,9 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
         n_lo, n_hi = aq + 1, (3 * aq + 1) // 2 - 1  # ceil(3aq/2) - 1
         n = first_section_twist(spec, n_lo, n_hi)
         if n is not None:
-            row = _unpack_rows(spec, n, _section_kernel(spec, n)[:1])[0]
+            _count, rows, cols, values = _section_kernel(spec, n)
+            first = rows == 0
+            row = _unpack_rows(spec, n, (1, rows[first], cols[first], values[first]))[0]
             section = SectionVector(spec, n, row)
             return _build_certificate(p, a, d, e, q, n, section)
     return None

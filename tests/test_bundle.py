@@ -20,6 +20,7 @@ from fermatsyz.bundle import (
 from fermatsyz.errors import ExponentOverflowError, InternalCheckError
 from fermatsyz.field import PrimeField
 from fermatsyz.poly import GradedPoly, frobenius_power
+from kernel_helpers import to_dense, to_triples
 
 F5 = PrimeField(5)
 
@@ -109,7 +110,7 @@ def test_koszul_syzygy_always_present():
                 GradedPoly.zero(field, n - a3),
             ),
         )
-        rows = _section_kernel(spec, n)
+        rows = to_dense(spec, n, _section_kernel(spec, n))
         ring = spec.ring
         vec = np.concatenate(
             [
@@ -176,8 +177,8 @@ def test_dense_structured_equality_battery():
         ring = spec.ring
         top = sum(spec.exponents) + 2 * max(spec.exponents)
         for n in range(top + 1):
-            dense = _section_kernel(spec, n, "dense")
-            structured = _section_kernel(spec, n, "structured")
+            dense = to_dense(spec, n, _section_kernel(spec, n, "dense"))
+            structured = to_dense(spec, n, _section_kernel(spec, n, "structured"))
             assert dense.shape == structured.shape, (spec, n)
             assert np.array_equal(dense, structured), (spec, n)
             # the sections are the rows, and each passes the constructor's
@@ -211,9 +212,9 @@ def test_dense_structured_equality_at_the_largest_prime():
     assert max(_binom_row(34, P31, {})) > P31 // 2
     for spec, twists in cases:
         for n in twists:
-            dense = _section_kernel(spec, n, "dense")
+            dense = to_dense(spec, n, _section_kernel(spec, n, "dense"))
             assert dense.shape[0], (spec, n)
-            assert np.array_equal(_section_kernel(spec, n), dense), (spec, n)
+            assert np.array_equal(to_dense(spec, n, _section_kernel(spec, n)), dense), (spec, n)
 
 
 def test_structured_rows_match_the_closed_form_dimension():
@@ -230,7 +231,7 @@ def test_structured_rows_match_the_closed_form_dimension():
     for spec in specs:
         a = max(spec.exponents)
         for n in range(a + 1, 3 * a + 2, max(1, a // 6)):
-            rows = _structured_kernel(spec, n)
+            rows = to_dense(spec, n, _structured_kernel(spec, n))
             assert rows.shape[0] == _structured_dim(spec, n), (spec, n)
             leads = np.argmax(rows != 0, axis=1)
             assert np.all(rows[np.arange(len(rows)), leads] == 1), (spec, n)
@@ -239,7 +240,7 @@ def test_structured_rows_match_the_closed_form_dimension():
 
 def test_block_nullity_disagreeing_with_the_closed_form_raises(monkeypatch):
     spec = SyzygySpec(5, 11, (10, 10, 10))
-    assert len(_structured_kernel(spec, 11)) == 1
+    assert _structured_kernel(spec, 11)[0] == 1
     closed_form = bundle._nullity
 
     def one_too_many(p, t, A, B, N):
@@ -254,7 +255,9 @@ def test_block_nullity_disagreeing_with_the_closed_form_raises(monkeypatch):
 def test_one_corrupted_kernel_entry_makes_section_space_raise(monkeypatch):
     # the batch check shares no code with _structured_kernel, so it catches
     # a wrong entry anywhere in s1, s2 or s3: changing one coordinate by c
-    # adds c times a nonzero element of R_n to the relation
+    # adds c times a nonzero element of R_n to the relation.  A pick at a
+    # nonzero entry changes or removes a triple, a pick at a zero entry adds
+    # one; the corrupted matrix goes back to sorted triples either way
     rng = random.Random(2029)
     real = bundle._structured_kernel
     cases = [
@@ -265,7 +268,7 @@ def test_one_corrupted_kernel_entry_makes_section_space_raise(monkeypatch):
     ]
     for spec, n in cases:
         p = spec.p
-        rows = real(spec, n)
+        rows = to_dense(spec, n, real(spec, n))
         assert len(section_space(spec, n)) == len(rows) > 0, (spec, n)
         widths = [spec.ring.hilbert(n - a) for a in spec.exponents]
         starts = np.cumsum([0] + widths)
@@ -275,15 +278,101 @@ def test_one_corrupted_kernel_entry_makes_section_space_raise(monkeypatch):
                 r = rng.randrange(len(rows))
                 c = starts[var] + rng.randrange(widths[var])
                 bad[r, c] = (bad[r, c] + rng.randrange(1, p)) % p
+                bad = to_triples(bad)
                 monkeypatch.setattr(bundle, "_structured_kernel", lambda *_, bad=bad: bad)
                 with pytest.raises(ValueError, match="syzygy relation"):
                     section_space(spec, n)
         bad = rows.copy()
         bad[0, np.flatnonzero(bad[0])[0]] += p  # same residue, out of range
+        bad = to_triples(bad)
         monkeypatch.setattr(bundle, "_structured_kernel", lambda *_, bad=bad: bad)
         with pytest.raises(ValueError, match="residues"):
             section_space(spec, n)
         monkeypatch.undo()
+
+
+def test_kernel_triples_are_sorted_unique_residues():
+    specs = [
+        (SyzygySpec(3, 4, (9, 9, 9)), range(9, 29, 3)),
+        (SyzygySpec(2, 5, (4, 3, 5)), range(4, 14)),
+        (SyzygySpec(7, 6, (3, 1, 2)), range(0, 12)),
+        (SyzygySpec(5, 0, (2, 3, 4)), range(0, 10)),  # the plane
+        (SyzygySpec(P31, 3, (104, 100, 108)), range(156, 160)),
+    ]
+    for spec, twists in specs:
+        for n in twists:
+            for method in ("structured", "dense"):
+                count, rows, cols, values = _section_kernel(spec, n, method)
+                assert len(rows) == len(cols) == len(values), (spec, n, method)
+                if not len(rows):
+                    continue
+                step_r, step_c = np.diff(rows), np.diff(cols)
+                assert np.all((step_r > 0) | ((step_r == 0) & (step_c > 0))), (spec, n, method)
+                assert 0 <= rows.min() and rows.max() < count, (spec, n, method)
+                assert 1 <= values.min() and values.max() < spec.p, (spec, n, method)
+                # every row holds its leading 1
+                assert np.array_equal(np.unique(rows), np.arange(count)), (spec, n, method)
+
+
+def test_one_block_elimination_per_distinct_block(monkeypatch):
+    # blocks repeat across the residue classes of one twist; each distinct
+    # (t, A, B, N) with a kernel is eliminated once per call, and nothing
+    # is kept between calls
+    calls = []
+    real = bundle._block_kernel
+
+    def counted(t, A, B, N, row, p):
+        calls.append((t, A, B, N))
+        return real(t, A, B, N, row, p)
+
+    monkeypatch.setattr(bundle, "_block_kernel", counted)
+    for spec, n in [
+        (SyzygySpec(3, 4, (9, 9, 9)), 20),
+        (SyzygySpec(7, 5, (7, 7, 7)), 15),
+        (SyzygySpec(2, 7, (8, 8, 8)), 17),
+        (SyzygySpec(5, 0, (2, 3, 4)), 7),
+    ]:
+        keys = [
+            (t, A, B, N)
+            for *_cls, N, t, A, B in bundle._classes(spec, n)
+            if bundle._nullity(spec.p, t, A, B, N) > 0
+        ]
+        assert len(set(keys)) < len(keys), (spec, n)  # some block repeats
+        for _ in range(2):
+            calls.clear()
+            section_space(spec, n)
+            assert sorted(calls) == sorted(set(keys)), (spec, n)
+
+
+def test_check_syzygies_rejects_malformed_triples():
+    spec, n = SyzygySpec(3, 4, (9, 9, 9)), 20
+    count, rows, cols, values = _structured_kernel(spec, n)
+    width = sum(spec.ring.hilbert(n - a) for a in spec.exponents)
+    check = spec.ring.check_syzygies
+    check((count, rows, cols, values), n, spec.exponents)  # intact
+    k = 5  # an entry with a row and a column change right after it
+    assert rows[k] == rows[k + 1]
+    dup = np.insert(np.arange(len(rows)), k, k)
+    swap = np.arange(len(rows))
+    swap[[k, k + 1]] = [k + 1, k]
+    zero = values.copy()
+    zero[k] = 0
+    row_out, col_out = rows.copy(), cols.copy()
+    row_out[-1] = count
+    col_out[-1] = width
+    neg = cols.copy()
+    neg[0] = -1
+    for bad, match in [
+        ((count, rows[dup], cols[dup], values[dup]), "sorted and unique"),
+        ((count, rows[swap], cols[swap], values[swap]), "sorted and unique"),
+        ((count, rows, cols, zero), "residues"),
+        ((count, row_out, cols, values), "outside the shape"),
+        ((count, rows, col_out, values), "outside the shape"),
+        ((count, rows, neg, values), "outside the shape"),
+        ((count - 1, rows, cols, values), "outside the shape"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            check(bad, n, spec.exponents)
 
 
 def test_all_returned_sections_satisfy_relation():

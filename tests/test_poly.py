@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermatsyz.errors import ExponentOverflowError
-from fermatsyz.field import PrimeField
+from fermatsyz.field import PrimeField, binom_uint
 from fermatsyz.poly import (
     EXP_LIMIT,
     ROW_LIMIT,
     FermatRelation,
     GradedPoly,
     frobenius_power,
+    lucas_terms,
     Monomial,
     make_monomial,
     normal_form,
@@ -109,6 +110,20 @@ def test_reduce_monomial_on_both_sides_of_the_row_limit():
                 if math.comb(t, v) % p
             }
             assert dict(reduce_monomial(Monomial(2 + 3 * t, 1, 0), 2, 3, p)) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lucas_terms_match_every_binomial_above_the_row_limit(p):
+    # above ROW_LIMIT reduce_monomial enumerates only the v whose base-p
+    # digits lie under t's; every other C(t, v) is 0 mod p
+    for t in [ROW_LIMIT + 1, ROW_LIMIT + 2, ROW_LIMIT + 7, 2000, 2186, 3125, 4095, 4096]:
+        binoms = [binom_uint(t, v, p) for v in range(t + 1)]
+        expected = [(v, b) for v, b in enumerate(binoms) if b]
+        assert list(lucas_terms(t, p)) == expected, (p, t)
+        sign = (-1) ** t
+        assert dict(reduce_monomial(Monomial(2 + 3 * t, 1, 0), 1, 3, p)) == {
+            Monomial(2, 1 + 3 * v, 3 * (t - v)): sign * b % p for v, b in expected
+        }, (p, t)
 
 
 def test_normal_form_single_step():

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import signal
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ from fermatsyz.errors import (
     NotPrimeError,
     SmoothnessError,
 )
-from fermatsyz.poly import EXP_LIMIT
+from fermatsyz.poly import EXP_LIMIT, Monomial, reduce_monomial
 from fermatsyz.stability import (
     _build_certificate,
     certify_destabilization,
@@ -24,6 +26,7 @@ from fermatsyz.stability import (
     search_destabilization,
     verify_certificate,
 )
+from kernel_helpers import to_dense
 
 
 def test_find_parameters_paper_instance():
@@ -84,7 +87,7 @@ def test_certify_paper_instance():
 
 def test_certificate_reverifies_against_kernel():
     cert = certify_destabilization(5, 2, 11)
-    rows = _section_kernel(cert.spec(), cert.twist, "dense")
+    rows = to_dense(cert.spec(), cert.twist, _section_kernel(cert.spec(), cert.twist, "dense"))
     ring = cert.spec().ring
     vec = np.concatenate([ring.coords(s) for s in cert.section.components])
     from fermatsyz.linalg import MatrixModP
@@ -286,6 +289,39 @@ def test_verify_accepts_round_trip():
     cert = certify_destabilization(5, 2, 11)
     data = json.loads(json.dumps(cert.to_json_dict()))
     assert verify_certificate(data) == []
+
+
+def test_verify_answers_on_a_huge_q_certificate():
+    # p = 2, d = 1, e = 40: the X-term of the relation is X^(q + 1), whose
+    # rewrite has t = 2^40 + 1 and only four binomials nonzero mod 2; one
+    # per v up to t would never finish.  The alarm turns a hang into a failure
+    q = 2**40
+    assert len(dict(reduce_monomial(Monomial(q + 1, 0, 0), 1, 1, 2))) == 4
+    degree = 2 - q
+    cert = {
+        "schema": 1, "p": 2, "a": 1, "d": 1, "e": 40, "q": q, "k": 1, "twist": q + 1,
+        "degree": degree, "slope_sub": 0, "slope_quotient": degree,
+        "normalized_gap": format_fraction(Fraction(-degree, q)), "smooth": True,
+        "section": ["1*X^1*Y^0*Z^0", "1*X^0*Y^1*Z^0", "1*X^0*Y^0*Z^1"],
+    }
+
+    def hang(*_):
+        raise TimeoutError("verify_certificate did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        started = time.perf_counter()
+        failures = verify_certificate(cert)
+        elapsed = time.perf_counter() - started
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1.0
+    # over F_2 mod X + Y + Z the relation leaves Y^q Z + Y Z^q
+    assert failures == [
+        "syzygy relation fails under normal form: components do not satisfy the syzygy relation"
+    ]
 
 
 def test_verify_rejects_tampered_degree():
