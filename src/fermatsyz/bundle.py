@@ -96,11 +96,15 @@ which shares no code with the kernel's construction (``_classes``,
 multiplies every row out term by term with the normal-form rewrite of
 ``poly`` and sums the result per monomial of R_n.  A change to any single
 entry of a row, an added entry, and triples out of shape, out of order,
-repeated or outside [1, p) all make it raise.  The vectors are then
-built without a check each.  The public ``SectionVector`` constructor
-still checks its vector by ``normal_form``, and so does the search for
-the one section it certifies.  The dense path converts its matrix to
-triples once and serves only as the tests' oracle.
+repeated or outside [1, p), and a row without entries, all make it
+raise.  Each vector is then a view on one row of the verified triples,
+without a check of its own: it builds its polynomials only when its
+``components`` are read, and ``serialize`` writes the row's terms from
+the triples, in the bytes ``GradedPoly.to_string`` would write.  The
+public ``SectionVector`` constructor still checks its vector by
+``normal_form``, and so does the search for the one section it
+certifies.  The dense path converts its matrix to triples once and
+serves only as the tests' oracle.
 
 The plane (d = 0) runs through the same code.  In degrees below d the
 Fermat ring equals F_p[X, Y, Z], so the degree-n syzygies on P^2 are
@@ -127,7 +131,7 @@ import numpy as np
 from .errors import ExponentOverflowError, InternalCheckError
 from .field import PrimeField, binom_uint
 from .linalg import MatrixModP, kernel_from_rref, rref
-from .poly import EXP_LIMIT, GradedPoly
+from .poly import EXP_LIMIT, GradedPoly, join_terms, term_texts
 from .ring import FermatRing, basis_pos
 
 _RING_CACHE: dict = {}
@@ -196,19 +200,23 @@ class SectionVector:
     (zero components allowed, including in negative degrees).  The
     constructor checks the relation by ``normal_form``, vector by vector.
     ``section_space`` instead checks its whole basis, as sparse triples,
-    with one batch check (``FermatRing.check_syzygies``) and builds its
-    vectors from the triples unchecked.
+    with one batch check (``FermatRing.check_syzygies``) and returns views
+    on one row of those triples each, unchecked.  A view builds its
+    ``components`` on first access and keeps them; ``serialize`` and
+    ``repr`` read the triples and build no polynomial.
     """
 
-    __slots__ = ("spec", "twist", "components")
+    __slots__ = ("spec", "twist", "_rows", "_row", "_components")
 
     @classmethod
-    def _trusted(cls, spec: SyzygySpec, twist: int, components: tuple) -> "SectionVector":
-        """A section whose relation the caller has already checked."""
+    def _view(cls, spec: SyzygySpec, twist: int, rows: "_KernelRows", row: int) -> "SectionVector":
+        """Row ``row`` of ``rows``, whose relation the caller has already checked."""
         section = cls.__new__(cls)
         section.spec = spec
         section.twist = twist
-        section.components = components
+        section._rows = rows
+        section._row = row
+        section._components = None
         return section
 
     def __init__(self, spec: SyzygySpec, twist: int, components):
@@ -232,13 +240,23 @@ class SectionVector:
             raise ValueError("components do not satisfy the syzygy relation")
         self.spec = spec
         self.twist = twist
-        self.components = (s1, s2, s3)
+        self._rows = None
+        self._components = (s1, s2, s3)
+
+    @property
+    def components(self) -> tuple:
+        """(s1, s2, s3) as polynomials; a view builds them once, on first access."""
+        if self._components is None:
+            self._components = self._rows.components(self._row)
+        return self._components
 
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.components)
 
     def serialize(self) -> list:
-        return [s.to_string() for s in self.components]
+        if self._rows is not None:
+            return self._rows.strings(self._row)
+        return [s.to_string() for s in self._components]
 
     def __eq__(self, other):
         return (
@@ -250,6 +268,58 @@ class SectionVector:
 
     def __repr__(self):
         return f"SectionVector(twist={self.twist}, {self.serialize()})"
+
+
+class _KernelRows:
+    """One call's verified kernel triples, read row by row.
+
+    ``kernel`` is sparse triples (row count, rows, columns, values) sorted
+    by (row, column), with values in [1, p), as kernels are.  Per
+    component, ``parts`` holds its degree, the row cuts (row r owns
+    entries cuts[r]:cuts[r + 1]), and the local basis positions and values
+    as lists.  Within a row the positions increase, and basis order is
+    ``Monomial`` order, so a row's terms come out as ``to_string`` sorts
+    them.  The first ``strings`` call writes every entry's term once.
+    """
+
+    __slots__ = ("ring", "parts", "_terms")
+
+    def __init__(self, spec: SyzygySpec, n: int, kernel: tuple):
+        count, rows, cols, values = kernel
+        bounds = np.arange(count + 1)
+        ring = self.ring = spec.ring
+        self.parts = []
+        self._terms = None
+        start = 0
+        for a in spec.exponents:
+            m = n - a
+            width = ring.hilbert(m)
+            mask = (cols >= start) & (cols < start + width)
+            cuts = np.searchsorted(rows[mask], bounds).tolist()
+            self.parts.append((m, cuts, (cols[mask] - start).tolist(), values[mask].tolist()))
+            start += width
+
+    def components(self, r: int) -> tuple:
+        field = self.ring.field
+        out = []
+        for m, cuts, pos, vals in self.parts:
+            basis = self.ring.basis(m)
+            lo, hi = cuts[r], cuts[r + 1]
+            terms = {basis[k]: c for k, c in zip(pos[lo:hi], vals[lo:hi])}
+            out.append(GradedPoly._trusted(field, m, terms))
+        return tuple(out)
+
+    def strings(self, r: int) -> list:
+        """Row r's components as ``GradedPoly.to_string`` writes them."""
+        if self._terms is None:
+            self._terms = [
+                term_texts(zip(vals, map(self.ring.term_text(m).__getitem__, pos)))
+                for m, _cuts, pos, vals in self.parts
+            ]
+        return [
+            join_terms(terms[cuts[r] : cuts[r + 1]])
+            for (_m, cuts, _pos, _vals), terms in zip(self.parts, self._terms)
+        ]
 
 
 # -- dense reference path -----------------------------------------------------
@@ -546,36 +616,6 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
 
 # -- public API ----------------------------------------------------------------
 
-def _unpack_rows(spec: SyzygySpec, n: int, kernel: tuple) -> list:
-    """Each row's components (s1, s2, s3) as polynomials, unchecked.
-
-    ``kernel`` is sparse triples (row count, rows, columns, values) sorted
-    by (row, column), with values in [1, p), as kernels are.
-    """
-    ring = spec.ring
-    field = ring.field
-    count, rows, cols, values = kernel
-    bounds = np.arange(count + 1)
-    comps = []  # per component: one polynomial per row
-    start = 0
-    for a in spec.exponents:
-        m = n - a
-        width = ring.hilbert(m)
-        mask = (cols >= start) & (cols < start + width)
-        r = rows[mask]
-        basis = ring.basis(m)
-        monos = list(map(basis.__getitem__, (cols[mask] - start).tolist()))
-        coeffs = values[mask].tolist()
-        start += width
-        cuts = np.searchsorted(r, bounds).tolist()
-        comps.append(
-            [
-                GradedPoly._trusted(field, m, dict(zip(monos[lo:hi], coeffs[lo:hi])))
-                for lo, hi in zip(cuts, cuts[1:])
-            ]
-        )
-    return list(zip(*comps))
-
 
 def _is_dense(method: str) -> bool:
     if method not in ("dense", "structured"):
@@ -599,12 +639,14 @@ def section_space(spec: SyzygySpec, n: int, method: str = "structured") -> list:
     return the same canonical basis as sparse triples (row count, rows,
     columns, values).  One batch check per call,
     ``FermatRing.check_syzygies``, verifies the triples; it shares no code
-    with the kernel's construction, so the vectors are built from the
-    triples without a check each.
+    with the kernel's construction, so each vector is a view on one row of
+    the triples, without a check of its own.  No polynomial is built until
+    a vector's ``components`` are read; ``serialize`` reads the triples.
     """
     kernel = _section_kernel(spec, n, method)
     spec.ring.check_syzygies(kernel, n, spec.exponents)
-    return [SectionVector._trusted(spec, n, parts) for parts in _unpack_rows(spec, n, kernel)]
+    rows = _KernelRows(spec, n, kernel)
+    return [SectionVector._view(spec, n, rows, r) for r in range(kernel[0])]
 
 
 def section_space_dim(spec: SyzygySpec, n: int, method: str = "structured") -> int:

@@ -198,10 +198,24 @@ class GradedPoly:
     # -- serialization -----------------------------------------------------
 
     def to_string(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = [f"{c}*X^{m.i}*Y^{m.j}*Z^{m.l}" for m, c in self.sorted_terms()]
-        return " + ".join(parts)
+        return join_terms(term_texts((c, monomial_text(m)) for m, c in self.sorted_terms()))
+
+
+def monomial_text(m: Monomial) -> str:
+    """``*X^i*Y^j*Z^l``: ``m`` as ``GradedPoly.to_string`` writes it after a coefficient."""
+    return f"*X^{m.i}*Y^{m.j}*Z^{m.l}"
+
+
+def term_texts(terms) -> list:
+    """Each (coefficient, ``monomial_text``) pair of ``terms`` as
+    ``GradedPoly.to_string`` writes the term."""
+    return [f"{c}{text}" for c, text in terms]
+
+
+def join_terms(texts: list) -> str:
+    """``GradedPoly.to_string`` of a polynomial from its ``term_texts`` in
+    ``Monomial`` order; ``0`` if there are none."""
+    return " + ".join(texts) or "0"
 
 
 _TERM_RE = re.compile(r"^(\d+)\*X\^(\d+)\*Y\^(\d+)\*Z\^(\d+)$")

@@ -15,7 +15,15 @@ import numpy as np
 
 from .field import PrimeField
 from .linalg import MatrixModP
-from .poly import FermatRelation, GradedPoly, Monomial, binom_row, normal_form, reduce_monomial
+from .poly import (
+    FermatRelation,
+    GradedPoly,
+    Monomial,
+    binom_row,
+    monomial_text,
+    normal_form,
+    reduce_monomial,
+)
 
 
 def _choose2(m: int) -> int:
@@ -33,7 +41,7 @@ def basis_pos(i, j, m):
 class FermatRing:
     """F_p[X,Y,Z]/(X^d+Y^d+Z^d), or the plain polynomial ring when d = 0."""
 
-    __slots__ = ("field", "d", "relation", "_bases", "_indexes")
+    __slots__ = ("field", "d", "relation", "_bases", "_indexes", "_texts")
 
     def __init__(self, field, d: int):
         if isinstance(field, int):
@@ -45,6 +53,7 @@ class FermatRing:
         self.relation = FermatRelation(d, field) if d > 0 else None
         self._bases: dict = {}
         self._indexes: dict = {}
+        self._texts: dict = {}
 
     @property
     def p(self) -> int:
@@ -96,6 +105,14 @@ class FermatRing:
         self._bases[n] = monos
         return monos
 
+    def term_text(self, n: int) -> tuple:
+        """``poly.monomial_text`` of each monomial of ``basis(n)``."""
+        cached = self._texts.get(n)
+        if cached is None:
+            cached = tuple(map(monomial_text, self.basis(n)))
+            self._texts[n] = cached
+        return cached
+
     def basis_index(self, n: int) -> dict:
         cached = self._indexes.get(n)
         if cached is None:
@@ -138,8 +155,9 @@ class FermatRing:
         ``kernel`` is sparse triples (row count, rows, columns, values): the
         nonzero coordinates of each row's (s1, s2, s3) in the bases of
         R_(n - a_i), one after the other, sorted by (row, column) with no
-        pair twice and values in [1, p).  Input that breaks any of this is
-        rejected, never summed.  One vectorized pass checks
+        pair twice and values in [1, p), and every row has an entry: a
+        zero row is a syzygy but no basis vector.  Input that breaks any of
+        this is rejected, never summed.  One vectorized pass checks
         s1 X^a1 + s2 Y^a2 + s3 Z^a3 = 0 in R_n for all rows.  Y^a2 and Z^a3
         move a basis monomial to a basis monomial; X^a1 does too once its
         X-exponent i + a1 = i' + t d is rewritten as in
@@ -167,6 +185,10 @@ class FermatRing:
         step_r, step_c = np.diff(rows), np.diff(cols)
         if np.any((step_r < 0) | ((step_r == 0) & (step_c <= 0))):
             raise ValueError("(row, column) pairs must be sorted and unique")
+        # sorted rows in [0, count) are all present iff they step count - 1 times
+        present = np.count_nonzero(step_r) + 1 if len(rows) else 0
+        if present != count:
+            raise ValueError(f"{count - present} of {count} rows are empty (zero vectors)")
         rs, targets, terms = [], [], []
         start = 0
         for var, (a, m, width) in enumerate(zip(exponents, degrees, widths)):

@@ -30,8 +30,8 @@ from fractions import Fraction
 from .bundle import (
     SectionVector,
     SyzygySpec,
+    _KernelRows,
     _section_kernel,
-    _unpack_rows,
     first_section_twist,
     has_section,  # not called here; perfbench/probes.py wraps stability.has_section
     section_space,  # likewise: the search unpacks only the row it uses
@@ -293,8 +293,8 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
         if n is not None:
             _count, rows, cols, values = _section_kernel(spec, n)
             first = rows == 0
-            row = _unpack_rows(spec, n, (1, rows[first], cols[first], values[first]))[0]
-            section = SectionVector(spec, n, row)
+            row = _KernelRows(spec, n, (1, rows[first], cols[first], values[first]))
+            section = SectionVector(spec, n, row.components(0))
             return _build_certificate(p, a, d, e, q, n, section)
     return None
 

@@ -19,7 +19,7 @@ from fermatsyz.bundle import (
 )
 from fermatsyz.errors import ExponentOverflowError, InternalCheckError
 from fermatsyz.field import PrimeField
-from fermatsyz.poly import GradedPoly, frobenius_power
+from fermatsyz.poly import GradedPoly, frobenius_power, parse_poly
 from kernel_helpers import to_dense, to_triples
 
 F5 = PrimeField(5)
@@ -158,25 +158,30 @@ def test_frobenius_compatibility_of_sections():
     assert not lifted.is_zero()
 
 
+BATTERY = [
+    SyzygySpec(2, 5, (2, 2, 2), 0),
+    SyzygySpec(2, 5, (8, 8, 8), 0),
+    SyzygySpec(3, 4, (3, 3, 3), 0),
+    SyzygySpec(3, 4, (2, 3, 5), 0),
+    SyzygySpec(5, 4, (2, 2, 2), 0),
+    SyzygySpec(5, 11, (10, 10, 10), 0),
+    SyzygySpec(7, 6, (3, 1, 2), 0),
+    SyzygySpec(5, 0, (2, 2, 2), 0),
+    SyzygySpec(3, 0, (1, 4, 2), 0),
+    # non-smooth curves (p divides d): the algebra is still defined
+    SyzygySpec(2, 4, (2, 2, 2), 0),
+    SyzygySpec(3, 6, (2, 3, 1), 0),
+]
+
+
+def battery_twists(spec):
+    return range(sum(spec.exponents) + 2 * max(spec.exponents) + 1)
+
+
 def test_dense_structured_equality_battery():
-    specs = [
-        SyzygySpec(2, 5, (2, 2, 2), 0),
-        SyzygySpec(2, 5, (8, 8, 8), 0),
-        SyzygySpec(3, 4, (3, 3, 3), 0),
-        SyzygySpec(3, 4, (2, 3, 5), 0),
-        SyzygySpec(5, 4, (2, 2, 2), 0),
-        SyzygySpec(5, 11, (10, 10, 10), 0),
-        SyzygySpec(7, 6, (3, 1, 2), 0),
-        SyzygySpec(5, 0, (2, 2, 2), 0),
-        SyzygySpec(3, 0, (1, 4, 2), 0),
-        # non-smooth curves (p divides d): the algebra is still defined
-        SyzygySpec(2, 4, (2, 2, 2), 0),
-        SyzygySpec(3, 6, (2, 3, 1), 0),
-    ]
-    for spec in specs:
+    for spec in BATTERY:
         ring = spec.ring
-        top = sum(spec.exponents) + 2 * max(spec.exponents)
-        for n in range(top + 1):
+        for n in battery_twists(spec):
             dense = to_dense(spec, n, _section_kernel(spec, n, "dense"))
             structured = to_dense(spec, n, _section_kernel(spec, n, "structured"))
             assert dense.shape == structured.shape, (spec, n)
@@ -193,28 +198,96 @@ def test_dense_structured_equality_battery():
             assert has_section(spec, n) == bool(dense.shape[0])
     for call in (section_space, section_space_dim, has_section):
         with pytest.raises(ValueError):
-            call(specs[0], 5, "sparse")
+            call(BATTERY[0], 5, "sparse")
 
 
 P31 = 2**31 - 1  # the largest prime the package accepts
 
 
+# near p = 2^31, kernel entries and binomial residues are full-size, so
+# every product in the band convolution is close to 2^62; the twists start
+# at the first section and reach blocks that fill both s2 and s3
+P31_CASES = [
+    (SyzygySpec(P31, 3, (104, 100, 108)), range(156, 160)),  # t = 34, 35
+    (SyzygySpec(P31, 1, (40, 41, 43)), range(62, 66)),  # t = 40
+    (SyzygySpec(P31, 5, (23, 19, 21)), range(31, 35)),
+    (SyzygySpec(P31, 0, (5, 7, 6)), range(11, 15)),  # the plane
+]
+
+
 def test_dense_structured_equality_at_the_largest_prime():
-    # near p = 2^31, kernel entries and binomial residues are full-size, so
-    # every product in the band convolution is close to 2^62; the twists
-    # start at the first section and reach blocks that fill both s2 and s3
-    cases = [
-        (SyzygySpec(P31, 3, (104, 100, 108)), range(156, 160)),  # t = 34, 35
-        (SyzygySpec(P31, 1, (40, 41, 43)), range(62, 66)),  # t = 40
-        (SyzygySpec(P31, 5, (23, 19, 21)), range(31, 35)),
-        (SyzygySpec(P31, 0, (5, 7, 6)), range(11, 15)),  # the plane
-    ]
     assert max(_binom_row(34, P31, {})) > P31 // 2
-    for spec, twists in cases:
+    for spec, twists in P31_CASES:
         for n in twists:
             dense = to_dense(spec, n, _section_kernel(spec, n, "dense"))
             assert dense.shape[0], (spec, n)
             assert np.array_equal(to_dense(spec, n, _section_kernel(spec, n)), dense), (spec, n)
+
+
+def test_section_views_serialize_as_their_components():
+    # a section_space vector serializes from the verified triples; the
+    # strings must be the bytes to_string writes for the components it
+    # builds on first access, and parse back to them.  The battery and the
+    # P31 cases include the plane, Koszul rows (s1 = 0) and components of
+    # negative degree
+    cases = [(spec, battery_twists(spec)) for spec in BATTERY] + P31_CASES
+    for spec, twists in cases:
+        field = spec.ring.field
+        for n in twists:
+            for s in section_space(spec, n):
+                text = s.serialize()
+                strings = [c.to_string() for c in s.components]
+                assert text == strings == s.serialize(), (spec, n)
+                for string, c, a in zip(strings, s.components, spec.exponents):
+                    assert parse_poly(string, field, n - a) == c, (spec, n)
+
+
+def test_section_view_before_and_after_its_components_are_read():
+    # (Y, -X, 0) on the plane: s3 has degree 2 - 5 < 0
+    spec, n = SyzygySpec(5, 0, (1, 1, 5)), 2
+    field = spec.ring.field
+    expected = ["1*X^0*Y^1*Z^0", "4*X^1*Y^0*Z^0", "0"]
+    built = SectionVector(
+        spec,
+        n,
+        (
+            GradedPoly.monomial(field, 1, (0, 1, 0)),
+            GradedPoly.monomial(field, 4, (1, 0, 0)),
+            GradedPoly.zero(field, -3),
+        ),
+    )
+    assert built.serialize() == expected and not built.is_zero()
+    (fresh,) = section_space(spec, n)
+    assert fresh == built and built == fresh  # == reads the components
+    (view,) = section_space(spec, n)
+    for _ in range(2):  # the second round runs after components is read
+        assert view.serialize() == expected
+        assert repr(view) == repr(built) == f"SectionVector(twist=2, {expected})"
+        assert not view.is_zero()
+        assert view.components == built.components
+        assert view.components[2].degree == -3
+    assert view == built and view == fresh
+    assert view != section_space(spec, n + 1)[0]
+
+
+def test_section_space_and_serialize_build_no_polynomial(monkeypatch):
+    calls = []
+    real = GradedPoly._trusted.__func__
+
+    def counted(cls, field, degree, terms):
+        calls.append(degree)
+        return real(cls, field, degree, terms)
+
+    monkeypatch.setattr(GradedPoly, "_trusted", classmethod(counted))
+    spec, n = SyzygySpec(3, 4, (9, 9, 9)), 20
+    sections = section_space(spec, n)
+    text = [s.serialize() for s in sections]
+    assert len(sections) > 1 and not calls
+    for k, s in enumerate(sections, 1):
+        assert s.components is s.components  # built once, then kept
+        assert len(calls) == 3 * k
+    assert text == [[c.to_string() for c in s.components] for s in sections]
+    assert len(calls) == 3 * len(sections)
 
 
 def test_structured_rows_match_the_closed_form_dimension():
@@ -264,12 +337,19 @@ def test_one_corrupted_kernel_entry_makes_section_space_raise(monkeypatch):
         (SyzygySpec(3, 4, (9, 9, 9)), 13),
         (SyzygySpec(2, 5, (4, 4, 4)), 7),
         (SyzygySpec(5, 0, (2, 3, 4)), 7),  # the plane
+        (SyzygySpec(5, 7, (2, 3, 4)), 9),  # 35 sections
         (SyzygySpec(P31, 3, (104, 100, 108)), 157),
     ]
     for spec, n in cases:
         p = spec.p
-        rows = to_dense(spec, n, real(spec, n))
-        assert len(section_space(spec, n)) == len(rows) > 0, (spec, n)
+        count, *triples = kernel = real(spec, n)
+        rows = to_dense(spec, n, kernel)
+        assert len(section_space(spec, n)) == count > 0, (spec, n)
+        # one row too many: the extra row is empty, a zero "section"
+        bad = (count + 1, *triples)
+        monkeypatch.setattr(bundle, "_structured_kernel", lambda *_, bad=bad: bad)
+        with pytest.raises(ValueError, match="rows are empty"):
+            section_space(spec, n)
         widths = [spec.ring.hilbert(n - a) for a in spec.exponents]
         starts = np.cumsum([0] + widths)
         for var in range(3):
@@ -370,6 +450,9 @@ def test_check_syzygies_rejects_malformed_triples():
         ((count, rows, col_out, values), "outside the shape"),
         ((count, rows, neg, values), "outside the shape"),
         ((count - 1, rows, cols, values), "outside the shape"),
+        ((count + 1, rows, cols, values), "1 of .* rows are empty"),
+        ((count + 1, rows + (rows >= 2), cols, values), "1 of .* rows are empty"),
+        ((1, rows[:0], cols[:0], values[:0]), "1 of 1 rows are empty"),
     ]:
         with pytest.raises(ValueError, match=match):
             check(bad, n, spec.exponents)
