@@ -57,17 +57,21 @@ every block with t, A, B <= 10 and p in {2, 3, 5, 7}.
 forms and eliminate nothing.  Families sharing (t, A, B) share the
 threshold, and there are at most eight such groups per spec.
 
-The basis without a global elimination.  ``section_space`` builds and
-eliminates only the blocks whose closed-form nullity is positive, each
-distinct (t, A, B, N) once per call, and checks each block's rank against
-it.  A kernel vector f of a block is s1;
-s2 and s3 follow in closed form, because s2 Y^a2 + s3 Z^a3 = -s1 X^a1 is
-f times the band (-1)^(t + 1) C(t, v) (see the structured-path comment).
-Each of its monomials has Y-exponent >= a2 or Z-exponent >= a3, and it is
-put on s3 whenever its Z-exponent allows, else on s2.  The rows -- the
-block kernels in reduced echelon form, ordered by their s1 pivots, then
-the Koszul rows g (0, Z^a3, -Y^a2) in basis order -- are then already the
-reduced echelon form of the whole kernel:
+The basis without a global elimination.  ``section_space`` builds only
+the blocks whose closed-form nullity is positive, each distinct
+(t, A, B, N) once per call.  A kernel vector f of a block is s1; s2 and
+s3 follow in closed form, because s2 Y^a2 + s3 Z^a3 = -s1 X^a1 is f times
+the band (-1)^(t + 1) C(t, v) (see the structured-path comment).  Each of
+its monomials has Y-exponent >= a2 or Z-exponent >= a3, and it is put on
+s3 whenever its Z-exponent allows, else on s2.  A block whose
+bad-projection band is empty is free: every f qualifies, its kernel is
+the identity, and its rows are written down without an elimination, the
+unit vector at alpha in s1 and the signed binomial row shifted by alpha
+in s2 and s3.  Only a banded block is eliminated, and its rank is checked
+against the closed form.  The rows -- the block kernels in reduced
+echelon form, ordered by their s1 pivots, then the Koszul rows
+g (0, Z^a3, -Y^a2) in basis order -- are then already the reduced echelon
+form of the whole kernel:
 
 - every family row has its leading 1 in s1, and the classes have disjoint
   s1 supports whose basis order follows alpha, so the s1 parts are in
@@ -84,27 +88,33 @@ Sparse triples and verification.  The basis is almost all zeros, so
 both paths return it as sparse triples (row count, rows, columns, values):
 the nonzero entries only, sorted by (row, column), with values in [1, p).
 ``_structured_kernel`` never forms a dense matrix.  A dict local to one
-call, keyed by (t, A, B, N), holds each distinct block's split into s1,
-s2 and s3 (its kernel, the band product, the s1 pivots and the
-block-local nonzeros), so a block that recurs across residue classes is
-eliminated and checked once; nothing persists between calls.  Each class
-places those nonzeros at its own column offsets, and ranking the s1
-pivots gives the rows their canonical order.  ``section_space`` verifies
-each call's triples with one batch check, ``FermatRing.check_syzygies``,
-which shares no code with the kernel's construction (``_classes``,
-``_band``, ``_binom_row``, ``_block_kernel``, ``_times_band``): it
-multiplies every row out term by term with the normal-form rewrite of
-``poly`` and sums the result per monomial of R_n.  A change to any single
-entry of a row, an added entry, and triples out of shape, out of order,
-repeated or outside [1, p), and a row without entries, all make it
-raise.  Each vector is then a view on one row of the verified triples,
-without a check of its own: it builds its polynomials only when its
-``components`` are read, and ``serialize`` writes the row's terms from
-the triples, in the bytes ``GradedPoly.to_string`` would write.  The
-public ``SectionVector`` constructor still checks its vector by
-``normal_form``, and so does the search for the one section it
-certifies.  The dense path converts its matrix to triples once and
-serves only as the tests' oracle.
+call, keyed by (t, A, B, N), holds each distinct block's s1 pivots and
+block-local nonzeros (``_block_entry``), so a block that recurs across
+residue classes is built and checked once; nothing persists between
+calls.  A banded block's product with the binomial row is one sparse
+outer product of its kernel's nonzeros, summed per (row, gamma).  Each
+class places the block's nonzeros at its own column offsets, ranking the
+s1 pivots gives the rows their canonical order, and one sort puts the
+triples in (row, column) order.  A block whose dense band would pass
+``BAND_LIMIT_BYTES`` is refused with ``BlockTooLargeError`` before it is
+allocated.  ``section_space`` verifies each call's triples with one batch
+check, ``FermatRing.check_syzygies``, which shares no code with the
+kernel's construction (``_classes``, ``_band``, ``_binom_row``,
+``_block_kernel``, ``_block_entry``): it multiplies every row out term by
+term with the normal-form rewrite of ``poly`` and sums the result per
+monomial of R_n.  A change to any single entry of a row, an added entry,
+and triples out of shape, out of order, repeated or outside [1, p), and a
+row without entries, all make it raise.  Each vector is then a view on
+one row of the verified triples, without a check of its own.  It builds
+its polynomials only when its ``components`` are read, naming each
+monomial from its basis position in closed form.  The first
+``serialize`` of a call writes every row's strings in one pass over the
+triples, in the bytes ``GradedPoly.to_string`` would write, and each
+``serialize`` then copies one row's strings.  The public
+``SectionVector`` constructor still checks its vector by ``normal_form``,
+and so does the search for the one section it certifies.  The dense path
+converts its matrix to triples once and serves only as the tests'
+oracle.
 
 The plane (d = 0) runs through the same code.  In degrees below d the
 Fermat ring equals F_p[X, Y, Z], so the degree-n syzygies on P^2 are
@@ -128,10 +138,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ExponentOverflowError, InternalCheckError
+from .errors import BlockTooLargeError, ExponentOverflowError, InternalCheckError
 from .field import PrimeField, binom_uint
 from .linalg import MatrixModP, kernel_from_rref, rref
-from .poly import EXP_LIMIT, GradedPoly, join_terms, term_texts
+from .poly import EXP_LIMIT, GradedPoly, join_rows, term_texts
 from .ring import FermatRing, basis_pos
 
 _RING_CACHE: dict = {}
@@ -201,23 +211,15 @@ class SectionVector:
     constructor checks the relation by ``normal_form``, vector by vector.
     ``section_space`` instead checks its whole basis, as sparse triples,
     with one batch check (``FermatRing.check_syzygies``) and returns views
-    on one row of those triples each, unchecked.  A view builds its
-    ``components`` on first access and keeps them; ``serialize`` and
-    ``repr`` read the triples and build no polynomial.
+    on one row of those triples each, unchecked.  It makes a view with
+    ``__new__`` and stores its slots directly, with ``_rows`` the call's
+    ``_KernelRows`` and ``_row`` its row.  A view builds its ``components``
+    on first access, without the ring's basis, and keeps them;
+    ``serialize`` and ``repr`` read the strings that ``_KernelRows``
+    writes for all rows at once, and build no polynomial.
     """
 
     __slots__ = ("spec", "twist", "_rows", "_row", "_components")
-
-    @classmethod
-    def _view(cls, spec: SyzygySpec, twist: int, rows: "_KernelRows", row: int) -> "SectionVector":
-        """Row ``row`` of ``rows``, whose relation the caller has already checked."""
-        section = cls.__new__(cls)
-        section.spec = spec
-        section.twist = twist
-        section._rows = rows
-        section._row = row
-        section._components = None
-        return section
 
     def __init__(self, spec: SyzygySpec, twist: int, components):
         s1, s2, s3 = components
@@ -279,17 +281,21 @@ class _KernelRows:
     entries cuts[r]:cuts[r + 1]), and the local basis positions and values
     as lists.  Within a row the positions increase, and basis order is
     ``Monomial`` order, so a row's terms come out as ``to_string`` sorts
-    them.  The first ``strings`` call writes every entry's term once.
+    them.  ``components`` names a row's monomials from their positions in
+    closed form (``FermatRing.basis_monomials``), without the basis.  The
+    first ``strings`` call writes every row's three strings in one pass,
+    one ``" + "`` join per row and component over the cuts
+    (``poly.join_rows``); each call then copies one row's list.
     """
 
-    __slots__ = ("ring", "parts", "_terms")
+    __slots__ = ("ring", "parts", "_strings")
 
     def __init__(self, spec: SyzygySpec, n: int, kernel: tuple):
         count, rows, cols, values = kernel
         bounds = np.arange(count + 1)
         ring = self.ring = spec.ring
         self.parts = []
-        self._terms = None
+        self._strings = None
         start = 0
         for a in spec.exponents:
             m = n - a
@@ -303,23 +309,20 @@ class _KernelRows:
         field = self.ring.field
         out = []
         for m, cuts, pos, vals in self.parts:
-            basis = self.ring.basis(m)
             lo, hi = cuts[r], cuts[r + 1]
-            terms = {basis[k]: c for k, c in zip(pos[lo:hi], vals[lo:hi])}
+            terms = dict(zip(self.ring.basis_monomials(pos[lo:hi], m), vals[lo:hi]))
             out.append(GradedPoly._trusted(field, m, terms))
         return tuple(out)
 
     def strings(self, r: int) -> list:
         """Row r's components as ``GradedPoly.to_string`` writes them."""
-        if self._terms is None:
-            self._terms = [
-                term_texts(zip(vals, map(self.ring.term_text(m).__getitem__, pos)))
-                for m, _cuts, pos, vals in self.parts
-            ]
-        return [
-            join_terms(terms[cuts[r] : cuts[r + 1]])
-            for (_m, cuts, _pos, _vals), terms in zip(self.parts, self._terms)
-        ]
+        if self._strings is None:
+            texts = []
+            for m, cuts, pos, vals in self.parts:
+                terms = term_texts(zip(vals, map(self.ring.term_text(m).__getitem__, pos)))
+                texts.append(join_rows(terms, cuts))
+            self._strings = list(zip(*texts))
+        return list(self._strings[r])
 
 
 # -- dense reference path -----------------------------------------------------
@@ -365,17 +368,28 @@ def _binom_row(t: int, p: int, cache: dict) -> np.ndarray:
     return row
 
 
+BAND_LIMIT_BYTES = 2**29  # the largest dense band _band allocates
+
+
 def _band(t: int, A: int, B: int, N: int, row: np.ndarray) -> np.ndarray:
     """Bad-projection block of the residue family (t, A, B) at level N.
 
     Columns are alpha = 0..N, rows the target exponents gamma with
     gamma < A and N + t - gamma < B; the entry is C(t, gamma - alpha),
-    read from ``row`` = [C(t, v) mod p for v = 0..t].
+    read from ``row`` = [C(t, v) mod p for v = 0..t].  Raises
+    ``BlockTooLargeError`` before allocating a band of more than
+    ``BAND_LIMIT_BYTES``.
     """
     lo = max(0, N + t - B + 1)
     hi = min(N + t, A - 1)
     if lo > hi:
         return np.zeros((0, N + 1), dtype=np.int64)
+    size = (hi - lo + 1) * (N + 1) * 8
+    if size > BAND_LIMIT_BYTES:
+        raise BlockTooLargeError(
+            f"block (t, A, B, N) = {(t, A, B, N)} needs a band of {size:,} bytes, "
+            f"above the limit of {BAND_LIMIT_BYTES:,}"
+        )
     gammas = np.arange(lo, hi + 1)
     alphas = np.arange(N + 1)
     diff = gammas[:, None] - alphas[None, :]
@@ -469,30 +483,9 @@ def _block_kernel(t: int, A: int, B: int, N: int, row: np.ndarray, p: int) -> np
     the original order, and zeros at the other free columns: reversed
     back, the vectors are already the kernel's RREF.
     """
-    block = _band(t, A, B, N, row)
-    if not block.shape[0]:
-        return np.eye(N + 1, dtype=np.int64)
-    work = np.ascontiguousarray(block[:, ::-1])
+    work = np.ascontiguousarray(_band(t, A, B, N, row)[:, ::-1])
     rank, pivots = rref(work, p)
     return kernel_from_rref(work, rank, pivots, p)[::-1, ::-1]
-
-
-def _times_band(K: np.ndarray, row: np.ndarray, p: int) -> np.ndarray:
-    """Each row of K convolved with ``row``, mod p.
-
-    Reduced after every shifted add, so no int64 sum exceeds p^2 + p.
-    """
-    k, width = K.shape
-    out = np.zeros((k, width + len(row) - 1), dtype=np.int64)
-    if width <= len(row):
-        for alpha in np.flatnonzero(K.any(axis=0)).tolist():
-            seg = out[:, alpha : alpha + len(row)]
-            seg[:] = (seg + K[:, alpha : alpha + 1] * row) % p
-    else:
-        for v in np.flatnonzero(row).tolist():
-            seg = out[:, v : v + width]
-            seg[:] = (seg + K * int(row[v])) % p
-    return out
 
 
 def _block_entry(p: int, t: int, A: int, B: int, N: int, rows_cache: dict):
@@ -501,34 +494,69 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int, rows_cache: dict):
     Returns (pivots, rows, parts, exps, values): the s1 exponent alpha of
     each kernel row's leading 1, then per nonzero its row, its component
     (0, 1, 2 for s1, s2, s3), its exponent (alpha for s1, gamma for s2 and
-    s3) and its value, in the order (row, component, exponent).  Checks the
-    block's nullity against ``_nullity`` and its bad-projection.
+    s3) and its value, in no particular order.  Checks the block's nullity
+    against ``_nullity``.
+
+    The rest of a row f is w = (-1)^(t + 1) f * [C(t, v)]; w[gamma] goes
+    to s3 for gamma < g3 (N + t - gamma >= B), else to s2 for gamma >= g2
+    (gamma >= A), and between them lies the bad-projection band.  A block
+    whose band is empty (g2 = g3) is free: its kernel is the identity, so
+    row alpha is the unit vector at alpha and its w is the signed binomial
+    row shifted by alpha, and nothing is eliminated or summed.  A banded
+    block is eliminated by ``_block_kernel``; its band product is one
+    sparse outer product, each term reduced mod p and then summed per
+    (row, gamma), and its bad-projection is checked to vanish.  A sum has
+    at most t + 1 terms below p, so it stays far inside int64.
     """
     nullity = _nullity(p, t, A, B, N)
     if nullity == 0:
         return None
     row = _binom_row(t, p, rows_cache)
-    K = _block_kernel(t, A, B, N, row, p)
-    if len(K) != nullity:
-        raise InternalCheckError(
-            f"block (t, A, B, N) = {(t, A, B, N)} has nullity {len(K)}, "
-            f"closed form {nullity}"
-        )
-    w = _times_band(K, row, p)
-    if t % 2 == 0:
-        w = (-w) % p
-    # w[gamma] goes to s3 for gamma < g3 (N + t - gamma >= B), else to s2
-    # for gamma >= g2 (gamma >= A); between them lies the bad-projection
+    v = row.nonzero()[0]
+    c = row[v] if t % 2 else p - row[v]  # (-1)^(t + 1) C(t, v), in [1, p)
     top = N + t + 1
     g3 = max(0, top - B)
     g2 = min(top, max(A, g3))
-    if np.any(w[:, g3:g2]):
-        raise InternalCheckError("bad-projection of a kernel element is nonzero")
-    exps = np.concatenate([np.arange(N + 1), np.arange(g2, top), np.arange(g3)])
-    parts = np.repeat([0, 1, 2], [N + 1, top - g2, g3])
-    local = np.hstack([K, w[:, g2:], w[:, :g3]])
-    r, c = np.nonzero(local)
-    return np.argmax(K != 0, axis=1), r, parts[c], exps[c], local[r, c]
+    if g2 == g3:
+        if nullity != N + 1:
+            raise InternalCheckError(
+                f"free block (t, A, B, N) = {(t, A, B, N)} has nullity {N + 1}, "
+                f"closed form {nullity}"
+            )
+        k_rows = alphas = pivots = np.arange(N + 1)
+        k_vals = np.ones(N + 1, dtype=np.int64)
+        r = np.repeat(pivots, len(v))
+        gamma = (pivots[:, None] + v).ravel()
+        w = np.broadcast_to(c, (N + 1, len(v))).ravel()
+    else:
+        K = _block_kernel(t, A, B, N, row, p)
+        if len(K) != nullity:
+            raise InternalCheckError(
+                f"block (t, A, B, N) = {(t, A, B, N)} has nullity {len(K)}, "
+                f"closed form {nullity}"
+            )
+        k_rows, alphas = np.nonzero(K)
+        k_vals = K[k_rows, alphas]
+        pivots = alphas[np.searchsorted(k_rows, np.arange(len(K)))]
+        key = ((k_rows * top + alphas)[:, None] + v).ravel()
+        w = (k_vals[:, None] * c % p).ravel()
+        order = np.argsort(key)
+        key = key[order]
+        firsts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        w = np.add.reduceat(w[order], firsts) % p
+        nz = w != 0
+        r, gamma = np.divmod(key[firsts][nz], top)
+        w = w[nz]
+        if np.any((gamma >= g3) & (gamma < g2)):
+            raise InternalCheckError("bad-projection of a kernel element is nonzero")
+    parts = np.concatenate([np.zeros(len(k_rows), dtype=np.int64), np.where(gamma < g3, 2, 1)])
+    return (
+        pivots,
+        np.concatenate([k_rows, r]),
+        parts,
+        np.concatenate([alphas, gamma]),
+        np.concatenate([k_vals, w]),
+    )
 
 
 def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
@@ -536,9 +564,9 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
 
     Returned as sparse triples (row count, rows, columns, values): only the
     nonzero entries, sorted by (row, column), with values in [1, p).
-    Only blocks with a closed-form kernel are built and eliminated, each
-    distinct (t, A, B, N) once per call (``_block_entry``, which checks its
-    nullity and bad-projection).  A kernel vector f of the class
+    Only blocks with a closed-form kernel are built, each distinct
+    (t, A, B, N) once per call, and only banded ones are eliminated
+    (``_block_entry``, which checks the nullity and bad-projection).  A kernel vector f of the class
     (i, j0, l0) is s1; then s2 Y^a2 + s3 Z^a3 = -s1 X^a1 is the band
     product w = (-1)^(t + 1) f * [C(t, v)], whose coefficient w[gamma]
     sits on X^i' Y^(j0 + gamma d) Z^(l0 + (N + t - gamma) d).  It goes to
@@ -548,7 +576,8 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     ranked by s1 pivot, then the Koszul family -- are the reduced echelon
     form with no further elimination (module docstring).  ``basis_pos`` is
     linear in the Y-exponent, so a class places its block's entries at
-    one offset per component plus d times their exponent.
+    one offset per component plus d times their exponent; one sort by
+    (row, column) then orders all the triples.
     """
     ring = spec.ring
     a1, a2, a3 = spec.exponents
@@ -587,13 +616,12 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
         owner = np.repeat(np.arange(len(entries)), sizes[:, 1])  # nonzero -> class
         cols = offsets[owner, parts] + d * exps
         # a family row's rank among the s1 pivots is its row in the basis;
-        # each row's entries are contiguous and in column order, so a stable
-        # sort by the new row leaves the triples sorted by (row, column)
+        # one sort by (row, column) then orders the triples
         rank = np.empty(n_family, dtype=np.int64)
         rank[np.argsort(np.repeat(offsets[:, 0], sizes[:, 0]) + d * pivots)] = np.arange(n_family)
         row_base = np.cumsum(sizes[:, 0]) - sizes[:, 0]
         r = rank[r + np.repeat(row_base, sizes[:, 1])]
-        order = np.argsort(r, kind="stable")
+        order = np.argsort(r * (d1 + d2 + ring.hilbert(m3)) + cols)
         family = (r[order], cols[order], values[order])
 
     # Koszul family g * (0, Z^a3, -Y^a2), g in the basis of R_{n - a2 - a3}
@@ -641,12 +669,23 @@ def section_space(spec: SyzygySpec, n: int, method: str = "structured") -> list:
     ``FermatRing.check_syzygies``, verifies the triples; it shares no code
     with the kernel's construction, so each vector is a view on one row of
     the triples, without a check of its own.  No polynomial is built until
-    a vector's ``components`` are read; ``serialize`` reads the triples.
+    a vector's ``components`` are read; ``serialize`` reads the strings
+    written from the triples on the call's first ``serialize``.
     """
     kernel = _section_kernel(spec, n, method)
     spec.ring.check_syzygies(kernel, n, spec.exponents)
     rows = _KernelRows(spec, n, kernel)
-    return [SectionVector._view(spec, n, rows, r) for r in range(kernel[0])]
+    views = []
+    new = SectionVector.__new__
+    for r in range(kernel[0]):
+        view = new(SectionVector)
+        view.spec = spec
+        view.twist = n
+        view._rows = rows
+        view._row = r
+        view._components = None
+        views.append(view)
+    return views
 
 
 def section_space_dim(spec: SyzygySpec, n: int, method: str = "structured") -> int:

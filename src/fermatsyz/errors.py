@@ -23,3 +23,7 @@ class InapplicableError(FermatSyzError):
 
 class InternalCheckError(FermatSyzError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+class BlockTooLargeError(FermatSyzError):
+    """A residue block's dense band would exceed the package's memory limit."""

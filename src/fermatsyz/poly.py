@@ -215,7 +215,12 @@ def term_texts(terms) -> list:
 def join_terms(texts: list) -> str:
     """``GradedPoly.to_string`` of a polynomial from its ``term_texts`` in
     ``Monomial`` order; ``0`` if there are none."""
-    return " + ".join(texts) or "0"
+    return join_rows(texts, (0, len(texts)))[0]
+
+
+def join_rows(texts: list, cuts) -> list:
+    """``join_terms`` of each slice texts[cuts[k]:cuts[k + 1]], in one pass."""
+    return [" + ".join(texts[lo:hi]) or "0" for lo, hi in zip(cuts, cuts[1:])]
 
 
 _TERM_RE = re.compile(r"^(\d+)\*X\^(\d+)\*Y\^(\d+)\*Z\^(\d+)$")

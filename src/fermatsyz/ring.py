@@ -142,6 +142,22 @@ class FermatRing:
         terms = {basis[k]: c for k, c in zip(nz.tolist(), v[nz].tolist())}
         return GradedPoly(self.field, n, terms)
 
+    def basis_monomials(self, positions, m: int) -> list:
+        """The monomials of ``basis(m)`` at the increasing ``positions``,
+        without building the basis.
+
+        Degree m has m - i + 1 basis monomials with X-exponent i, so one
+        walk up the X-exponents inverts ``basis_pos`` for all of them.
+        """
+        out = []
+        i = start = 0
+        for k in positions:
+            while k - start > m - i:
+                start += m - i + 1
+                i += 1
+            out.append(Monomial(i, k - start, m - i - k + start))
+        return out
+
     def _basis_exponents(self, pos: np.ndarray, m: int) -> tuple:
         """(i, j) arrays of the basis monomials of R_m at positions ``pos``."""
         top = m if self.d == 0 else min(m, self.d - 1)
@@ -167,6 +183,12 @@ class FermatRing:
 
         Each contribution is reduced mod p, and a coordinate of R_n gets at
         most t + 3 of them, so no int64 sum passes (t + 3) p.
+
+        The check shares no code with the kernel's construction in
+        ``bundle`` (``_classes``, ``_band``, ``_binom_row``,
+        ``_block_kernel``, ``_block_entry``): its binomials come from
+        ``poly.binom_row``, its monomials from ``_basis_exponents``, and it
+        multiplies term by term instead of by the blocks' outer products.
         """
         p = self.p
         d = self.d or n + 1  # the plane: no rewrite below degree n + 1

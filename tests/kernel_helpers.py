@@ -16,3 +16,44 @@ def to_triples(dense):
     """Sparse triples of a dense matrix, sorted by (row, column)."""
     rows, cols = np.nonzero(dense)
     return len(dense), rows, cols, dense[rows, cols]
+
+
+def times_band(K, row, p):
+    """Each row of K convolved with ``row``, mod p, one shifted add at a time.
+
+    Reduced after every add, so no int64 sum exceeds p^2 + p.
+    """
+    k, width = K.shape
+    out = np.zeros((k, width + len(row) - 1), dtype=np.int64)
+    if width <= len(row):
+        for alpha in np.flatnonzero(K.any(axis=0)).tolist():
+            seg = out[:, alpha : alpha + len(row)]
+            seg[:] = (seg + K[:, alpha : alpha + 1] * row) % p
+    else:
+        for v in np.flatnonzero(row).tolist():
+            seg = out[:, v : v + width]
+            seg[:] = (seg + K * int(row[v])) % p
+    return out
+
+
+def reference_block_entry(p, t, A, B, N, rows_cache):
+    """``bundle._block_entry`` by elimination of every block and a dense band
+    product, with its nonzeros in (row, component, exponent) order."""
+    from fermatsyz.bundle import _binom_row, _block_kernel
+
+    row = _binom_row(t, p, rows_cache)
+    K = _block_kernel(t, A, B, N, row, p)
+    if not len(K):
+        return None
+    w = times_band(K, row, p)
+    if t % 2 == 0:
+        w = (-w) % p
+    top = N + t + 1
+    g3 = max(0, top - B)
+    g2 = min(top, max(A, g3))
+    assert not np.any(w[:, g3:g2])
+    exps = np.concatenate([np.arange(N + 1), np.arange(g2, top), np.arange(g3)])
+    parts = np.repeat([0, 1, 2], [N + 1, top - g2, g3])
+    local = np.hstack([K, w[:, g2:], w[:, :g3]])
+    r, c = np.nonzero(local)
+    return np.argmax(K != 0, axis=1), r, parts[c], exps[c], local[r, c]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,18 +10,22 @@ from fermatsyz.bundle import (
     SectionVector,
     SyzygySpec,
     _binom_row,
+    _block_entry,
     _section_kernel,
     _structured_dim,
     _structured_kernel,
+    first_section_twist,
     has_section,
     section_space,
     section_space_dim,
     syzygy_matrix,
 )
-from fermatsyz.errors import ExponentOverflowError, InternalCheckError
+from fermatsyz.errors import BlockTooLargeError, ExponentOverflowError, InternalCheckError
 from fermatsyz.field import PrimeField
 from fermatsyz.poly import GradedPoly, frobenius_power, parse_poly
-from kernel_helpers import to_dense, to_triples
+from fermatsyz.ring import FermatRing
+from fermatsyz.stability import search_destabilization
+from kernel_helpers import reference_block_entry, to_dense, to_triples
 
 F5 = PrimeField(5)
 
@@ -394,10 +399,16 @@ def test_kernel_triples_are_sorted_unique_residues():
                 assert np.array_equal(np.unique(rows), np.arange(count)), (spec, n, method)
 
 
+def _is_banded(t, A, B, N):
+    """The block (t, A, B, N) has bad-projection rows (``_band`` is nonempty)."""
+    top = N + t + 1
+    return max(0, top - B) < min(top, A)
+
+
 def test_one_block_elimination_per_distinct_block(monkeypatch):
     # blocks repeat across the residue classes of one twist; each distinct
-    # (t, A, B, N) with a kernel is eliminated once per call, and nothing
-    # is kept between calls
+    # banded (t, A, B, N) with a kernel is eliminated once per call, a block
+    # with an empty band never, and nothing is kept between calls
     calls = []
     real = bundle._block_kernel
 
@@ -406,10 +417,12 @@ def test_one_block_elimination_per_distinct_block(monkeypatch):
         return real(t, A, B, N, row, p)
 
     monkeypatch.setattr(bundle, "_block_kernel", counted)
+    repeats = free = 0
     for spec, n in [
         (SyzygySpec(3, 4, (9, 9, 9)), 20),
         (SyzygySpec(7, 5, (7, 7, 7)), 15),
-        (SyzygySpec(2, 7, (8, 8, 8)), 17),
+        (SyzygySpec(2, 5, (16, 16, 16)), 30),
+        (SyzygySpec(3, 4, (9, 9, 9)), 13),
         (SyzygySpec(5, 0, (2, 3, 4)), 7),
     ]:
         keys = [
@@ -417,11 +430,117 @@ def test_one_block_elimination_per_distinct_block(monkeypatch):
             for *_cls, N, t, A, B in bundle._classes(spec, n)
             if bundle._nullity(spec.p, t, A, B, N) > 0
         ]
-        assert len(set(keys)) < len(keys), (spec, n)  # some block repeats
+        banded = [key for key in keys if _is_banded(*key)]
+        repeats += len(banded) - len(set(banded))
+        free += len(keys) - len(banded)
         for _ in range(2):
             calls.clear()
             section_space(spec, n)
-            assert sorted(calls) == sorted(set(keys)), (spec, n)
+            assert sorted(calls) == sorted(set(banded)), (spec, n)
+    assert repeats and free  # some banded block repeats; some blocks are free
+
+
+P_BLOCKS = [2, 3, 5, 7, P31]
+BLOCK_GRID = list(itertools.product(range(13), range(13), range(13), range(11)))
+
+
+def _block_oracle(p, banded, count):
+    """``_block_entry`` against elimination and the dense band product on a
+    seeded sample of ``count`` of the blocks (t, A, B, N), t, A, B <= 12 and
+    N <= 10, with an empty or a nonempty band."""
+    blocks = [key for key in BLOCK_GRID if _is_banded(*key) == banded]
+    cache = {}
+    for t, A, B, N in random.Random(p).sample(blocks, count):
+        got = _block_entry(p, t, A, B, N, cache)
+        want = reference_block_entry(p, t, A, B, N, cache)
+        assert (got is None) == (want is None), (p, t, A, B, N)
+        if got is None:
+            continue
+        assert np.array_equal(got[0], want[0]), (p, t, A, B, N)
+        # _block_entry leaves its nonzeros unordered; the reference sorts them
+        # by (row, component, exponent)
+        order = np.lexsort((got[3], got[2], got[1]))
+        for mine, theirs in zip(got[1:], want[1:]):
+            assert np.array_equal(mine[order], theirs), (p, t, A, B, N)
+
+
+@pytest.mark.parametrize("p", P_BLOCKS)
+def test_free_blocks_match_elimination(p):
+    _block_oracle(p, banded=False, count=1000)
+
+
+@pytest.mark.parametrize("p", P_BLOCKS)
+def test_banded_blocks_match_elimination(p):
+    _block_oracle(p, banded=True, count=1000)
+
+
+def test_view_components_name_monomials_without_the_basis(monkeypatch):
+    # on a fresh ring, section_space and reading every view's components
+    # build no basis; the components equal the polynomials named by the
+    # basis, across the battery (every other twist) and the P31 cases
+    cases = [(spec, battery_twists(spec)[::2]) for spec in BATTERY] + P31_CASES
+    for spec, twists in cases:
+        named = FermatRing(spec.p, spec.d)
+        for n in twists:
+            monkeypatch.setattr(bundle, "_RING_CACHE", {})
+            components = [s.components for s in section_space(spec, n)]
+            assert not spec.ring._bases, (spec, n)
+            rows = to_dense(spec, n, _structured_kernel(spec, n))
+            widths = [named.hilbert(n - a) for a in spec.exponents]
+            for row, got in zip(rows, components):
+                parts = np.split(row, np.cumsum(widths)[:2])
+                want = tuple(named.from_coords(v, n - a) for v, a in zip(parts, spec.exponents))
+                assert got == want, (spec, n)
+
+
+def test_band_guard_refuses_a_band_above_the_limit(monkeypatch):
+    spec, n = SyzygySpec(2, 5, (16, 16, 16)), 30
+    sizes = []
+    real = bundle._band
+
+    def spy(t, A, B, N, row):
+        band = real(t, A, B, N, row)
+        sizes.append(band.nbytes)
+        return band
+
+    monkeypatch.setattr(bundle, "_band", spy)
+    expected = _structured_kernel(spec, n)
+    largest = max(sizes)
+    monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", largest)
+    kernel = _structured_kernel(spec, n)
+    assert all(np.array_equal(a, b) for a, b in zip(kernel[1:], expected[1:]))
+    monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", largest - 1)
+    with pytest.raises(BlockTooLargeError, match=f"{largest:,} bytes"):
+        section_space(spec, n)
+
+
+def _band_bytes(t, A, B, N):
+    """Bytes of the dense band of the block (t, A, B, N), from its shape."""
+    rows = min(N + t, A - 1) - max(0, N + t - B + 1) + 1
+    return max(0, rows) * (N + 1) * 8
+
+
+def test_band_guard_on_deep_certificates():
+    # the certificate twist of (13, 23, 1, 5) has one banded block, of
+    # 497 MiB, under the limit; those of (7, 34, 1, 8) and (13, 27, 1, 6)
+    # would need 54 and 60 GB and are refused before anything is allocated
+    for (p, d, a, e), refused in [
+        ((13, 23, 1, 5), False),
+        ((7, 34, 1, 8), True),
+        ((13, 27, 1, 6), True),
+    ]:
+        aq = a * p**e
+        spec = SyzygySpec(p, d, (aq, aq, aq))
+        n = first_section_twist(spec, aq + 1, (3 * aq + 1) // 2 - 1)
+        largest = max(
+            _band_bytes(t, A, B, N)
+            for *_cls, N, t, A, B in bundle._classes(spec, n)
+            if bundle._nullity(p, t, A, B, N)
+        )
+        assert (largest > bundle.BAND_LIMIT_BYTES) == refused, (p, d, a, e)
+        if refused:
+            with pytest.raises(BlockTooLargeError):
+                search_destabilization(p, d, a, e)
 
 
 def test_check_syzygies_rejects_malformed_triples():

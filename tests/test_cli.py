@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from fermatsyz import cli
+from fermatsyz import bundle, cli
 from fermatsyz.cli import _parse_int_list, main
 from fermatsyz.errors import ExponentOverflowError, FermatSyzError
 
@@ -396,3 +396,22 @@ def test_scan_crash_keeps_finished_records(tmp_path, capsys, monkeypatch, thread
     assert out.read_text().splitlines() == expected[:3]
     # the earlier records are flushed before the failing cell runs
     assert on_disk_at_crash[0].splitlines() == expected[:3]
+
+
+def test_scan_refusing_a_large_band_keeps_finished_records(tmp_path, capsys, monkeypatch):
+    # (5, 8, 3) certifies through a 4,416-byte band, the cells before it
+    # through smaller ones or none; under a 1,000-byte limit the scan
+    # refuses that cell with an error line and keeps the records before it
+    base = ["scan", "--p", "5", "--d", "7,8", "--a", "1,3", "--e-max", "3"]
+    full = tmp_path / "full.jsonl"
+    assert main(base + ["--out", str(full)]) == 0
+    expected = full.read_text().splitlines()
+    assert len(expected) == 4
+    capsys.readouterr()
+    monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", 1000)
+    out = tmp_path / "refused.jsonl"
+    code, stdout, err = run_cli(capsys, *base, "--out", str(out))
+    assert code == 1 and not stdout
+    assert err.startswith("error: block (t, A, B, N) = ") and "4,416 bytes" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert out.read_text().splitlines() == expected[:3]

@@ -36,11 +36,17 @@ def test_hilbert_counts_basis():
 
 
 def test_basis_pos_matches_the_basis_order():
-    # the closed form both the kernel and the batch check index R_m with
+    # the closed form both the kernel and the batch check index R_m with,
+    # and its inverse basis_monomials, which builds no basis
     for d in (0, 1, 2, 5):
         ring = FermatRing(5, d)
         for m in range(3 * max(d, 3) + 1):
+            fresh = FermatRing(5, d)
+            named = fresh.basis_monomials(range(ring.hilbert(m)), m)
+            assert not fresh._bases
             basis = ring.basis(m)
+            assert named == list(basis), (d, m)
+            assert fresh.basis_monomials(range(1, len(basis), 3), m) == list(basis[1::3])
             i = np.array([mono.i for mono in basis], dtype=np.int64)
             j = np.array([mono.j for mono in basis], dtype=np.int64)
             assert np.array_equal(basis_pos(i, j, m), np.arange(len(basis))), (d, m)
