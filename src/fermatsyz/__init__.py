@@ -4,9 +4,9 @@ pipeline built on the same arithmetic.
 
 All computations are over F_p with exact integer/rational arithmetic.
 Every elimination runs in the one numpy kernel (``fermatsyz._kernels``).
-Section spaces are computed by the structured block decomposition; the
-dense elimination of the full syzygy matrix is kept as the reference that
-tests compare against (``section_space(spec, n, "dense")``).
+Section spaces are computed by the structured block decomposition alone;
+the dense elimination of the full syzygy matrix (``bundle.syzygy_matrix``)
+is kept as the reference that tests compare against.
 """
 
 __version__ = "0.1.0"

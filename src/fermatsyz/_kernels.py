@@ -1,10 +1,11 @@
 """The mod-p elimination kernel: in-place reduced row echelon form in numpy.
 
-Every exact elimination in the package (the structured section path that
-production runs, the dense reference path that tests compare against,
-ideal membership and certificate re-verification) goes through
-``rref_mod_p`` via ``linalg.rref``.  The RREF of a matrix is unique, and
-the pivot rule -- first nonzero entry in column order -- is fixed here.
+Every exact elimination in the package (the banded residue blocks of
+``bundle._block_kernel``, and ``linalg.MatrixModP`` for the dense
+reference that tests compare against and for ideal membership) calls
+``_kernels.rref_mod_p``, looked up on this module at each call.  The RREF
+of a matrix is unique, and the pivot rule -- first nonzero entry in
+column order -- is fixed here.
 
 ``BACKEND`` names this implementation; benchmark results record it.
 """
@@ -17,8 +18,9 @@ BACKEND = "python"
 def rref_mod_p(a, p):
     """In-place reduced row echelon form of int64 matrix ``a`` over F_p.
 
-    Entries must already be reduced into [0, p).  Returns (rank, pivot_cols).
-    Products fit int64 because p < 2^31.
+    Entries must already be reduced into [0, p), and ``a`` must be
+    writable.  Returns (rank, pivot_cols), (0, []) for no rows or no
+    columns.  Products fit int64 because p < 2^31.
     """
     rows, cols = a.shape
     r = 0

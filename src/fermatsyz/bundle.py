@@ -16,11 +16,12 @@ constraint splits into independent small banded binomial blocks indexed
 by the exponent residues mod d (the rewrite X^d -> -(Y^d + Z^d) moves
 exponents only in steps of d).
 
-``dense`` -- assemble the full block matrix (``syzygy_matrix``) and take
-its kernel -- is the reference that tests compare against; pass
-``method="dense"`` to select it.  Both paths return the reduced echelon
-basis of the kernel (columns s1, then s2, then s3, each in basis order),
-which is unique, so they return identical bases.
+``section_space`` runs this path alone.  The dense elimination -- the
+full block matrix ``syzygy_matrix`` and its ``kernel_basis`` -- is the
+reference that tests compare against, and ``section_space_dim(spec, n,
+"dense")`` takes its rank.  Both give the reduced echelon basis of the
+kernel (columns s1, then s2, then s3, each in basis order), which is
+unique, so they give identical bases.
 
 Residue families.  On a curve (d > 0) the blocks come in families: the
 class (i, j0, l0) in [0, d)^3 owns the twists n = a1 + i + j0 + l0 + d N,
@@ -85,9 +86,9 @@ form of the whole kernel:
 The RREF is unique, so this is the basis the dense elimination returns.
 
 Sparse triples and verification.  The basis is almost all zeros, so
-both paths return it as sparse triples (row count, rows, columns, values):
-the nonzero entries only, sorted by (row, column), with values in [1, p).
-``_structured_kernel`` never forms a dense matrix.  A dict local to one
+``_structured_kernel`` returns it as sparse triples (row count, rows,
+columns, values): the nonzero entries only, sorted by (row, column), with
+values in [1, p); it never forms a dense matrix.  A dict local to one
 call, keyed by (t, A, B, N), holds each distinct block's s1 pivots and
 block-local nonzeros (``_block_entry``), so a block that recurs across
 residue classes is built and checked once; nothing persists between
@@ -95,9 +96,11 @@ calls.  A banded block's product with the binomial row is one sparse
 outer product of its kernel's nonzeros, summed per (row, gamma).  Each
 class places the block's nonzeros at its own column offsets, ranking the
 s1 pivots gives the rows their canonical order, and one sort puts the
-triples in (row, column) order.  A block whose dense band would pass
-``BAND_LIMIT_BYTES`` is refused with ``BlockTooLargeError`` before it is
-allocated.  ``section_space`` verifies each call's triples with one batch
+triples in (row, column) order.  ``_band`` is a strided window on one
+zero-padded binomial row, so the one band-sized array is the copy that
+``_block_kernel`` eliminates; a block whose band would pass
+``BAND_LIMIT_BYTES`` is refused with ``BlockTooLargeError`` before that
+copy.  ``section_space`` verifies each call's triples with one batch
 check, ``FermatRing.check_syzygies``, which shares no code with the
 kernel's construction (``_classes``, ``_band``, ``_binom_row``,
 ``_block_kernel``, ``_block_entry``): it multiplies every row out term by
@@ -112,9 +115,7 @@ monomial from its basis position in closed form.  The first
 triples, in the bytes ``GradedPoly.to_string`` would write, and each
 ``serialize`` then copies one row's strings.  The public
 ``SectionVector`` constructor still checks its vector by ``normal_form``,
-and so does the search for the one section it certifies.  The dense path
-converts its matrix to triples once and serves only as the tests'
-oracle.
+and so does the search for the one section it certifies.
 
 The plane (d = 0) runs through the same code.  In degrees below d the
 Fermat ring equals F_p[X, Y, Z], so the degree-n syzygies on P^2 are
@@ -137,10 +138,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _kernels
 from .errors import BlockTooLargeError, ExponentOverflowError, InternalCheckError
 from .field import PrimeField, binom_uint
-from .linalg import MatrixModP, kernel_from_rref, rref
+from .linalg import MatrixModP, kernel_from_rref
 from .poly import EXP_LIMIT, GradedPoly, join_rows, term_texts
 from .ring import FermatRing, basis_pos
 
@@ -368,7 +371,7 @@ def _binom_row(t: int, p: int, cache: dict) -> np.ndarray:
     return row
 
 
-BAND_LIMIT_BYTES = 2**29  # the largest dense band _band allocates
+BAND_LIMIT_BYTES = 2**29  # the largest band _block_kernel copies
 
 
 def _band(t: int, A: int, B: int, N: int, row: np.ndarray) -> np.ndarray:
@@ -377,8 +380,10 @@ def _band(t: int, A: int, B: int, N: int, row: np.ndarray) -> np.ndarray:
     Columns are alpha = 0..N, rows the target exponents gamma with
     gamma < A and N + t - gamma < B; the entry is C(t, gamma - alpha),
     read from ``row`` = [C(t, v) mod p for v = 0..t].  Raises
-    ``BlockTooLargeError`` before allocating a band of more than
-    ``BAND_LIMIT_BYTES``.
+    ``BlockTooLargeError`` for a band of more than ``BAND_LIMIT_BYTES``.
+    The band is a read-only window: row gamma is ext[gamma : gamma + N + 1]
+    reversed, where ext[N + k] = C(t, k) is zero-padded to N + hi + 1
+    entries, the only ones allocated.
     """
     lo = max(0, N + t - B + 1)
     hi = min(N + t, A - 1)
@@ -390,11 +395,10 @@ def _band(t: int, A: int, B: int, N: int, row: np.ndarray) -> np.ndarray:
             f"block (t, A, B, N) = {(t, A, B, N)} needs a band of {size:,} bytes, "
             f"above the limit of {BAND_LIMIT_BYTES:,}"
         )
-    gammas = np.arange(lo, hi + 1)
-    alphas = np.arange(N + 1)
-    diff = gammas[:, None] - alphas[None, :]
-    ok = (diff >= 0) & (diff <= t)
-    return np.where(ok, row[np.clip(diff, 0, t)], 0)
+    k = min(t, hi) + 1
+    ext = np.zeros(N + hi + 1, dtype=np.int64)
+    ext[N : N + k] = row[:k]
+    return sliding_window_view(ext, N + 1)[lo : hi + 1, ::-1]
 
 
 def _classes(spec: SyzygySpec, n: int):
@@ -481,10 +485,11 @@ def _block_kernel(t: int, A: int, B: int, N: int, row: np.ndarray, p: int) -> np
     that ``kernel_from_rref`` reads off then has a 1 at its free column f
     and other entries only at pivot columns, which all lie right of f in
     the original order, and zeros at the other free columns: reversed
-    back, the vectors are already the kernel's RREF.
+    back, the vectors are already the kernel's RREF.  ``np.array`` takes
+    the one writable copy of the band that the elimination works in.
     """
-    work = np.ascontiguousarray(_band(t, A, B, N, row)[:, ::-1])
-    rank, pivots = rref(work, p)
+    work = np.array(_band(t, A, B, N, row)[:, ::-1])
+    rank, pivots = _kernels.rref_mod_p(work, p)
     return kernel_from_rref(work, rank, pivots, p)[::-1, ::-1]
 
 
@@ -645,34 +650,18 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
 # -- public API ----------------------------------------------------------------
 
 
-def _is_dense(method: str) -> bool:
-    if method not in ("dense", "structured"):
-        raise ValueError(f"unknown method {method!r}")
-    return method == "dense"
-
-
-def _section_kernel(spec: SyzygySpec, n: int, method: str = "structured") -> tuple:
-    """The canonical kernel basis as sparse triples (row count, rows, columns, values)."""
-    if _is_dense(method):
-        dense = syzygy_matrix(spec, n).kernel_basis()
-        r, c = np.nonzero(dense)
-        return len(dense), r, c, dense[r, c]
-    return _structured_kernel(spec, n)
-
-
-def section_space(spec: SyzygySpec, n: int, method: str = "structured") -> list:
+def section_space(spec: SyzygySpec, n: int) -> list:
     """Basis of the degree-n module syzygies, as verified SectionVectors.
 
-    ``method="dense"`` selects the reference elimination; both paths
-    return the same canonical basis as sparse triples (row count, rows,
-    columns, values).  One batch check per call,
+    The canonical basis comes from ``_structured_kernel`` as sparse triples
+    (row count, rows, columns, values).  One batch check per call,
     ``FermatRing.check_syzygies``, verifies the triples; it shares no code
     with the kernel's construction, so each vector is a view on one row of
     the triples, without a check of its own.  No polynomial is built until
     a vector's ``components`` are read; ``serialize`` reads the strings
     written from the triples on the call's first ``serialize``.
     """
-    kernel = _section_kernel(spec, n, method)
+    kernel = _structured_kernel(spec, n)
     spec.ring.check_syzygies(kernel, n, spec.exponents)
     rows = _KernelRows(spec, n, kernel)
     views = []
@@ -689,15 +678,20 @@ def section_space(spec: SyzygySpec, n: int, method: str = "structured") -> list:
 
 
 def section_space_dim(spec: SyzygySpec, n: int, method: str = "structured") -> int:
-    """Dimension of the degree-n syzygy space, which is h^0 of the twist-n bundle."""
-    if _is_dense(method):
+    """Dimension of the degree-n syzygy space, which is h^0 of the twist-n bundle.
+
+    ``method="dense"`` takes it from the rank of ``syzygy_matrix`` instead.
+    """
+    if method == "dense":
         m = syzygy_matrix(spec, n)
         return m.cols - m.rank()
+    if method != "structured":
+        raise ValueError(f"unknown method {method!r}")
     return _structured_dim(spec, n)
 
 
-def has_section(spec: SyzygySpec, n: int, method: str = "structured") -> bool:
-    return section_space_dim(spec, n, method) > 0
+def has_section(spec: SyzygySpec, n: int) -> bool:
+    return _structured_dim(spec, n) > 0
 
 
 def _runs(c: int, step: int, d: int) -> list:

@@ -1,9 +1,10 @@
 """Dense exact linear algebra over F_p on int64 numpy arrays.
 
 Everything downstream (syzygy kernels, ideal membership, certificate
-re-verification) reduces to the two primitives here: reduced row echelon
-form and the canonical kernel basis derived from it.  Results are exact
-and deterministic -- no tolerances anywhere.
+re-verification) reduces to reduced row echelon form and the canonical
+kernel basis read off from it.  Elimination is ``_kernels.rref_mod_p``,
+looked up on its module at each call.  Results are exact and
+deterministic -- no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -21,13 +22,6 @@ def _as_matrix(data, p: int) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError("expected a 2-dimensional array")
     return a
-
-
-def rref(a: np.ndarray, p: int):
-    """In-place RREF; returns (rank, pivot_cols).  ``a`` must be int64 C-order."""
-    if a.size == 0:
-        return 0, []
-    return _kernels.rref_mod_p(a, p)
 
 
 def kernel_from_rref(a: np.ndarray, rank: int, pivots, p: int) -> np.ndarray:
@@ -98,7 +92,7 @@ class MatrixModP:
     def rref(self):
         """Return (R, rank, pivot_cols) with R the reduced echelon form."""
         m = self.copy()
-        rank, pivots = rref(m.array, self.p)
+        rank, pivots = _kernels.rref_mod_p(m.array, self.p)
         return m, rank, pivots
 
     def rank(self) -> int:
@@ -108,6 +102,6 @@ class MatrixModP:
         """Canonical basis of {v : Mv = 0}: rows, in reduced echelon form."""
         r, rank, pivots = self.rref()
         k = kernel_from_rref(r.array, rank, pivots, self.p)
-        rref(k, self.p)
+        _kernels.rref_mod_p(k, self.p)
         return k
 

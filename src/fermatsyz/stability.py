@@ -31,7 +31,7 @@ from .bundle import (
     SectionVector,
     SyzygySpec,
     _KernelRows,
-    _section_kernel,
+    _structured_kernel,
     first_section_twist,
     has_section,  # not called here; perfbench/probes.py wraps stability.has_section
     section_space,  # likewise: the search unpacks only the row it uses
@@ -49,7 +49,12 @@ SCHEMA_VERSION = 1
 
 
 def _check_pq(p: int, e: int) -> int:
-    q = p**e
+    """p^e for a prime p, refused from EXP_LIMIT = 2^62 on.
+
+    p >= 2, so p^e >= 2^e and an e of 62 or more is refused without
+    forming the power.
+    """
+    q = p**e if e < 62 else EXP_LIMIT
     if q >= EXP_LIMIT:
         raise ExponentOverflowError(
             f"p^e = {p}^{e} leaves the 64-bit range; use smaller inputs"
@@ -291,7 +296,7 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
         n_lo, n_hi = aq + 1, (3 * aq + 1) // 2 - 1  # ceil(3aq/2) - 1
         n = first_section_twist(spec, n_lo, n_hi)
         if n is not None:
-            _count, rows, cols, values = _section_kernel(spec, n)
+            _count, rows, cols, values = _structured_kernel(spec, n)
             first = rows == 0
             row = _KernelRows(spec, n, (1, rows[first], cols[first], values[first]))
             section = SectionVector(spec, n, row.components(0))
@@ -345,12 +350,17 @@ def deviation_lower_bound(p: int, a: int, e: int):
     """Exact normalized gap and the closed-form bound for d = a p^(e-1) + 1.
 
     Returns (gap, bound) with gap = d (aq - 2p)/q and bound =
-    a^2 p^(e-1) - 2a; asserts gap >= bound.
+    a^2 p^(e-1) - 2a; asserts gap >= bound.  Raises
+    ``ExponentOverflowError`` when aq is not below ``EXP_LIMIT``.
     """
     check_prime(p)
     if e < 1 or a < 1:
         raise InapplicableError("need e >= 1 and a >= 1")
     q = _check_pq(p, e)
+    if a * q >= EXP_LIMIT:
+        raise ExponentOverflowError(
+            f"a p^e = {a}*{p}^{e} leaves the 64-bit range; use smaller inputs"
+        )
     low = a * p ** (e - 1)
     d = low + 1
     if 2 * d >= 3 * low:  # window (low, 3 low/2) must contain d = low + 1
@@ -421,6 +431,8 @@ def verify_certificate(data: dict) -> list:
     if failures:
         return failures
     aq = a * q
+    if aq >= EXP_LIMIT:  # the section's exponents could not be checked
+        return failures + [f"aq = {a}*{q} is not below 2^62"]
     need(k == twist - aq, f"k = {k} != twist - aq = {twist - aq}")
     need(k >= 1, "k must be >= 1")
     need(2 * twist - 3 * aq < 0, "slope inequality 2*twist < 3aq violated")
@@ -440,12 +452,12 @@ def verify_certificate(data: dict) -> list:
     try:
         for text in section:
             polys.append(parse_poly(text, field, degree=twist - aq))
-    except ValueError as exc:
+    except (ValueError, ExponentOverflowError) as exc:
         return failures + [f"section component malformed: {exc}"]
     if all(s.is_zero() for s in polys):
         return failures + ["section is zero"]
     try:
         SectionVector(spec, twist, tuple(polys))
-    except ValueError as exc:
+    except (ValueError, ExponentOverflowError) as exc:
         failures.append(f"syzygy relation fails under normal form: {exc}")
     return failures

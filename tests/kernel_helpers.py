@@ -1,6 +1,9 @@
-"""Test-side conversions between sparse kernel triples and dense matrices."""
+"""Test-side conversions between sparse kernel triples and dense matrices,
+and the dense reference elimination of a section space."""
 
 import numpy as np
+
+from fermatsyz.bundle import SectionVector, syzygy_matrix
 
 
 def to_dense(spec, n, kernel):
@@ -16,6 +19,25 @@ def to_triples(dense):
     """Sparse triples of a dense matrix, sorted by (row, column)."""
     rows, cols = np.nonzero(dense)
     return len(dense), rows, cols, dense[rows, cols]
+
+
+def dense_kernel(spec, n):
+    """The canonical kernel basis by dense elimination of ``syzygy_matrix``, as triples."""
+    return to_triples(syzygy_matrix(spec, n).kernel_basis())
+
+
+def dense_section(spec, n):
+    """Row 0 of the dense kernel as a checked ``SectionVector``, or None if it is empty."""
+    kernel = syzygy_matrix(spec, n).kernel_basis()
+    if not len(kernel):
+        return None
+    ring = spec.ring
+    parts, start = [], 0
+    for a in spec.exponents:
+        width = ring.hilbert(n - a)
+        parts.append(ring.from_coords(kernel[0, start : start + width], n - a))
+        start += width
+    return SectionVector(spec, n, tuple(parts))
 
 
 def times_band(K, row, p):

@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 
 import fermatsyz as fz
-from fermatsyz.bundle import _section_kernel
 from fermatsyz.cli import main as cli_main
 from fermatsyz.field import binom_uint
 from fermatsyz.linalg import MatrixModP
-from kernel_helpers import to_dense
+from kernel_helpers import dense_kernel, to_dense
 
 
 @contextmanager
@@ -63,7 +62,7 @@ def test_criterion_2_proposition_certificate():
         assert cert.degree == -440 < 0
         # independent verification: the stored section lies in the kernel
         # computed from scratch by the dense elimination path at twist 55
-        rows = to_dense(cert.spec(), 55, _section_kernel(cert.spec(), 55, "dense"))
+        rows = to_dense(cert.spec(), 55, dense_kernel(cert.spec(), 55))
         assert rows.shape[0] >= 1
         ring = cert.spec().ring
         vec = np.concatenate([ring.coords(s) for s in cert.section.components])

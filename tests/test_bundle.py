@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from fermatsyz.bundle import (
     SyzygySpec,
     _binom_row,
     _block_entry,
-    _section_kernel,
     _structured_dim,
     _structured_kernel,
     first_section_twist,
@@ -25,7 +25,7 @@ from fermatsyz.field import PrimeField
 from fermatsyz.poly import GradedPoly, frobenius_power, parse_poly
 from fermatsyz.ring import FermatRing
 from fermatsyz.stability import search_destabilization
-from kernel_helpers import reference_block_entry, to_dense, to_triples
+from kernel_helpers import dense_kernel, reference_block_entry, to_dense, to_triples
 
 F5 = PrimeField(5)
 
@@ -115,7 +115,7 @@ def test_koszul_syzygy_always_present():
                 GradedPoly.zero(field, n - a3),
             ),
         )
-        rows = to_dense(spec, n, _section_kernel(spec, n))
+        rows = to_dense(spec, n, _structured_kernel(spec, n))
         ring = spec.ring
         vec = np.concatenate(
             [
@@ -187,8 +187,8 @@ def test_dense_structured_equality_battery():
     for spec in BATTERY:
         ring = spec.ring
         for n in battery_twists(spec):
-            dense = to_dense(spec, n, _section_kernel(spec, n, "dense"))
-            structured = to_dense(spec, n, _section_kernel(spec, n, "structured"))
+            dense = to_dense(spec, n, dense_kernel(spec, n))
+            structured = to_dense(spec, n, _structured_kernel(spec, n))
             assert dense.shape == structured.shape, (spec, n)
             assert np.array_equal(dense, structured), (spec, n)
             # the sections are the rows, and each passes the constructor's
@@ -201,9 +201,8 @@ def test_dense_structured_equality_battery():
             assert section_space_dim(spec, n, "dense") == dense.shape[0]
             assert section_space_dim(spec, n, "structured") == dense.shape[0]
             assert has_section(spec, n) == bool(dense.shape[0])
-    for call in (section_space, section_space_dim, has_section):
-        with pytest.raises(ValueError):
-            call(BATTERY[0], 5, "sparse")
+    with pytest.raises(ValueError):
+        section_space_dim(BATTERY[0], 5, "sparse")
 
 
 P31 = 2**31 - 1  # the largest prime the package accepts
@@ -224,9 +223,9 @@ def test_dense_structured_equality_at_the_largest_prime():
     assert max(_binom_row(34, P31, {})) > P31 // 2
     for spec, twists in P31_CASES:
         for n in twists:
-            dense = to_dense(spec, n, _section_kernel(spec, n, "dense"))
+            dense = to_dense(spec, n, dense_kernel(spec, n))
             assert dense.shape[0], (spec, n)
-            assert np.array_equal(to_dense(spec, n, _section_kernel(spec, n)), dense), (spec, n)
+            assert np.array_equal(to_dense(spec, n, _structured_kernel(spec, n)), dense), (spec, n)
 
 
 def test_section_views_serialize_as_their_components():
@@ -386,8 +385,8 @@ def test_kernel_triples_are_sorted_unique_residues():
     ]
     for spec, twists in specs:
         for n in twists:
-            for method in ("structured", "dense"):
-                count, rows, cols, values = _section_kernel(spec, n, method)
+            for method, kernel in (("structured", _structured_kernel), ("dense", dense_kernel)):
+                count, rows, cols, values = kernel(spec, n)
                 assert len(rows) == len(cols) == len(values), (spec, n, method)
                 if not len(rows):
                     continue
@@ -541,6 +540,32 @@ def test_band_guard_on_deep_certificates():
         if refused:
             with pytest.raises(BlockTooLargeError):
                 search_destabilization(p, d, a, e)
+
+
+def test_band_is_a_window_on_one_padded_row():
+    # the 999 x 1001 band of (t, A, B, N) = (2000, 2000, 2000, 1000) holds
+    # 8.0 MB; building it allocates only its padded binomial row
+    row = _binom_row(2000, 7, {})
+    tracemalloc.start()
+    try:
+        band = bundle._band(2000, 2000, 2000, 1000, row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert band.shape == (999, 1001) and band.nbytes == 999 * 1001 * 8
+    assert peak < band.nbytes / 10, peak
+    # rows gamma = 1001..1999, columns alpha = 0..1000: entry C(t, gamma - alpha)
+    gamma, alpha = np.ogrid[1001:2000, 0:1001]
+    assert np.array_equal(band, row[gamma - alpha])
+    assert not band.flags.writeable
+
+
+def test_block_kernel_eliminates_a_copy_of_the_band():
+    # N = 0: the one-column window is contiguous as it stands, yet it is
+    # read-only, so the elimination must work on a copy.  C(2, 1) is 0 mod 2
+    # (nullity 1) and 2 mod 3, which the elimination scales in place
+    assert bundle._block_kernel(2, 2, 2, 0, _binom_row(2, 2, {}), 2).tolist() == [[1]]
+    assert bundle._block_kernel(2, 2, 2, 0, _binom_row(2, 3, {}), 3).shape == (0, 1)
 
 
 def test_check_syzygies_rejects_malformed_triples():

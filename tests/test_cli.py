@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -203,6 +204,29 @@ def test_p_beyond_proven_primality_range_exit_1(capsys, argv):
     assert out == "" and "2^31" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tc", "--p", "2", "--b", "1", "--e", "20000"],
+        ["tc", "--p", "3", "--b", "1", "--e", "10000000"],
+        ["tc", "--p", "2", "--b", "1", "--e", "61"],  # 3bq = 3 * 2^61
+        ["tc", "--p", "2", "--b", "1" + "0" * 3000, "--e", "1"],
+        ["deviation", "--p", "2", "--a", "1" + "0" * 3000, "--e", "2"],
+        ["deviation", "--p", "3", "--a", "1", "--e", "10000000"],
+        ["deviation", "--p", "2", "--a", "1", "--e", "62"],
+        ["deviation", "--p", "2", "--a", "3", "--e", "61"],  # aq = 3 * 2^61
+    ],
+)
+def test_exponents_beyond_64_bits_exit_1_at_once(capsys, argv):
+    # refused before any power is formed or printed: no traceback from the
+    # int-to-string limit and no seconds spent on p^e
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 0.5
+    assert code == 1
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 def _certificate_file(tmp_path, capsys, **changes):
     code, out, _ = run_cli(capsys, "certify", "--p", "5", "--a", "2", "--d0", "8")
     data = json.loads(out)
@@ -253,16 +277,31 @@ def test_verify_jsonl_reports_every_failing_line(tmp_path, capsys):
         rec = json.loads(lines[k])
         rec["degree"] += 1
         lines[k] = json.dumps(rec)
+    # a section exponent and an exponent aq at 2^62 overflow the checked
+    # range: each is one failing record, and the records after it are read
+    rec = json.loads(lines[certs[2]])
+    rec["section"] = [f"1*X^{2**62}*Y^0*Z^0"] + rec["section"][1:]
+    lines.insert(0, json.dumps(rec))
+    # p = 2, a = 1, d = 3, e = 62: every cross-check holds, aq = 2^62
+    aq, k = 2**62, 3
+    degree = (2 * k - aq) * 3
+    lines.insert(1, json.dumps(dict(
+        rec, p=2, a=1, d=3, e=62, q=aq, k=k, twist=aq + k, smooth=True,
+        degree=degree, slope_quotient=degree, normalized_gap=str(Fraction(-degree, aq)),
+        section=[f"1*X^{k}*Y^0*Z^0", f"1*X^0*Y^{k}*Z^0", f"1*X^0*Y^0*Z^{k}"],
+    )))
+    certs = [0, 1] + [k + 2 for k in certs]
     out.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    code, stdout, _ = run_cli(capsys, "verify", str(out))
-    assert code == 2
+    code, stdout, err = run_cli(capsys, "verify", str(out))
+    assert code == 2 and err == ""
     fails = [line for line in stdout.splitlines() if line.startswith("FAIL")]
     assert [line.split(": ")[0] for line in fails] == [
-        f"FAIL {out}:{k + 1}" for k in certs[:2]
+        f"FAIL {out}:{k + 1}" for k in certs[:4]
     ]
-    assert stdout.count("\nOK ") + stdout.startswith("OK ") == len(certs) - 2
-    assert stdout.endswith(f"2 of {len(certs)} certificate(s) failed\n")
+    assert "2^62" in fails[0] and fails[1].endswith("aq = 1*4611686018427387904 is not below 2^62")
+    assert stdout.count("\nOK ") + stdout.startswith("OK ") == len(certs) - 4
+    assert stdout.endswith(f"4 of {len(certs)} certificate(s) failed\n")
 
 
 @pytest.mark.parametrize(

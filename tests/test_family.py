@@ -10,22 +10,22 @@ import itertools
 import numpy as np
 import pytest
 
+from fermatsyz import _kernels
 from fermatsyz.bundle import (
     SyzygySpec,
     _band,
     _binom_row,
     _han_gap,
     _nullity,
-    _section_kernel,
+    _structured_kernel,
     _threshold,
     first_section_twist,
-    has_section,
-    section_space,
+    section_space_dim,
 )
 from fermatsyz.field import binom_uint
-from fermatsyz.linalg import MatrixModP, rref
+from fermatsyz.linalg import MatrixModP
 from fermatsyz.stability import _build_certificate, search_destabilization
-from kernel_helpers import to_dense
+from kernel_helpers import dense_kernel, dense_section, to_dense
 
 EQUAL = [(a, a, a) for a in (1, 2, 3, 5)]
 UNEQUAL = [(2, 3, 4), (4, 1, 3), (1, 5, 2), (6, 2, 5)]
@@ -36,7 +36,7 @@ LARGE = [(22, 28, 17), (18, 6, 30), (13, 9, 11), (31, 24, 39), (27, 27, 27)]
 
 
 def _first(spec, lo, hi, method):
-    return next((n for n in range(lo, hi + 1) if has_section(spec, n, method)), None)
+    return next((n for n in range(lo, hi + 1) if section_space_dim(spec, n, method)), None)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -70,8 +70,8 @@ def test_plane_runs_through_the_family_path(p):
         spec = SyzygySpec(p, 0, exps)
         top = sum(exps) + 2
         for n in range(top + 1):
-            dense = to_dense(spec, n, _section_kernel(spec, n, "dense"))
-            assert np.array_equal(to_dense(spec, n, _section_kernel(spec, n)), dense), (p, exps, n)
+            dense = to_dense(spec, n, dense_kernel(spec, n))
+            assert np.array_equal(to_dense(spec, n, _structured_kernel(spec, n)), dense), (p, exps, n)
         koszul = exps[1] + exps[2]
         m = max(exps)
         windows = [
@@ -93,7 +93,7 @@ def _band_nullity(t, A, B, N, p, cache):
     block = _band(t, A, B, N, _binom_row(t, p, cache))
     if not block.shape[0]:
         return N + 1
-    return N + 1 - rref(np.ascontiguousarray(block), p)[0]
+    return N + 1 - _kernels.rref_mod_p(np.array(block), p)[0]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -167,8 +167,9 @@ def _dense_search(p, d, a, e_max):
         aq = a * p**e
         spec = SyzygySpec(p, d, (aq, aq, aq))
         for n in range((aq + 1), (3 * aq + 1) // 2):
-            if has_section(spec, n, "dense"):
-                return e, n, section_space(spec, n, "dense")[0]
+            section = dense_section(spec, n)
+            if section is not None:
+                return e, n, section
     return None
 
 

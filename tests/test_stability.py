@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fermatsyz.bundle import SyzygySpec, _section_kernel, section_space
+from fermatsyz.bundle import SyzygySpec
 from fermatsyz.errors import (
     ExponentOverflowError,
     InapplicableError,
@@ -26,7 +26,7 @@ from fermatsyz.stability import (
     search_destabilization,
     verify_certificate,
 )
-from kernel_helpers import to_dense
+from kernel_helpers import dense_kernel, dense_section, to_dense
 
 
 def test_find_parameters_paper_instance():
@@ -87,7 +87,7 @@ def test_certify_paper_instance():
 
 def test_certificate_reverifies_against_kernel():
     cert = certify_destabilization(5, 2, 11)
-    rows = to_dense(cert.spec(), cert.twist, _section_kernel(cert.spec(), cert.twist, "dense"))
+    rows = to_dense(cert.spec(), cert.twist, dense_kernel(cert.spec(), cert.twist))
     ring = cert.spec().ring
     vec = np.concatenate([ring.coords(s) for s in cert.section.components])
     from fermatsyz.linalg import MatrixModP
@@ -128,14 +128,14 @@ def test_search_finds_fermat_relation_syzygy():
 
 def _dense_oracle(p, d, a, e_max):
     """Certificate JSON of the first (e, n) of the window with a dense-kernel
-    section, built from ``section_space(spec, n, "dense")[0]``; or None."""
+    section, built from row 0 of the dense kernel (``dense_section``); or None."""
     for e in range(e_max + 1):
         q = p**e
         spec = SyzygySpec(p, d, (a * q,) * 3)
         for n in range(a * q + 1, (3 * a * q + 1) // 2):
-            sections = section_space(spec, n, "dense")
-            if sections:
-                return _build_certificate(p, a, d, e, q, n, sections[0]).to_json_dict()
+            section = dense_section(spec, n)
+            if section is not None:
+                return _build_certificate(p, a, d, e, q, n, section).to_json_dict()
     return None
 
 
