@@ -1,6 +1,7 @@
-"""Syzygy bundles Syz(X^a1, Y^a2, Z^a3)(m) on P^2 and on Fermat curves.
+"""Syzygy bundles Syz(X^a1, Y^a2, Z^a3) on P^2 and on Fermat curves.
 
-Global sections in a given twist n are computed as module syzygies: the
+A ``SyzygySpec`` names the bundle; every twist n is an argument.  Global
+sections of the twist Syz(n) are computed as module syzygies: the
 kernel of
 
     [ .X^a1 | .Y^a2 | .Z^a3 ] : R_{n-a1} (+) R_{n-a2} (+) R_{n-a3} -> R_n
@@ -114,8 +115,8 @@ monomial from its basis position in closed form.  The first
 ``serialize`` of a call writes every row's strings in one pass over the
 triples, in the bytes ``GradedPoly.to_string`` would write, and each
 ``serialize`` then copies one row's strings.  The public
-``SectionVector`` constructor still checks its vector by ``normal_form``,
-and so does the search for the one section it certifies.
+``SectionVector`` constructor checks its vector by ``normal_form``, and
+so does the search for the one section it certifies.
 
 The plane (d = 0) runs through the same code.  In degrees below d the
 Fermat ring equals F_p[X, Y, Z], so the degree-n syzygies on P^2 are
@@ -160,18 +161,17 @@ def _ring(p: int, d: int) -> FermatRing:
 
 @dataclass(frozen=True)
 class SyzygySpec:
-    """Syz(X^a1, Y^a2, Z^a3)(m) over F_p on the degree-d Fermat curve.
+    """Syz(X^a1, Y^a2, Z^a3) over F_p on the degree-d Fermat curve.
 
     d = 0 encodes the ambient projective plane.  The three generators
     never vanish simultaneously on a Fermat curve (no coordinate point
     satisfies X^d + Y^d + Z^d = 0), so the syzygy sheaf is locally free of
-    rank 2.
+    rank 2.  The spec names the bundle only; every twist n is an argument.
     """
 
     p: int
     d: int
     exponents: tuple
-    twist: int = 0
 
     def __post_init__(self):
         PrimeField(self.p)  # validates primality
@@ -190,36 +190,31 @@ class SyzygySpec:
         return self.ring.smooth
 
     def frobenius_pullback(self, e: int) -> "SyzygySpec":
-        """Pull back along the e-th Frobenius: exponents and twist scale by p^e."""
+        """Pull back along the e-th Frobenius: the exponents scale by p^e."""
         if e < 0:
             raise ValueError("Frobenius level must be >= 0")
         q = self.p**e
         if q >= EXP_LIMIT or max(self.exponents) * q >= EXP_LIMIT:
             raise ExponentOverflowError("p^e scaled exponents exceed the 64-bit range")
         a1, a2, a3 = self.exponents
-        return SyzygySpec(self.p, self.d, (a1 * q, a2 * q, a3 * q), self.twist * q)
+        return SyzygySpec(self.p, self.d, (a1 * q, a2 * q, a3 * q))
 
-    def degree_and_slope(self):
-        """(degree, slope) of the bundle; on the curve degrees carry a factor d."""
-        plane_degree = 2 * self.twist - sum(self.exponents)
+    def degree_and_slope(self, n: int):
+        """(degree, slope) of the twist Syz(n); on the curve degrees carry a factor d."""
+        plane_degree = 2 * n - sum(self.exponents)
         degree = plane_degree if self.d == 0 else plane_degree * self.d
         return degree, Fraction(degree, 2)
 
 
 class SectionVector:
-    """A verified syzygy (s1, s2, s3): sum s_i * gen_i = 0 in the ring.
+    """A verified syzygy (s1, s2, s3) in twist n: sum s_i * gen_i = 0 in the ring.
 
     Components are normal-form polynomials with deg s_i = twist - a_i
     (zero components allowed, including in negative degrees).  The
-    constructor checks the relation by ``normal_form``, vector by vector.
-    ``section_space`` instead checks its whole basis, as sparse triples,
-    with one batch check (``FermatRing.check_syzygies``) and returns views
-    on one row of those triples each, unchecked.  It makes a view with
-    ``__new__`` and stores its slots directly, with ``_rows`` the call's
-    ``_KernelRows`` and ``_row`` its row.  A view builds its ``components``
-    on first access, without the ring's basis, and keeps them;
-    ``serialize`` and ``repr`` read the strings that ``_KernelRows``
-    writes for all rows at once, and build no polynomial.
+    constructor checks the relation by ``normal_form``.  ``section_space``
+    returns views instead: ``_rows`` is its call's batch-checked
+    ``_KernelRows`` and ``_row`` the view's row, and the components are
+    built on first access.
     """
 
     __slots__ = ("spec", "twist", "_rows", "_row", "_components")
@@ -279,16 +274,10 @@ class _KernelRows:
     """One call's verified kernel triples, read row by row.
 
     ``kernel`` is sparse triples (row count, rows, columns, values) sorted
-    by (row, column), with values in [1, p), as kernels are.  Per
-    component, ``parts`` holds its degree, the row cuts (row r owns
-    entries cuts[r]:cuts[r + 1]), and the local basis positions and values
-    as lists.  Within a row the positions increase, and basis order is
-    ``Monomial`` order, so a row's terms come out as ``to_string`` sorts
-    them.  ``components`` names a row's monomials from their positions in
-    closed form (``FermatRing.basis_monomials``), without the basis.  The
-    first ``strings`` call writes every row's three strings in one pass,
-    one ``" + "`` join per row and component over the cuts
-    (``poly.join_rows``); each call then copies one row's list.
+    by (row, column).  Per component, ``parts`` holds its degree, the row
+    cuts (row r owns entries cuts[r]:cuts[r + 1]), and the local basis
+    positions and values as lists.  ``components(r)`` gives row r as
+    polynomials and ``strings(r)`` as ``GradedPoly.to_string`` writes them.
     """
 
     __slots__ = ("ring", "parts", "_strings")
@@ -500,18 +489,8 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int, rows_cache: dict):
     each kernel row's leading 1, then per nonzero its row, its component
     (0, 1, 2 for s1, s2, s3), its exponent (alpha for s1, gamma for s2 and
     s3) and its value, in no particular order.  Checks the block's nullity
-    against ``_nullity``.
-
-    The rest of a row f is w = (-1)^(t + 1) f * [C(t, v)]; w[gamma] goes
-    to s3 for gamma < g3 (N + t - gamma >= B), else to s2 for gamma >= g2
-    (gamma >= A), and between them lies the bad-projection band.  A block
-    whose band is empty (g2 = g3) is free: its kernel is the identity, so
-    row alpha is the unit vector at alpha and its w is the signed binomial
-    row shifted by alpha, and nothing is eliminated or summed.  A banded
-    block is eliminated by ``_block_kernel``; its band product is one
-    sparse outer product, each term reduced mod p and then summed per
-    (row, gamma), and its bad-projection is checked to vanish.  A sum has
-    at most t + 1 terms below p, so it stays far inside int64.
+    against ``_nullity`` and, for a banded block, that its bad-projection
+    vanishes.
     """
     nullity = _nullity(p, t, A, B, N)
     if nullity == 0:
@@ -520,6 +499,8 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int, rows_cache: dict):
     v = row.nonzero()[0]
     c = row[v] if t % 2 else p - row[v]  # (-1)^(t + 1) C(t, v), in [1, p)
     top = N + t + 1
+    # the band product w goes to s3 below g3, to s2 from g2 on; between
+    # them lies the bad-projection, and a block without one is free
     g3 = max(0, top - B)
     g2 = min(top, max(A, g3))
     if g2 == g3:
@@ -545,6 +526,7 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int, rows_cache: dict):
         pivots = alphas[np.searchsorted(k_rows, np.arange(len(K)))]
         key = ((k_rows * top + alphas)[:, None] + v).ravel()
         w = (k_vals[:, None] * c % p).ravel()
+        # each sum has at most t + 1 terms below p: far inside int64
         order = np.argsort(key)
         key = key[order]
         firsts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -565,24 +547,12 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int, rows_cache: dict):
 
 
 def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
-    """Full canonical kernel basis, assembled from the residue blocks.
+    """Canonical (reduced echelon) kernel basis in twist n, from the residue blocks.
 
     Returned as sparse triples (row count, rows, columns, values): only the
-    nonzero entries, sorted by (row, column), with values in [1, p).
-    Only blocks with a closed-form kernel are built, each distinct
-    (t, A, B, N) once per call, and only banded ones are eliminated
-    (``_block_entry``, which checks the nullity and bad-projection).  A kernel vector f of the class
-    (i, j0, l0) is s1; then s2 Y^a2 + s3 Z^a3 = -s1 X^a1 is the band
-    product w = (-1)^(t + 1) f * [C(t, v)], whose coefficient w[gamma]
-    sits on X^i' Y^(j0 + gamma d) Z^(l0 + (N + t - gamma) d).  It goes to
-    s3 when N + t - gamma >= B (the Z-exponent reaches a3), else to s2 when
-    gamma >= A; the block kernel makes every other w[gamma] 0.  Preferring
-    s3 is the reduction against the Koszul pivots, so the rows -- families
-    ranked by s1 pivot, then the Koszul family -- are the reduced echelon
-    form with no further elimination (module docstring).  ``basis_pos`` is
-    linear in the Y-exponent, so a class places its block's entries at
-    one offset per component plus d times their exponent; one sort by
-    (row, column) then orders all the triples.
+    nonzero entries, sorted by (row, column), with values in [1, p).  The
+    rows are the family rows ranked by s1 pivot, then the Koszul rows (see
+    the module docstring).
     """
     ring = spec.ring
     a1, a2, a3 = spec.exponents
@@ -651,15 +621,10 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
 
 
 def section_space(spec: SyzygySpec, n: int) -> list:
-    """Basis of the degree-n module syzygies, as verified SectionVectors.
+    """Canonical basis of the degree-n module syzygies, as verified SectionVectors.
 
-    The canonical basis comes from ``_structured_kernel`` as sparse triples
-    (row count, rows, columns, values).  One batch check per call,
-    ``FermatRing.check_syzygies``, verifies the triples; it shares no code
-    with the kernel's construction, so each vector is a view on one row of
-    the triples, without a check of its own.  No polynomial is built until
-    a vector's ``components`` are read; ``serialize`` reads the strings
-    written from the triples on the call's first ``serialize``.
+    One ``FermatRing.check_syzygies`` verifies the whole basis; each vector
+    is a view on one of its rows.
     """
     kernel = _structured_kernel(spec, n)
     spec.ring.check_syzygies(kernel, n, spec.exponents)

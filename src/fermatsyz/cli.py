@@ -13,7 +13,7 @@ mathematically inapplicable / inconclusive / failed verification.
 Output is byte-deterministic for identical inputs: keys are sorted, the
 scan runs its cells serially and writes records in grid order, and
 timings are opt-in (--timings) because they would break reproducibility.
-``scan --threads`` is still accepted and has no effect.
+``scan --threads`` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -41,16 +41,12 @@ from .stability import (
 from .tightclosure import tc_counterexample
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
 def _dump_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _print_json(obj):
-    print(_dump(obj))
+    print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _parse_int_list(text: str) -> list:

@@ -62,30 +62,8 @@ class MatrixModP:
         m.array = self.array.copy()
         return m
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixModP)
-            and self.p == other.p
-            and self.array.shape == other.array.shape
-            and bool(np.array_equal(self.array, other.array))
-        )
-
     def __repr__(self):
         return f"MatrixModP({self.rows}x{self.cols} over F_{self.p})"
-
-    # -- products (test plumbing; chunked so int64 sums cannot overflow) ----
-
-    def matmul(self, other: "MatrixModP") -> "MatrixModP":
-        if self.p != other.p or self.cols != other.rows:
-            raise ValueError("incompatible matrices")
-        p = self.p
-        # sum of `step` products of size < p^2 stays below 2^63
-        step = max(1, (2**62) // max(1, (p - 1) ** 2))
-        acc = np.zeros((self.rows, other.cols), dtype=_I64)
-        for lo in range(0, self.cols, step):
-            hi = min(self.cols, lo + step)
-            acc = (acc + self.array[:, lo:hi] @ other.array[lo:hi, :]) % p
-        return MatrixModP(acc, p)
 
     # -- elimination ---------------------------------------------------------
 

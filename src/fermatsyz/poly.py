@@ -161,13 +161,6 @@ class GradedPoly:
                 terms.pop(mono, None)
         return GradedPoly(self.field, self.degree, terms)
 
-    def __neg__(self) -> "GradedPoly":
-        p = self.field.p
-        return GradedPoly(self.field, self.degree, {m: p - c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        return self + (-other)
-
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
         self._check_field(other)
         p = self.field.p
@@ -181,19 +174,6 @@ class GradedPoly:
                 else:
                     out.pop(mono, None)
         return GradedPoly(self.field, self.degree + other.degree, out)
-
-    def __pow__(self, n: int) -> "GradedPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = GradedPoly.monomial(self.field, 1, (0, 0, 0))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     # -- serialization -----------------------------------------------------
 

@@ -60,10 +60,6 @@ class FermatRing:
         return self.field.p
 
     @property
-    def is_plane(self) -> bool:
-        return self.d == 0
-
-    @property
     def smooth(self) -> bool:
         """The Fermat curve is smooth iff p does not divide d (P^2 always)."""
         return self.d == 0 or self.d % self.p != 0
@@ -75,7 +71,7 @@ class FermatRing:
         return hash((self.field, self.d))
 
     def __repr__(self):
-        if self.is_plane:
+        if self.d == 0:
             return f"F_{self.p}[X,Y,Z]"
         return f"F_{self.p}[X,Y,Z]/(X^{self.d}+Y^{self.d}+Z^{self.d})"
 

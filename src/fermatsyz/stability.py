@@ -155,7 +155,7 @@ class DestabCertificate:
 
     def spec(self) -> SyzygySpec:
         aq = self.a * self.q
-        return SyzygySpec(self.p, self.d, (aq, aq, aq), self.twist)
+        return SyzygySpec(self.p, self.d, (aq, aq, aq))
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,10 +180,6 @@ class DestabCertificate:
 def format_fraction(x) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def _build_certificate(p, a, d, e, q, twist, section) -> DestabCertificate:
@@ -233,7 +229,7 @@ def certify_destabilization(p: int, a: int, d: int) -> DestabCertificate:
             break
         e += 1
     k = dp - aq
-    spec = SyzygySpec(p, d, (aq, aq, aq), dp)
+    spec = SyzygySpec(p, d, (aq, aq, aq))
     field = PrimeField(p)
     # the identity behind the section: (X^d+Y^d+Z^d)^p = X^dp + Y^dp + Z^dp
     fermat = spec.ring.relation.poly()
@@ -292,7 +288,7 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
             )
         q = p**e
         aq = a * q
-        spec = SyzygySpec(p, d, (aq, aq, aq), 0)
+        spec = SyzygySpec(p, d, (aq, aq, aq))
         n_lo, n_hi = aq + 1, (3 * aq + 1) // 2 - 1  # ceil(3aq/2) - 1
         n = first_section_twist(spec, n_lo, n_hi)
         if n is not None:
@@ -336,7 +332,7 @@ def hn_data(cert: DestabCertificate) -> HNData:
         raise InapplicableError(
             "hn_data needs a certificate built from the monomial section (X^k, Y^k, Z^k)"
         )
-    bundle_degree, _slope = cert.spec().degree_and_slope()
+    bundle_degree, _slope = cert.spec().degree_and_slope(cert.twist)
     quotient_slope = (2 * cert.twist - 3 * cert.a * cert.q) * cert.d
     if 0 + quotient_slope != bundle_degree or bundle_degree != cert.degree:
         raise InternalCheckError("degree additivity failed")
@@ -441,13 +437,13 @@ def verify_certificate(data: dict) -> list:
     need(data["slope_sub"] == 0, "sub slope must be 0")
     need(data["slope_quotient"] == data["degree"], "quotient slope must equal degree")
     try:
-        gap = parse_fraction(data["normalized_gap"])
+        gap = Fraction(data["normalized_gap"])
     except (ValueError, TypeError, KeyError, ZeroDivisionError):
         return failures + ["normalized_gap is not a rational"]
     need(gap == Fraction(-data["degree"], q), "normalized gap formula mismatch")
 
     field = PrimeField(p)
-    spec = SyzygySpec(p, d, (aq, aq, aq), twist)
+    spec = SyzygySpec(p, d, (aq, aq, aq))
     polys = []
     try:
         for text in section:

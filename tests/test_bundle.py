@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -43,40 +44,45 @@ def in_span(rows, vector, p):
 # -- spec construction and slopes ----------------------------------------------
 
 
+def test_spec_names_the_bundle_only():
+    assert [f.name for f in dataclasses.fields(SyzygySpec)] == ["p", "d", "exponents"]
+    with pytest.raises(TypeError):
+        SyzygySpec(5, 11, (2, 2, 2), 3)
+
+
 def test_frobenius_pullback_identity_level():
-    spec = SyzygySpec(5, 11, (2, 2, 2), 3)
+    spec = SyzygySpec(5, 11, (2, 2, 2))
     assert spec.frobenius_pullback(0) == spec
 
 
 def test_frobenius_pullback_scales():
-    spec = SyzygySpec(5, 11, (2, 2, 2), 0)
+    spec = SyzygySpec(5, 11, (2, 2, 2))
     pulled = spec.frobenius_pullback(2)
     assert pulled.exponents == (50, 50, 50)
-    assert pulled.twist == 0
     assert pulled.d == 11 and pulled.p == 5
 
 
 def test_frobenius_pullback_overflow():
-    spec = SyzygySpec(5, 11, (2, 2, 2), 0)
+    spec = SyzygySpec(5, 11, (2, 2, 2))
     with pytest.raises(ExponentOverflowError):
         spec.frobenius_pullback(100)
 
 
 def test_degree_and_slope_on_curve():
-    spec = SyzygySpec(5, 11, (50, 50, 50), 55)
-    degree, slope = spec.degree_and_slope()
+    spec = SyzygySpec(5, 11, (50, 50, 50))
+    degree, slope = spec.degree_and_slope(55)
     assert degree == (110 - 150) * 11 == -440
     assert slope == Fraction(-220)
 
 
 def test_degree_zero_boundary():
-    spec = SyzygySpec(5, 11, (50, 50, 50), 75)
-    assert spec.degree_and_slope()[0] == 0
+    spec = SyzygySpec(5, 11, (50, 50, 50))
+    assert spec.degree_and_slope(75)[0] == 0
 
 
 def test_euler_sequence_degree_on_plane():
-    spec = SyzygySpec(5, 0, (1, 1, 1), 0)
-    degree, slope = spec.degree_and_slope()
+    spec = SyzygySpec(5, 0, (1, 1, 1))
+    degree, slope = spec.degree_and_slope(0)
     assert degree == -3
     assert slope == Fraction(-3, 2)
 
@@ -85,12 +91,12 @@ def test_euler_sequence_degree_on_plane():
 
 
 def test_plane_koszul_below_floor():
-    spec = SyzygySpec(7, 0, (2, 2, 2), 0)
+    spec = SyzygySpec(7, 0, (2, 2, 2))
     assert section_space(spec, 3) == []
 
 
 def test_curve_proposition_section():
-    spec = SyzygySpec(5, 11, (50, 50, 50), 55)
+    spec = SyzygySpec(5, 11, (50, 50, 50))
     sections = section_space(spec, 55)
     assert len(sections) == 1
     assert sections[0].serialize() == [
@@ -101,7 +107,7 @@ def test_curve_proposition_section():
 
 
 def test_koszul_syzygy_always_present():
-    for spec in (SyzygySpec(5, 7, (2, 3, 4), 0), SyzygySpec(3, 0, (1, 2, 2), 0)):
+    for spec in (SyzygySpec(5, 7, (2, 3, 4)), SyzygySpec(3, 0, (1, 2, 2))):
         a1, a2, a3 = spec.exponents
         n = a1 + a2
         sections = section_space(spec, n)
@@ -131,7 +137,7 @@ def test_koszul_syzygy_always_present():
 
 
 def test_section_vector_verified_on_construction():
-    spec = SyzygySpec(5, 11, (50, 50, 50), 55)
+    spec = SyzygySpec(5, 11, (50, 50, 50))
     field = F5
     with pytest.raises(ValueError):
         SectionVector(
@@ -145,16 +151,14 @@ def test_section_vector_verified_on_construction():
         )
 
 
-def test_twist_field_ignored_for_dimensions():
-    # dimensions at degree n depend only on the exponents, not the stored twist
-    for t in (0, 5, 55):
-        spec = SyzygySpec(5, 11, (10, 10, 10), t)
-        assert section_space_dim(spec, 11) == 1
-        assert section_space_dim(spec, 12) == 3
+def test_section_dimensions_near_the_first_section():
+    spec = SyzygySpec(5, 11, (10, 10, 10))
+    assert section_space_dim(spec, 11) == 1
+    assert section_space_dim(spec, 12) == 3
 
 
 def test_frobenius_compatibility_of_sections():
-    base = SyzygySpec(5, 11, (10, 10, 10), 0)
+    base = SyzygySpec(5, 11, (10, 10, 10))
     section = section_space(base, 11)[0]
     e = 1
     pulled = base.frobenius_pullback(e)
@@ -164,18 +168,18 @@ def test_frobenius_compatibility_of_sections():
 
 
 BATTERY = [
-    SyzygySpec(2, 5, (2, 2, 2), 0),
-    SyzygySpec(2, 5, (8, 8, 8), 0),
-    SyzygySpec(3, 4, (3, 3, 3), 0),
-    SyzygySpec(3, 4, (2, 3, 5), 0),
-    SyzygySpec(5, 4, (2, 2, 2), 0),
-    SyzygySpec(5, 11, (10, 10, 10), 0),
-    SyzygySpec(7, 6, (3, 1, 2), 0),
-    SyzygySpec(5, 0, (2, 2, 2), 0),
-    SyzygySpec(3, 0, (1, 4, 2), 0),
+    SyzygySpec(2, 5, (2, 2, 2)),
+    SyzygySpec(2, 5, (8, 8, 8)),
+    SyzygySpec(3, 4, (3, 3, 3)),
+    SyzygySpec(3, 4, (2, 3, 5)),
+    SyzygySpec(5, 4, (2, 2, 2)),
+    SyzygySpec(5, 11, (10, 10, 10)),
+    SyzygySpec(7, 6, (3, 1, 2)),
+    SyzygySpec(5, 0, (2, 2, 2)),
+    SyzygySpec(3, 0, (1, 4, 2)),
     # non-smooth curves (p divides d): the algebra is still defined
-    SyzygySpec(2, 4, (2, 2, 2), 0),
-    SyzygySpec(3, 6, (2, 3, 1), 0),
+    SyzygySpec(2, 4, (2, 2, 2)),
+    SyzygySpec(3, 6, (2, 3, 1)),
 ]
 
 
@@ -605,9 +609,9 @@ def test_check_syzygies_rejects_malformed_triples():
 def test_all_returned_sections_satisfy_relation():
     # section_space checks the relation for the whole basis at once
     for spec, n, count in [
-        (SyzygySpec(3, 4, (9, 9, 9), 0), 13, 3),
-        (SyzygySpec(7, 5, (7, 7, 7), 0), 10, 0),
-        (SyzygySpec(2, 5, (4, 4, 4), 0), 7, 6),
+        (SyzygySpec(3, 4, (9, 9, 9)), 13, 3),
+        (SyzygySpec(7, 5, (7, 7, 7)), 10, 0),
+        (SyzygySpec(2, 5, (4, 4, 4)), 7, 6),
     ]:
         sections = section_space(spec, n)
         assert len(sections) == count == section_space_dim(spec, n), (spec, n)
@@ -616,7 +620,7 @@ def test_all_returned_sections_satisfy_relation():
 
 
 def test_dim_counts_match_matrix_shape():
-    spec = SyzygySpec(5, 11, (50, 50, 50), 0)
+    spec = SyzygySpec(5, 11, (50, 50, 50))
     m = syzygy_matrix(spec, 55)
     assert m.rows == spec.ring.hilbert(55)
     assert m.cols == 3 * spec.ring.hilbert(5)

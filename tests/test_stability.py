@@ -7,14 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fermatsyz.bundle import SyzygySpec
+from fermatsyz.bundle import SectionVector, SyzygySpec, section_space
 from fermatsyz.errors import (
     ExponentOverflowError,
     InapplicableError,
     NotPrimeError,
     SmoothnessError,
 )
-from fermatsyz.poly import EXP_LIMIT, Monomial, reduce_monomial
+from fermatsyz.field import PrimeField
+from fermatsyz.poly import EXP_LIMIT, Monomial, parse_poly, reduce_monomial
 from fermatsyz.stability import (
     _build_certificate,
     certify_destabilization,
@@ -176,6 +177,18 @@ def test_deep_certificate_is_built_from_its_family_block():
         == "8b1e39fd0eafeb7fd4a10ec328b42a5fab3bd7f6df1fff2408baedd3d6c46b93"
     )
     assert verify_certificate(cert.to_json_dict()) == []
+
+
+def test_certificate_section_equals_the_same_section_rebuilt():
+    # cert.spec() names the bundle the search worked on, so the section read
+    # back from its text (as verify rebuilds it) and the first section_space
+    # vector at the certificate twist both equal the certificate's section
+    cert = search_destabilization(2, 5, 1, 3)
+    field = PrimeField(cert.p)
+    degree = cert.twist - cert.a * cert.q
+    parsed = tuple(parse_poly(s, field, degree=degree) for s in cert.section.serialize())
+    assert SectionVector(cert.spec(), cert.twist, parsed) == cert.section
+    assert section_space(cert.spec(), cert.twist)[0] == cert.section
 
 
 def test_search_plane_returns_none():
