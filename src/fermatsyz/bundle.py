@@ -1,6 +1,8 @@
 """Syzygy bundles Syz(X^a1, Y^a2, Z^a3) on P^2 and on Fermat curves.
 
-A ``SyzygySpec`` names the bundle; every twist n is an argument.  Global
+A ``SyzygySpec`` names the bundle; every twist n is an argument, and
+``frobenius_pullback(e)`` scales each exponent by p^e through
+``poly.scaled_power``, the one range check of a Frobenius level.  Global
 sections of the twist Syz(n) are computed as module syzygies: the
 kernel of
 
@@ -142,10 +144,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
-from .errors import BlockTooLargeError, ExponentOverflowError, InternalCheckError
+from .errors import BlockTooLargeError, InternalCheckError
 from .field import PrimeField, binom_uint
 from .linalg import MatrixModP, kernel_from_rref
-from .poly import EXP_LIMIT, GradedPoly, join_rows, term_texts
+from .poly import GradedPoly, join_rows, scaled_power, term_texts
 from .ring import FermatRing, basis_pos
 
 _RING_CACHE: dict = {}
@@ -190,14 +192,10 @@ class SyzygySpec:
         return self.ring.smooth
 
     def frobenius_pullback(self, e: int) -> "SyzygySpec":
-        """Pull back along the e-th Frobenius: the exponents scale by p^e."""
-        if e < 0:
-            raise ValueError("Frobenius level must be >= 0")
-        q = self.p**e
-        if q >= EXP_LIMIT or max(self.exponents) * q >= EXP_LIMIT:
-            raise ExponentOverflowError("p^e scaled exponents exceed the 64-bit range")
-        a1, a2, a3 = self.exponents
-        return SyzygySpec(self.p, self.d, (a1 * q, a2 * q, a3 * q))
+        """Pull back along the e-th Frobenius: each exponent a becomes a p^e,
+        range-checked by ``poly.scaled_power``."""
+        exponents = tuple(scaled_power(self.p, e, a) for a in self.exponents)
+        return SyzygySpec(self.p, self.d, exponents)
 
     def degree_and_slope(self, n: int):
         """(degree, slope) of the twist Syz(n); on the curve degrees carry a factor d."""

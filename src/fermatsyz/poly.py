@@ -26,6 +26,22 @@ from .field import PrimeField, binom_uint
 EXP_LIMIT = 2**62
 
 
+def scaled_power(p: int, e: int, a: int = 1) -> int:
+    """a p^e for a prime p, refused unless it is below EXP_LIMIT.
+
+    The one range check of a Frobenius level.  p >= 2, so p^e >= 2^e and an
+    e of 62 or more is refused without forming the power.
+    """
+    if e < 0:
+        raise ValueError("Frobenius level e must be >= 0")
+    aq = a * p**e if e < 62 else EXP_LIMIT
+    if aq >= EXP_LIMIT:
+        raise ExponentOverflowError(
+            f"a p^e = {a}*{p}^{e} leaves the 64-bit range; use smaller inputs"
+        )
+    return aq
+
+
 class Monomial(NamedTuple):
     """Exponent triple (i, j, l) for X^i Y^j Z^l."""
 
@@ -237,18 +253,13 @@ def frobenius_power(f: GradedPoly, e: int) -> GradedPoly:
     In characteristic p this is the e-fold Frobenius, so cross terms vanish
     and no expansion is required.
     """
-    if e < 0:
-        raise ValueError("Frobenius level e must be >= 0")
     p = f.field.p
-    q = p**e
-    if q >= EXP_LIMIT:
-        raise ExponentOverflowError(f"p^e = {p}^{e} exceeds the 64-bit exponent range")
-    if f.degree * q >= EXP_LIMIT:
-        raise ExponentOverflowError("scaled exponents exceed the 64-bit range")
+    q = scaled_power(p, e)
+    degree = scaled_power(p, e, f.degree)  # bounds every exponent of the result
     terms = {
         make_monomial(m.i * q, m.j * q, m.l * q): pow(c, q, p) for m, c in f.terms.items()
     }
-    return GradedPoly(f.field, f.degree * q, terms)
+    return GradedPoly(f.field, degree, terms)
 
 
 # reduce_monomial keeps no row longer than this: a row holds t + 1 entries,

@@ -41,7 +41,7 @@ def basis_pos(i, j, m):
 class FermatRing:
     """F_p[X,Y,Z]/(X^d+Y^d+Z^d), or the plain polynomial ring when d = 0."""
 
-    __slots__ = ("field", "d", "relation", "_bases", "_indexes", "_texts")
+    __slots__ = ("field", "d", "relation", "_bases", "_texts")
 
     def __init__(self, field, d: int):
         if isinstance(field, int):
@@ -52,7 +52,6 @@ class FermatRing:
         self.d = d
         self.relation = FermatRelation(d, field) if d > 0 else None
         self._bases: dict = {}
-        self._indexes: dict = {}
         self._texts: dict = {}
 
     @property
@@ -63,12 +62,6 @@ class FermatRing:
     def smooth(self) -> bool:
         """The Fermat curve is smooth iff p does not divide d (P^2 always)."""
         return self.d == 0 or self.d % self.p != 0
-
-    def __eq__(self, other):
-        return isinstance(other, FermatRing) and self.field == other.field and self.d == other.d
-
-    def __hash__(self):
-        return hash((self.field, self.d))
 
     def __repr__(self):
         if self.d == 0:
@@ -109,13 +102,6 @@ class FermatRing:
             self._texts[n] = cached
         return cached
 
-    def basis_index(self, n: int) -> dict:
-        cached = self._indexes.get(n)
-        if cached is None:
-            cached = {m: k for k, m in enumerate(self.basis(n))}
-            self._indexes[n] = cached
-        return cached
-
     # -- normal form and multiplication ---------------------------------------
 
     def normal_form(self, f: GradedPoly) -> GradedPoly:
@@ -125,10 +111,12 @@ class FermatRing:
 
     def coords(self, f: GradedPoly) -> np.ndarray:
         """Coordinates of a normal-form element of R_n in the basis of R_n."""
-        index = self.basis_index(f.degree)
-        v = np.zeros(len(index), dtype=np.int64)
+        n = f.degree
+        v = np.zeros(self.hilbert(n), dtype=np.int64)
         for mono, c in f.terms.items():
-            v[index[mono]] = c
+            if self.d and mono.i >= self.d:
+                raise ValueError(f"{tuple(mono)} is not a basis monomial of R_{n}")
+            v[basis_pos(mono.i, mono.j, n)] = c
         return v
 
     def from_coords(self, v, n: int) -> GradedPoly:
@@ -242,18 +230,14 @@ class FermatRing:
         """Matrix of (.g): R_n -> R_{n+deg g} in the monomial bases."""
         if g.field != self.field:
             raise ValueError("polynomial lives over a different field")
-        src = self.basis(n)
-        target_index = self.basis_index(n + g.degree)
         p = self.p
-        d = self.d
-        m = np.zeros((len(target_index), len(src)), dtype=np.int64)
+        top = n + g.degree
+        d = self.d or top + 1  # the plane: no rewrite below degree top + 1
+        src = self.basis(n)
+        m = np.zeros((self.hilbert(top), len(src)), dtype=np.int64)
         for col, mono in enumerate(src):
             for gm, gc in g.terms.items():
-                prod = mono.mul(gm)
-                if d == 0:
-                    m[target_index[prod], col] = (m[target_index[prod], col] + gc) % p
-                else:
-                    for m2, c2 in reduce_monomial(prod, gc, d, p):
-                        row = target_index[m2]
-                        m[row, col] = (m[row, col] + c2) % p
+                for m2, c2 in reduce_monomial(mono.mul(gm), gc, d, p):
+                    row = basis_pos(m2.i, m2.j, top)
+                    m[row, col] = (m[row, col] + c2) % p
         return MatrixModP(m, p)

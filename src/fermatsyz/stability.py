@@ -20,6 +20,13 @@ The engine behind three user-facing operations:
 Certificates are self-contained: ``verify_certificate`` re-checks every
 stored quantity against every other by exact arithmetic, so a single
 corrupted field is always caught.
+
+Every bundle here is ``SyzygySpec(p, d, (a, a, a)).frobenius_pullback(e)``,
+and every level's a p^e is formed by ``poly.scaled_power``, which raises
+``ExponentOverflowError`` unless it is below ``EXP_LIMIT`` = 2^62.
+``max_level`` gives the last level in range, for ``scan``'s precheck;
+``verify_certificate`` reports an out-of-range certificate as a failure
+before it builds the bundle.
 """
 
 from __future__ import annotations
@@ -43,23 +50,9 @@ from .errors import (
     SmoothnessError,
 )
 from .field import MAX_PRIME, PrimeField, check_prime, is_prime
-from .poly import EXP_LIMIT, GradedPoly, frobenius_power, parse_poly
+from .poly import EXP_LIMIT, GradedPoly, frobenius_power, parse_poly, scaled_power
 
 SCHEMA_VERSION = 1
-
-
-def _check_pq(p: int, e: int) -> int:
-    """p^e for a prime p, refused from EXP_LIMIT = 2^62 on.
-
-    p >= 2, so p^e >= 2^e and an e of 62 or more is refused without
-    forming the power.
-    """
-    q = p**e if e < 62 else EXP_LIMIT
-    if q >= EXP_LIMIT:
-        raise ExponentOverflowError(
-            f"p^e = {p}^{e} leaves the 64-bit range; use smaller inputs"
-        )
-    return q
 
 
 def max_level(p: int, a: int) -> int:
@@ -106,7 +99,7 @@ def find_parameters(p: int, a: int, d0: int) -> ParameterChoice:
         raise InapplicableError("need a >= 1 and d0 >= 1")
     e = 1
     while True:
-        q = _check_pq(p, e)
+        q = scaled_power(p, e)
         low = a * p ** (e - 1)
         if low >= d0:
             # open window (low, 3*low/2): integers low+1 .. ceil(3 low / 2) - 1
@@ -154,8 +147,7 @@ class DestabCertificate:
             raise InternalCheckError("window bookkeeping mismatch")
 
     def spec(self) -> SyzygySpec:
-        aq = self.a * self.q
-        return SyzygySpec(self.p, self.d, (aq, aq, aq))
+        return SyzygySpec(self.p, self.d, (self.a, self.a, self.a)).frobenius_pullback(self.e)
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,7 +210,7 @@ def certify_destabilization(p: int, a: int, d: int) -> DestabCertificate:
     dp = d * p
     e = 1
     while True:
-        q = _check_pq(p, e)
+        q = scaled_power(p, e)
         aq = a * q
         if aq >= dp:
             raise InapplicableError(
@@ -229,7 +221,7 @@ def certify_destabilization(p: int, a: int, d: int) -> DestabCertificate:
             break
         e += 1
     k = dp - aq
-    spec = SyzygySpec(p, d, (aq, aq, aq))
+    spec = SyzygySpec(p, d, (a, a, a)).frobenius_pullback(e)
     field = PrimeField(p)
     # the identity behind the section: (X^d+Y^d+Z^d)^p = X^dp + Y^dp + Z^dp
     fermat = spec.ring.relation.poly()
@@ -273,22 +265,19 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
     certificate of degree 0, which ``DestabCertificate`` rejects.
 
     Raises ``ExponentOverflowError`` on reaching the first level whose
-    exponent a p^e is not below ``EXP_LIMIT``.
+    exponent a p^e is not below ``EXP_LIMIT``: ``frobenius_pullback``
+    range-checks every level.
     """
     check_prime(p)
     if a < 1 or e_max < 0 or d < 0:
         raise InapplicableError("need a >= 1, d >= 0, e_max >= 0")
-    if not SyzygySpec(p, d, (a, a, a)).smooth:
+    base = SyzygySpec(p, d, (a, a, a))
+    if not base.smooth:
         raise SmoothnessError(f"p = {p} divides d = {d}: curve not smooth")
-    top = max_level(p, a)
     for e in range(e_max + 1):
-        if e > top:
-            raise ExponentOverflowError(
-                f"a p^e = {a}*{p}^{e} leaves the 64-bit range; use smaller inputs"
-            )
+        spec = base.frobenius_pullback(e)
         q = p**e
         aq = a * q
-        spec = SyzygySpec(p, d, (aq, aq, aq))
         n_lo, n_hi = aq + 1, (3 * aq + 1) // 2 - 1  # ceil(3aq/2) - 1
         n = first_section_twist(spec, n_lo, n_hi)
         if n is not None:
@@ -308,13 +297,6 @@ class HNData:
     sub_slope: int
     quotient_slope: int
     normalized_gap: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "slope_sub": self.sub_slope,
-            "slope_quotient": self.quotient_slope,
-            "normalized_gap": format_fraction(self.normalized_gap),
-        }
 
 
 def hn_data(cert: DestabCertificate) -> HNData:
@@ -352,11 +334,8 @@ def deviation_lower_bound(p: int, a: int, e: int):
     check_prime(p)
     if e < 1 or a < 1:
         raise InapplicableError("need e >= 1 and a >= 1")
-    q = _check_pq(p, e)
-    if a * q >= EXP_LIMIT:
-        raise ExponentOverflowError(
-            f"a p^e = {a}*{p}^{e} leaves the 64-bit range; use smaller inputs"
-        )
+    aq = scaled_power(p, e, a)
+    q = p**e
     low = a * p ** (e - 1)
     d = low + 1
     if 2 * d >= 3 * low:  # window (low, 3 low/2) must contain d = low + 1
@@ -365,7 +344,7 @@ def deviation_lower_bound(p: int, a: int, e: int):
         )
     if d % p == 0:
         raise InapplicableError(f"p divides d = a p^(e-1) + 1 = {d}")
-    gap = Fraction(d * (a * q - 2 * p), q)
+    gap = Fraction(d * (aq - 2 * p), q)
     bound = Fraction(a * a * p ** (e - 1) - 2 * a)
     if gap < bound:
         raise InternalCheckError("gap fell below its proven lower bound")
@@ -443,7 +422,7 @@ def verify_certificate(data: dict) -> list:
     need(gap == Fraction(-data["degree"], q), "normalized gap formula mismatch")
 
     field = PrimeField(p)
-    spec = SyzygySpec(p, d, (aq, aq, aq))
+    spec = SyzygySpec(p, d, (a, a, a)).frobenius_pullback(e)  # in range: checked above
     polys = []
     try:
         for text in section:

@@ -28,12 +28,12 @@ from fractions import Fraction
 import numpy as np
 
 from .bundle import SyzygySpec, syzygy_matrix
-from .errors import ExponentOverflowError, InapplicableError, InternalCheckError, SmoothnessError
+from .errors import InapplicableError, InternalCheckError, SmoothnessError
 from .field import binom_uint, check_prime
 from .linalg import MatrixModP
-from .poly import EXP_LIMIT, GradedPoly
+from .poly import GradedPoly, scaled_power
 from .ring import FermatRing
-from .stability import SCHEMA_VERSION, _check_pq, format_fraction
+from .stability import SCHEMA_VERSION, format_fraction
 
 ASSUMED_IMPLICATION = (
     "a nonzero class in H^1 over the F-regular subring F_p[X,Y] lies outside the "
@@ -76,18 +76,15 @@ def tc_parameters(p: int, b: int, e: int) -> TCParameters:
     if b < 1 or e < 1:
         raise InapplicableError("need b >= 1 and e >= 1")
     a = 2 * b
-    q = _check_pq(p, e)
-    if 3 * b * q >= EXP_LIMIT:
-        raise ExponentOverflowError(
-            f"critical degree 3bq = 3*{b}*{p}^{e} leaves the 64-bit range; use smaller inputs"
-        )
+    m = scaled_power(p, e, 3 * b)  # the critical degree 3bq, the largest exponent
+    q = p**e
     d = a * p ** (e - 1) + 1
     if d % p == 0:
         # cannot happen for e >= 2 (d = 1 mod p); possible at e = 1
         raise SmoothnessError(f"p = {p} divides d = {d}: curve not smooth")
     u = (p + 1) // 2  # ceil(p/2)
     bq = b * q
-    return TCParameters(p=p, b=b, e=e, a=a, q=q, d=d, k=p, u=u, m=3 * bq, r=bq, s=bq, t=bq)
+    return TCParameters(p=p, b=b, e=e, a=a, q=q, d=d, k=p, u=u, m=m, r=bq, s=bq, t=bq)
 
 
 @dataclass(frozen=True)

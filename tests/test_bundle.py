@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import random
+import signal
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from fermatsyz.errors import BlockTooLargeError, ExponentOverflowError, Internal
 from fermatsyz.field import PrimeField
 from fermatsyz.poly import GradedPoly, frobenius_power, parse_poly
 from fermatsyz.ring import FermatRing
-from fermatsyz.stability import search_destabilization
+from fermatsyz.stability import max_level, search_destabilization
 from kernel_helpers import dense_kernel, reference_block_entry, to_dense, to_triples
 
 F5 = PrimeField(5)
@@ -66,6 +68,40 @@ def test_frobenius_pullback_overflow():
     spec = SyzygySpec(5, 11, (2, 2, 2))
     with pytest.raises(ExponentOverflowError):
         spec.frobenius_pullback(100)
+
+
+def test_frobenius_pullback_is_the_hand_built_spec_up_to_the_range():
+    for p in (2, 3, 5, 7):
+        for a in (1, 2, 3):
+            base = SyzygySpec(p, 4, (a, a, a))
+            top = max_level(p, a)
+            for e in range(top + 1):
+                aq = a * p**e
+                assert base.frobenius_pullback(e) == SyzygySpec(p, 4, (aq, aq, aq)), (p, a, e)
+            with pytest.raises(ExponentOverflowError, match=rf"a p\^e = {a}\*{p}\^{top + 1} "):
+                base.frobenius_pullback(top + 1)
+
+
+def test_huge_frobenius_level_is_refused_at_once():
+    # e = 10^8 is refused before p^e is formed; forming it takes minutes.
+    # The alarm turns a hang into a failure
+    spec = SyzygySpec(3, 5, (1, 1, 1))
+    x = GradedPoly.monomial(PrimeField(3), 1, (1, 0, 0))
+
+    def hang(*_):
+        raise TimeoutError("the Frobenius level was not refused")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        for pull in (spec.frobenius_pullback, lambda e: frobenius_power(x, e)):
+            started = time.perf_counter()
+            with pytest.raises(ExponentOverflowError):
+                pull(10**8)
+            assert time.perf_counter() - started < 0.5
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_degree_and_slope_on_curve():

@@ -17,6 +17,7 @@ from fermatsyz.poly import (
     normal_form,
     parse_poly,
     reduce_monomial,
+    scaled_power,
 )
 
 F5 = PrimeField(5)
@@ -79,6 +80,17 @@ def test_frobenius_overflow():
     f = GradedPoly.monomial(F5, 1, (2**40, 0, 0))
     with pytest.raises(ExponentOverflowError):
         frobenius_power(f, 12)
+
+
+def test_scaled_power_is_the_exponent_range_guard():
+    assert scaled_power(2, 61) == 2**61
+    assert scaled_power(3, 39) == 3**39
+    assert scaled_power(5, 0, 7) == 7
+    for args in ((2, 61, 2), (3, 40), (2, 62), (2, 10**8)):
+        with pytest.raises(ExponentOverflowError, match=r"^a p\^e = \d+\*\d+\^\d+ leaves"):
+            scaled_power(*args)
+    with pytest.raises(ValueError):
+        scaled_power(3, -1)
 
 
 def test_monomial_overflow_checked():

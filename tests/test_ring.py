@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermatsyz.field import PrimeField
@@ -95,9 +96,8 @@ def test_multiplication_matrix_x_power():
     m = ring.multiplication_matrix(g, 0)
     assert m.cols == 1 and m.rows == ring.hilbert(11)
     col = m.array[:, 0]
-    idx = ring.basis_index(11)
-    assert col[idx[(0, 11, 0)]] == 4
-    assert col[idx[(0, 0, 11)]] == 4
+    assert col[basis_pos(0, 11, 11)] == 4
+    assert col[basis_pos(0, 0, 11)] == 4
     assert col.sum() == 8
 
 
@@ -136,3 +136,11 @@ def test_coords_round_trip():
     f = ring.normal_form(GradedPoly.monomial(F5, 3, (6, 1, 0)))
     v = ring.coords(f)
     assert ring.from_coords(v, f.degree) == f
+
+
+def test_coords_rejects_a_monomial_outside_the_basis():
+    # X^4 is no basis monomial of R_4 on the quartic; reduce it first
+    with pytest.raises(ValueError, match="not a basis monomial"):
+        FermatRing(5, 4).coords(GradedPoly.monomial(F5, 1, (4, 0, 0)))
+    # on the plane every monomial is one
+    assert FermatRing(5, 0).coords(GradedPoly.monomial(F5, 1, (4, 0, 0)))[-1] == 1
