@@ -26,15 +26,15 @@ import time
 
 from . import __version__
 from .bundle import SyzygySpec
-from .errors import FermatSyzError, InapplicableError, SmoothnessError
+from .errors import ExponentOverflowError, FermatSyzError, InapplicableError, SmoothnessError
 from .field import check_prime
+from .poly import scaled_power
 from .stability import (
     SCHEMA_VERSION,
     certify_destabilization,
     deviation_lower_bound,
     find_parameters,
     format_fraction,
-    max_level,
     search_destabilization,
     verify_certificate,
 )
@@ -123,16 +123,15 @@ def cmd_scan(args) -> int:
             check_prime(p)  # NotPrimeError reaches main: exit 1
         if min(as_) < 1 or min(ds) < 0 or args.e_max < 0:
             raise ValueError("need a >= 1, d >= 0, e_max >= 0")
-        for p, a in itertools.product(ps, as_):
-            top = max_level(p, a)
-            if args.e_max > top:
-                raise ValueError(
-                    f"--e-max {args.e_max} is too large for p = {p}, a = {a}: "
-                    f"a p^e leaves the 64-bit range from e = {top + 1} on"
-                )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for p, a in itertools.product(ps, as_):
+        try:
+            scaled_power(p, args.e_max, a)  # a p^e grows with e: the last level decides
+        except ExponentOverflowError as exc:
+            print(f"error: --e-max {args.e_max} is too large for p = {p}: {exc}", file=sys.stderr)
+            return 1
 
     # each record is written and flushed as soon as its cell is done, so a
     # crash keeps all records of the cells before it
@@ -175,7 +174,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 1
     try:
@@ -184,7 +183,7 @@ def cmd_verify(args) -> int:
     except json.JSONDecodeError:  # not one document: read it as JSONL
         is_single = False
         data = None
-    except ValueError as exc:  # e.g. an integer beyond the int-string limit
+    except (ValueError, RecursionError) as exc:  # the int-string limit, or nesting too deep
         print(f"error: {args.path} is not valid JSON: {exc}", file=sys.stderr)
         return 1
 
@@ -199,7 +198,7 @@ def cmd_verify(args) -> int:
             continue
         try:
             rec = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or the int-string limit
+        except (ValueError, RecursionError) as exc:  # as above, or a JSONDecodeError
             print(f"error: line {lineno} is not valid JSON: {exc}", file=sys.stderr)
             return 1
         if not isinstance(rec, dict):

@@ -21,10 +21,13 @@ Certificates are self-contained: ``verify_certificate`` re-checks every
 stored quantity against every other by exact arithmetic, so a single
 corrupted field is always caught.
 
+All three read the window aq < n < 3aq/2 from ``destabilizing_twists``.
+A certificate stores only what defines it, (p, a, d, e, twist, section);
+q, k, its degree and its normalized gap are derived from those.
+
 Every bundle here is ``SyzygySpec(p, d, (a, a, a)).frobenius_pullback(e)``,
 and every level's a p^e is formed by ``poly.scaled_power``, which raises
 ``ExponentOverflowError`` unless it is below ``EXP_LIMIT`` = 2^62.
-``max_level`` gives the last level in range, for ``scan``'s precheck;
 ``verify_certificate`` reports an out-of-range certificate as a failure
 before it builds the bundle.
 """
@@ -55,40 +58,47 @@ from .poly import EXP_LIMIT, GradedPoly, frobenius_power, parse_poly, scaled_pow
 SCHEMA_VERSION = 1
 
 
-def max_level(p: int, a: int) -> int:
-    """Largest e with a p^e < EXP_LIMIT (-1 when a itself is too large).
+def destabilizing_twists(aq: int) -> range:
+    """The twists n with aq < n < 3aq/2, in increasing order.
 
-    Multiplies up level by level, so it never forms a huge power.
+    A nonzero section of the pullback of Syz(X^a, Y^a, Z^a) twisted by such
+    an n embeds O_C, of slope 0, into a bundle of degree (2n - 3aq) d < 0.
     """
-    e, aq = -1, a
-    while aq < EXP_LIMIT:
-        e, aq = e + 1, aq * p
-    return e
+    return range(aq + 1, (3 * aq + 1) // 2)
 
 
 @dataclass(frozen=True)
 class ParameterChoice:
-    """Admissible parameters: a p^(e-1) >= d0 and a p^(e-1) < d < 3 a p^(e-1) / 2."""
+    """Admissible parameters (p, a, d0, e, d): a p^(e-1) >= d0, p does not
+    divide d, and a p^(e-1) < d < 3 a p^(e-1) / 2, that is, m = dp lies in
+    ``destabilizing_twists(aq)`` for q = p^e.  m is the certificate's twist
+    and k = m - aq the degree of its section (X^k, Y^k, Z^k).
+    """
 
     p: int
     a: int
     d0: int
     e: int
-    q: int
     d: int
-    k: int
-    m: int
 
     def __post_init__(self):
-        low = self.a * self.p ** (self.e - 1)
-        if not (low >= self.d0 and low < self.d and 2 * self.d < 3 * low):
+        aq = self.a * self.q
+        if aq < self.d0 * self.p or self.m not in destabilizing_twists(aq):
             raise InapplicableError("parameter window violated")
         if self.d % self.p == 0:
             raise SmoothnessError("d must not be a multiple of p")
-        aq = self.a * self.q
-        dp = self.d * self.p
-        if not (aq < dp and 2 * dp < 3 * aq) or self.k != dp - aq or self.m != dp:
-            raise InternalCheckError("derived quantities inconsistent")
+
+    @property
+    def q(self) -> int:
+        return self.p**self.e
+
+    @property
+    def m(self) -> int:
+        return self.d * self.p
+
+    @property
+    def k(self) -> int:
+        return self.m - self.a * self.q
 
 
 def find_parameters(p: int, a: int, d0: int) -> ParameterChoice:
@@ -99,13 +109,12 @@ def find_parameters(p: int, a: int, d0: int) -> ParameterChoice:
         raise InapplicableError("need a >= 1 and d0 >= 1")
     e = 1
     while True:
-        q = scaled_power(p, e)
+        scaled_power(p, e)  # raises once p^e leaves the range
         low = a * p ** (e - 1)
         if low >= d0:
-            # open window (low, 3*low/2): integers low+1 .. ceil(3 low / 2) - 1
-            for d in range(low + 1, (3 * low - 1) // 2 + 1):
+            for d in destabilizing_twists(low):
                 if d % p != 0:
-                    return ParameterChoice(p, a, d0, e, q, d, d * p - a * q, d * p)
+                    return ParameterChoice(p, a, d0, e, d)
         e += 1
 
 
@@ -113,38 +122,47 @@ def find_parameters(p: int, a: int, d0: int) -> ParameterChoice:
 class DestabCertificate:
     """Machine-checkable witness that F^(e*) Syz(X^a, Y^a, Z^a)|C is unstable.
 
-    The section embeds O_C into the twisted pullback bundle, whose degree
-    is negative; slope_sub = 0 > slope of the bundle.  ``normalized_gap``
-    is the twist-invariant (mu_max - mu_min)/q of the HN filtration when
-    the section is nowhere vanishing (the Proposition-style certificates),
-    and a destabilization measure otherwise.
+    Defined by (p, a, d, e, twist, section): a nonzero section of the
+    pullback twisted by a twist in ``destabilizing_twists(aq)``, q = p^e.
+    The section embeds O_C, of slope 0, into a bundle of negative
+    ``degree`` (2 twist - 3aq) d; its components have degree ``k`` =
+    twist - aq.  ``normalized_gap`` = -degree/q is the twist-invariant
+    (mu_max - mu_min)/q of the HN filtration when the section is nowhere
+    vanishing (the Proposition-style certificates), and a destabilization
+    measure otherwise.
     """
 
     p: int
     a: int
     d: int
     e: int
-    q: int
-    k: int
     twist: int
     section: SectionVector
-    degree: int
-    slope_sub: int
-    slope_quotient: int
-    normalized_gap: Fraction
-    smooth: bool
-    inconclusive: bool = False
 
     def __post_init__(self):
         if self.section.is_zero():
             raise InternalCheckError("certificate section is zero")
         aq = self.a * self.q
-        if self.degree >= 0 or 2 * self.twist - 3 * aq >= 0:
+        if self.twist not in destabilizing_twists(aq):
+            raise InternalCheckError(f"twist {self.twist} is outside the window of aq = {aq}")
+        if self.degree >= 0:  # the plane, d = 0
             raise InternalCheckError("certificate bundle degree is not negative")
-        # the two window formulations of the proof must agree
-        window = aq < self.twist and 2 * self.twist < 3 * aq
-        if window != (self.k > 0 and 2 * self.twist - 3 * aq < 0):
-            raise InternalCheckError("window bookkeeping mismatch")
+
+    @property
+    def q(self) -> int:
+        return self.p**self.e
+
+    @property
+    def k(self) -> int:
+        return self.twist - self.a * self.q
+
+    @property
+    def degree(self) -> int:
+        return (2 * self.twist - 3 * self.a * self.q) * self.d
+
+    @property
+    def normalized_gap(self) -> Fraction:
+        return Fraction(-self.degree, self.q)
 
     def spec(self) -> SyzygySpec:
         return SyzygySpec(self.p, self.d, (self.a, self.a, self.a)).frobenius_pullback(self.e)
@@ -161,37 +179,17 @@ class DestabCertificate:
             "twist": self.twist,
             "section": self.section.serialize(),
             "degree": self.degree,
-            "slope_sub": self.slope_sub,
-            "slope_quotient": self.slope_quotient,
+            "slope_sub": 0,
+            "slope_quotient": self.degree,
             "normalized_gap": format_fraction(self.normalized_gap),
-            "smooth": self.smooth,
-            "inconclusive": self.inconclusive,
+            "smooth": True,
+            "inconclusive": False,
         }
 
 
 def format_fraction(x) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def _build_certificate(p, a, d, e, q, twist, section) -> DestabCertificate:
-    aq = a * q
-    degree = (2 * twist - 3 * aq) * d
-    return DestabCertificate(
-        p=p,
-        a=a,
-        d=d,
-        e=e,
-        q=q,
-        k=twist - aq,
-        twist=twist,
-        section=section,
-        degree=degree,
-        slope_sub=0,
-        slope_quotient=degree,
-        normalized_gap=Fraction(-degree, q),
-        smooth=True,
-    )
 
 
 def certify_destabilization(p: int, a: int, d: int) -> DestabCertificate:
@@ -217,7 +215,7 @@ def certify_destabilization(p: int, a: int, d: int) -> DestabCertificate:
                 f"construction inapplicable for (p={p}, a={a}, d={d}): "
                 f"no level e with aq < dp < 3aq/2"
             )
-        if 2 * dp < 3 * aq:
+        if dp in destabilizing_twists(aq):
             break
         e += 1
     k = dp - aq
@@ -236,14 +234,14 @@ def certify_destabilization(p: int, a: int, d: int) -> DestabCertificate:
             for i in range(3)
         ),
     )
-    return _build_certificate(p, a, d, e, q, dp, section)
+    return DestabCertificate(p, a, d, e, dp, section)
 
 
 def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertificate | None:
     """Bounded semidecision: smallest (e, n) with a destabilizing section.
 
-    For each level e = 0..e_max looks for sections in the twist window
-    n in [aq + 1, ceil(3aq/2) - 1] (q = p^e), exactly the degrees where a
+    For each level e = 0..e_max looks for sections at the twists
+    ``destabilizing_twists(aq)`` (q = p^e), exactly the degrees where a
     nonzero section forces negative bundle degree.  Returns None when no
     certificate exists within bounds -- which proves nothing about strong
     semistability.
@@ -276,16 +274,14 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
         raise SmoothnessError(f"p = {p} divides d = {d}: curve not smooth")
     for e in range(e_max + 1):
         spec = base.frobenius_pullback(e)
-        q = p**e
-        aq = a * q
-        n_lo, n_hi = aq + 1, (3 * aq + 1) // 2 - 1  # ceil(3aq/2) - 1
-        n = first_section_twist(spec, n_lo, n_hi)
+        window = destabilizing_twists(spec.exponents[0])  # the exponents are (aq, aq, aq)
+        n = first_section_twist(spec, window.start, window.stop - 1)
         if n is not None:
             _count, rows, cols, values = _structured_kernel(spec, n)
             first = rows == 0
             row = _KernelRows(spec, n, (1, rows[first], cols[first], values[first]))
             section = SectionVector(spec, n, row.components(0))
-            return _build_certificate(p, a, d, e, q, n, section)
+            return DestabCertificate(p, a, d, e, n, section)
     return None
 
 
@@ -314,14 +310,11 @@ def hn_data(cert: DestabCertificate) -> HNData:
         raise InapplicableError(
             "hn_data needs a certificate built from the monomial section (X^k, Y^k, Z^k)"
         )
+    quotient_slope = cert.degree  # O_C(2 twist - 3aq) has degree (2 twist - 3aq) d
     bundle_degree, _slope = cert.spec().degree_and_slope(cert.twist)
-    quotient_slope = (2 * cert.twist - 3 * cert.a * cert.q) * cert.d
-    if 0 + quotient_slope != bundle_degree or bundle_degree != cert.degree:
+    if 0 + quotient_slope != bundle_degree:
         raise InternalCheckError("degree additivity failed")
-    gap = Fraction(0 - quotient_slope, cert.q)
-    if gap != cert.normalized_gap:
-        raise InternalCheckError("normalized gap mismatch")
-    return HNData(0, quotient_slope, gap)
+    return HNData(0, quotient_slope, cert.normalized_gap)
 
 
 def deviation_lower_bound(p: int, a: int, e: int):
@@ -338,7 +331,7 @@ def deviation_lower_bound(p: int, a: int, e: int):
     q = p**e
     low = a * p ** (e - 1)
     d = low + 1
-    if 2 * d >= 3 * low:  # window (low, 3 low/2) must contain d = low + 1
+    if d not in destabilizing_twists(low):
         raise InapplicableError(
             f"window inapplicable for (p={p}, a={a}, e={e}): a p^(e-1) = {low} <= 2"
         )
@@ -375,7 +368,7 @@ def verify_certificate(data: dict) -> list:
     if type(schema) is not int or schema != SCHEMA_VERSION:
         return [f"unknown schema {schema!r}; this version reads schema {SCHEMA_VERSION}"]
     for f in _INT_FIELDS:
-        if not isinstance(data.get(f), int):
+        if type(data.get(f)) is not int:  # a JSON boolean is not an integer
             return [f"field {f!r} missing or not an integer"]
     section = data.get("section")
     if not (
@@ -394,7 +387,7 @@ def verify_certificate(data: dict) -> list:
     need(e >= 0, "e must be >= 0")
     if failures:
         return failures
-    need(data.get("smooth") == (d % p != 0), "smooth flag inconsistent with p | d")
+    need(data.get("smooth") is (d % p != 0), "smooth flag inconsistent with p | d")
     need(d % p != 0, "p divides d: curve not smooth")
     # p^e >= 2^e > |q|, so an e that large never matches and its power is
     # not taken; below 62 (every e a certificate can hold) the message

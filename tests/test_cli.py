@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -145,6 +146,19 @@ def test_verify_malformed_json_exit_1(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 1
+    # bytes that are not UTF-8, and nesting deeper than the decoder recurses,
+    # as one document and as a JSONL line: one error line each, no traceback
+    _, cert, _ = run_cli(capsys, "certify", "--p", "5", "--a", "2", "--d0", "8")
+    deep = "[" * 200_000 + "]" * 200_000
+    for content, message in (
+        (b"\xff{}", f"error: cannot read {path}: "),
+        (deep.encode(), f"error: {path} is not valid JSON: "),
+        (f"{json.dumps(json.loads(cert))}\n{deep}\n".encode(), "error: line 2 is not valid JSON: "),
+    ):
+        path.write_bytes(content)
+        code, stdout, err = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_verify_missing_file_exit_1(capsys):
@@ -319,7 +333,14 @@ def test_scan_rejects_bad_ranges_before_writing(tmp_path, capsys, d, a, e_max):
 
 
 @pytest.mark.parametrize(
-    "p, a, e_max", [("2", "1", "70"), ("2", "1", "62"), ("3,2", "1,2", "61"), ("7", "1", "23")]
+    "p, a, e_max",
+    [
+        ("2", "1", "70"),
+        ("2", "1", "62"),
+        ("3,2", "1,2", "61"),
+        ("7", "1", "23"),
+        ("3", "4611686018427387904", "0"),  # a itself is 2^62
+    ],
 )
 def test_scan_rejects_e_max_beyond_exponent_range_before_writing(tmp_path, capsys, p, a, e_max):
     # some listed (p, a) reaches a p^e >= 2^62 within e_max, even where
@@ -330,6 +351,7 @@ def test_scan_rejects_e_max_beyond_exponent_range_before_writing(tmp_path, capsy
     )
     assert code == 1
     assert stdout == "" and err.startswith(f"error: --e-max {e_max} is too large")
+    assert err.endswith("leaves the 64-bit range; use smaller inputs\n")
     assert not out.exists()
 
 
@@ -454,3 +476,12 @@ def test_scan_refusing_a_large_band_keeps_finished_records(tmp_path, capsys, mon
     assert err.startswith("error: block (t, A, B, N) = ") and "4,416 bytes" in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert out.read_text().splitlines() == expected[:3]
+
+
+def test_console_script_entry_exits_with_the_code_of_main(monkeypatch, capsys):
+    for argv, code in ((["--version"], 0), (["scan"], 1)):
+        monkeypatch.setattr(sys, "argv", ["fermatsyz", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code, argv
+    capsys.readouterr()

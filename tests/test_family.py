@@ -24,7 +24,7 @@ from fermatsyz.bundle import (
 )
 from fermatsyz.field import binom_uint
 from fermatsyz.linalg import MatrixModP
-from fermatsyz.stability import _build_certificate, search_destabilization
+from fermatsyz.stability import DestabCertificate, search_destabilization
 from kernel_helpers import dense_kernel, dense_section, to_dense
 
 EQUAL = [(a, a, a) for a in (1, 2, 3, 5)]
@@ -186,5 +186,5 @@ def test_search_matches_per_twist_dense_scan(p, e_max, ds):
         else:
             e, n, section = expected
             assert (cert.e, cert.twist) == (e, n), (p, d, a)
-            oracle = _build_certificate(p, a, d, e, p**e, n, section)
+            oracle = DestabCertificate(p, a, d, e, n, section)
             assert cert.to_json_dict() == oracle.to_json_dict(), (p, d, a)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import signal
@@ -11,19 +12,21 @@ from fermatsyz.bundle import SectionVector, SyzygySpec, section_space
 from fermatsyz.errors import (
     ExponentOverflowError,
     InapplicableError,
+    InternalCheckError,
     NotPrimeError,
     SmoothnessError,
 )
 from fermatsyz.field import PrimeField
-from fermatsyz.poly import EXP_LIMIT, Monomial, parse_poly, reduce_monomial
+from fermatsyz.poly import Monomial, parse_poly, reduce_monomial
 from fermatsyz.stability import (
-    _build_certificate,
+    DestabCertificate,
+    ParameterChoice,
     certify_destabilization,
+    destabilizing_twists,
     deviation_lower_bound,
     find_parameters,
     format_fraction,
     hn_data,
-    max_level,
     search_destabilization,
     verify_certificate,
 )
@@ -47,6 +50,39 @@ def test_find_parameters_skips_p_multiples():
     pc = find_parameters(2, 3, 3)
     assert pc.e == 2  # window (6, 9) -> d = 7
     assert pc.d == 7
+
+
+def test_destabilizing_twists_is_the_open_window():
+    for aq in range(501):
+        expected = [n for n in range(2 * aq + 2) if aq < n and 2 * n < 3 * aq]
+        assert list(destabilizing_twists(aq)) == expected, aq
+
+
+def test_records_hold_only_what_defines_them():
+    assert [f.name for f in dataclasses.fields(DestabCertificate)] == [
+        "p", "a", "d", "e", "twist", "section",
+    ]
+    assert [f.name for f in dataclasses.fields(ParameterChoice)] == ["p", "a", "d0", "e", "d"]
+
+
+def test_parameter_choice_rejects_d_outside_the_window():
+    assert ParameterChoice(5, 2, 8, 2, 11).k == 5  # window (10, 15)
+    for d in (10, 15, 16):
+        with pytest.raises(InapplicableError):
+            ParameterChoice(5, 2, 8, 2, d)
+    with pytest.raises(InapplicableError):
+        ParameterChoice(5, 2, 11, 2, 11)  # a p^(e-1) = 10 < d0
+    with pytest.raises(SmoothnessError):
+        ParameterChoice(2, 3, 3, 2, 8)  # window (6, 9), but p divides 8
+
+
+def test_certificate_rejects_twists_outside_the_window_and_the_plane():
+    cert = certify_destabilization(5, 2, 11)  # aq = 50, window 51..74
+    for twist in (50, 75):  # aq and ceil(3aq/2)
+        with pytest.raises(InternalCheckError, match="outside the window"):
+            dataclasses.replace(cert, twist=twist)
+    with pytest.raises(InternalCheckError, match="degree is not negative"):
+        dataclasses.replace(cert, d=0)
 
 
 def test_find_parameters_rejects_bad_input():
@@ -76,9 +112,10 @@ def test_certify_paper_instance():
     cert = certify_destabilization(5, 2, 11)
     assert (cert.e, cert.q, cert.k, cert.twist) == (2, 25, 5, 55)
     assert cert.degree == -440 < 0
-    assert cert.slope_sub == 0 and cert.slope_quotient == -440
+    data = cert.to_json_dict()
+    assert data["slope_sub"] == 0 and data["slope_quotient"] == -440
     assert cert.normalized_gap == Fraction(88, 5)
-    assert cert.smooth and not cert.inconclusive
+    assert data["smooth"] and not data["inconclusive"]
     assert cert.section.serialize() == [
         "1*X^5*Y^0*Z^0",
         "1*X^0*Y^5*Z^0",
@@ -136,7 +173,7 @@ def _dense_oracle(p, d, a, e_max):
         for n in range(a * q + 1, (3 * a * q + 1) // 2):
             section = dense_section(spec, n)
             if section is not None:
-                return _build_certificate(p, a, d, e, q, n, section).to_json_dict()
+                return DestabCertificate(p, a, d, e, n, section).to_json_dict()
     return None
 
 
@@ -197,8 +234,6 @@ def test_search_plane_returns_none():
 
 
 def test_search_reaches_the_exponent_range_and_stops_there():
-    assert (max_level(2, 1), max_level(2, 2), max_level(3, 1)) == (61, 60, 39)
-    assert max_level(7, EXP_LIMIT) == -1
     # every level up to a q = 2^61 runs, with no elimination, and finds nothing
     assert search_destabilization(2, 3, 1, 61) is None
     # a = 2 reaches a q = 2^62 at e = 61: raise there, not return None
@@ -235,7 +270,7 @@ def test_hn_gap_is_twist_invariant():
     t = 7
     d = cert.d
     shifted_sub = 0 + t * d
-    shifted_quot = cert.slope_quotient + t * d
+    shifted_quot = cert.degree + t * d
     assert Fraction(shifted_sub - shifted_quot, cert.q) == cert.normalized_gap
 
 
@@ -356,3 +391,12 @@ def test_verify_names_first_failing_check():
     cert["q"] = 26
     failures = verify_certificate(cert)
     assert failures[0] == "q = 26 != p^e = 25"
+    # a JSON boolean is not an integer, and the smooth flag is a boolean
+    cert = certify_destabilization(5, 1, 6).to_json_dict()
+    assert verify_certificate(cert) == []
+    for field, value, message in (
+        ("a", True, "field 'a' missing or not an integer"),
+        ("slope_sub", False, "field 'slope_sub' missing or not an integer"),
+        ("smooth", 1, "smooth flag inconsistent with p | d"),
+    ):
+        assert verify_certificate(dict(cert, **{field: value}))[0] == message, field
