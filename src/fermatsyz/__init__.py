@@ -37,12 +37,9 @@ from .tightclosure import (
     CechClassP1,
     TCParameters,
     TCReport,
-    cech_class_curve,
     cech_class_p1,
-    formula_star,
     ideal_membership,
     tc_counterexample,
-    tc_parameters,
 )
 
 __all__ = [
@@ -62,12 +59,10 @@ __all__ = [
     "TCParameters",
     "TCReport",
     "__version__",
-    "cech_class_curve",
     "cech_class_p1",
     "certify_destabilization",
     "deviation_lower_bound",
     "find_parameters",
-    "formula_star",
     "frobenius_power",
     "hn_data",
     "ideal_membership",
@@ -76,6 +71,5 @@ __all__ = [
     "section_space",
     "section_space_dim",
     "tc_counterexample",
-    "tc_parameters",
     "verify_certificate",
 ]

@@ -1,5 +1,7 @@
 """Command-line surface: certificate generation, scans, offline verification.
 
+Run as the installed ``fermatsyz`` script or as ``python -m fermatsyz.cli``.
+
 Subcommands
     certify    build a destabilization certificate for (p, a, d) or (p, a, d0)
     scan       grid scan over primes x degrees x exponents, JSONL output
@@ -190,25 +192,30 @@ def cmd_verify(args) -> int:
     if is_single:
         return _verify_one(data, args.path)
 
-    # JSONL: verify every certificate record and report each failing line
-    checked = failed = 0
+    # JSONL: verify every certificate record and report each failing line;
+    # a line that is not a JSON object is reported and the reading goes on
+    checked = failed = malformed = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
             rec = json.loads(line)
+            problem = None if isinstance(rec, dict) else "is not a JSON object"
         except (ValueError, RecursionError) as exc:  # as above, or a JSONDecodeError
-            print(f"error: line {lineno} is not valid JSON: {exc}", file=sys.stderr)
-            return 1
-        if not isinstance(rec, dict):
-            print(f"error: line {lineno} is not a JSON object", file=sys.stderr)
-            return 1
+            problem = f"is not valid JSON: {exc}"
+        if problem:
+            print(f"error: line {lineno} {problem}", file=sys.stderr)
+            malformed += 1
+            continue
         if rec.get("outcome") in ("none", "skipped"):
             continue
         checked += 1
         if _verify_one(rec, f"{args.path}:{lineno}"):
             failed += 1
+    if malformed:
+        print(f"{malformed} malformed line(s); {failed} of {checked} certificate(s) failed")
+        return 1
     if failed:
         print(f"{failed} of {checked} certificate(s) failed")
         return 2
@@ -319,3 +326,7 @@ def main(argv=None) -> int:
 
 def entry():  # console-script shim
     raise SystemExit(main())
+
+
+if __name__ == "__main__":  # python -m fermatsyz.cli
+    entry()

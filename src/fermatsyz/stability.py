@@ -118,7 +118,7 @@ def find_parameters(p: int, a: int, d0: int) -> ParameterChoice:
         e += 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class DestabCertificate:
     """Machine-checkable witness that F^(e*) Syz(X^a, Y^a, Z^a)|C is unstable.
 

@@ -18,17 +18,22 @@ Step 4's consequence (a nonzero class over the F-regular ring F_p[X,Y] is
 not in the zero tight closure, hence neither is the original curve class)
 is an assumed implication, recorded but not recomputed; the verdict is
 "certified" only when all arithmetic preconditions of the chain hold.
+
+Everything follows from (p, b, e).  A ``TCReport`` stores the checked
+``TCParameters(p, b, e)`` and the one computed object, the projective-line
+class of step 3; the curve class of steps 1-2, the expected closure
+formula, the precondition flags and the verdict are derived from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .bundle import SyzygySpec, syzygy_matrix
-from .errors import InapplicableError, InternalCheckError, SmoothnessError
+from .errors import InapplicableError, SmoothnessError
 from .field import binom_uint, check_prime
 from .linalg import MatrixModP
 from .poly import GradedPoly, scaled_power
@@ -43,71 +48,58 @@ ASSUMED_IMPLICATION = (
 
 @dataclass(frozen=True)
 class TCParameters:
-    """Derived data for the counterexample at (p, b, e): a = 2b, q = p^e,
-    d = a p^(e-1) + 1 (so k = p), u = ceil(p/2), critical twist m = 3bq."""
+    """The counterexample at (p, b, e), checked on construction.  Derived:
+    a = 2b, q = p^e, d = a p^(e-1) + 1 (so k = p), u = ceil(p/2) and the
+    critical degree m = 3bq of the monomial (XYZ)^(bq)."""
 
     p: int
     b: int
     e: int
-    a: int
-    q: int
-    d: int
-    k: int
-    u: int
-    m: int
-    r: int
-    s: int
-    t: int
+
+    def __post_init__(self):
+        check_prime(self.p)
+        if self.b < 1 or self.e < 1:
+            raise InapplicableError("need b >= 1 and e >= 1")
+        scaled_power(self.p, self.e, 3 * self.b)  # the critical degree 3bq, the largest exponent
+        if self.d % self.p == 0:
+            # cannot happen for e >= 2 (d = 1 mod p); possible at e = 1
+            raise SmoothnessError(f"p = {self.p} divides d = {self.d}: curve not smooth")
+
+    @property
+    def a(self) -> int:
+        return 2 * self.b
+
+    @property
+    def q(self) -> int:
+        return self.p**self.e
 
     @property
     def bq(self) -> int:
         return self.b * self.q
 
+    @property
+    def d(self) -> int:
+        return self.a * self.p ** (self.e - 1) + 1
+
+    @property
+    def k(self) -> int:
+        return self.p
+
+    @property
+    def u(self) -> int:
+        return (self.p + 1) // 2  # ceil(p/2)
+
+    @property
+    def m(self) -> int:
+        return 3 * self.bq
+
     def precondition_flags(self) -> dict:
+        u, d, bq = self.u, self.d, self.bq
         return {
-            "ud_ge_bq_plus_p": self.u * self.d >= self.bq + self.p,
-            "u_minus_1_d_lt_bq": (self.u - 1) * self.d < self.bq,
-            "p_not_dividing_u": self.u % self.p != 0,
+            "ud_ge_bq_plus_p": u * d >= bq + self.p,
+            "u_minus_1_d_lt_bq": (u - 1) * d < bq,
+            "p_not_dividing_u": u % self.p != 0,
         }
-
-
-def tc_parameters(p: int, b: int, e: int) -> TCParameters:
-    check_prime(p)
-    if b < 1 or e < 1:
-        raise InapplicableError("need b >= 1 and e >= 1")
-    a = 2 * b
-    m = scaled_power(p, e, 3 * b)  # the critical degree 3bq, the largest exponent
-    q = p**e
-    d = a * p ** (e - 1) + 1
-    if d % p == 0:
-        # cannot happen for e >= 2 (d = 1 mod p); possible at e = 1
-        raise SmoothnessError(f"p = {p} divides d = {d}: curve not smooth")
-    u = (p + 1) // 2  # ceil(p/2)
-    bq = b * q
-    return TCParameters(p=p, b=b, e=e, a=a, q=q, d=d, k=p, u=u, m=m, r=bq, s=bq, t=bq)
-
-
-@dataclass(frozen=True)
-class FormulaStar:
-    """Right-hand side of the expected tight-closure formula for (X^a,Y^a,Z^a):
-    the ideal itself plus everything of degree >= 3a/2."""
-
-    a: int
-    generators: tuple
-    threshold: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ideal": list(self.generators),
-            "threshold": format_fraction(self.threshold),
-        }
-
-
-def formula_star(a: int) -> FormulaStar:
-    if a < 1:
-        raise InapplicableError("need a >= 1")
-    gens = (f"X^{a}", f"Y^{a}", f"Z^{a}")
-    return FormulaStar(a, gens, Fraction(3 * a, 2))
 
 
 def ideal_membership(f: GradedPoly, a: int, ring: FermatRing) -> bool:
@@ -131,58 +123,6 @@ def ideal_membership(f: GradedPoly, a: int, ring: FermatRing) -> bool:
 
 
 @dataclass(frozen=True)
-class CechClassCurve:
-    """Bookkeeping for the curve-level classes (nothing is decided here).
-
-    The syzygy-valued class is (f/X^aq, -f/Y^aq, 0) for f = X^r Y^s Z^t;
-    its image under the filtration quotient is -f Z^k / (X^aq Y^aq), which
-    for r = s = t = bq reduces to -Z^(bq+k) / (X^bq Y^bq)."""
-
-    params: TCParameters
-    numerator: tuple  # exponents (r, s, t) of f
-    syz_denominators: tuple  # (X^aq, Y^aq) exponents
-    image_numerator: tuple  # exponents of f * Z^k
-    image_twist: int  # the class lives in H^1(C, O_C(image_twist))
-    reduced_numerator: tuple  # exponents after cancelling X^bq Y^bq
-    reduced_denominator: tuple  # (bq, bq) on X, Y
-
-    def to_json_dict(self) -> dict:
-        return {
-            "monomial": list(self.numerator),
-            "syzygy_class_denominators": list(self.syz_denominators),
-            "image_numerator": list(self.image_numerator),
-            "image_twist": self.image_twist,
-            "reduced_numerator": list(self.reduced_numerator),
-            "reduced_denominator": list(self.reduced_denominator),
-        }
-
-
-def cech_class_curve(params: TCParameters) -> CechClassCurve:
-    if params.b < 1:
-        raise InapplicableError("need b >= 1 (a = 2b >= 2)")
-    aq = params.a * params.q
-    bq = params.bq
-    r, s, t = params.r, params.s, params.t
-    image_numer = (r, s, t + params.k)
-    # degree bookkeeping: m + k - 2aq must equal k - bq since m = 3bq = 3aq/2
-    image_twist = params.m + params.k - 2 * aq
-    if image_twist != params.k - bq:
-        raise InternalCheckError("curve class twist bookkeeping mismatch")
-    reduced_numer = (r - bq, s - bq, t + params.k)  # = (0, 0, bq + k)
-    if reduced_numer != (0, 0, bq + params.k):
-        raise InternalCheckError("curve class reduction bookkeeping mismatch")
-    return CechClassCurve(
-        params=params,
-        numerator=(r, s, t),
-        syz_denominators=(aq, aq),
-        image_numerator=image_numer,
-        image_twist=image_twist,
-        reduced_numerator=reduced_numer,
-        reduced_denominator=(bq, bq),
-    )
-
-
-@dataclass
 class CechClassP1:
     """A class in H^1(P^1, O(n)) on the basis {X^i Y^j : i, j <= -1, i+j = n}.
 
@@ -197,15 +137,13 @@ class CechClassP1:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def sorted_terms(self) -> list:
-        return sorted(self.coefficients.items())
-
     def to_json_dict(self) -> dict:
         return {
             "class_degree": self.degree,
             "global_sign": self.global_sign,
             "surviving_terms": [
-                {"x_exp": i, "y_exp": j, "coeff": c} for (i, j), c in self.sorted_terms()
+                {"x_exp": i, "y_exp": j, "coeff": c}
+                for (i, j), c in sorted(self.coefficients.items())
             ],
         }
 
@@ -214,10 +152,10 @@ def cech_class_p1(params: TCParameters) -> CechClassP1:
     """Expand -Z^(ud)/(X^bq Y^bq) as a projective-line class.
 
     Z^(ud) = (-1)^u (X^d + Y^d)^u on the curve, so the stored terms are
-    C(u, v) X^(vd - bq) Y^((u-v)d - bq); terms with a nonnegative exponent
-    vanish in H^1 and are discarded.  The expansion is computed for any
-    parameters; whether it proves anything is decided by the precondition
-    flags in tc_counterexample.
+    C(u, v) X^(vd - bq) Y^((u-v)d - bq), each of degree ud - 2bq; terms
+    with a nonnegative exponent vanish in H^1 and are discarded.  The
+    expansion is computed for any parameters; whether it proves anything
+    is decided by the precondition flags of the report.
     """
     p, u, d, bq = params.p, params.u, params.d, params.bq
     coeffs = {}
@@ -228,68 +166,83 @@ def cech_class_p1(params: TCParameters) -> CechClassP1:
             c = binom_uint(u, v, p)
             if c:
                 coeffs[(i, j)] = c
-    degree = u * d - 2 * bq
-    for (i, j) in coeffs:
-        if i + j != degree:
-            raise InternalCheckError("surviving term degree bookkeeping mismatch")
     sign = 1 if (u + 1) % 2 == 0 else -1
-    return CechClassP1(degree=degree, coefficients=coeffs, global_sign=sign)
+    return CechClassP1(degree=u * d - 2 * bq, coefficients=coeffs, global_sign=sign)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TCReport:
-    """Outcome of the tight-closure counterexample pipeline."""
+    """Outcome of the tight-closure counterexample pipeline: the parameters
+    and the projective-line class; flags and verdict are derived.
+
+    "certified" requires every precondition flag and a nonzero class.  A
+    nonzero class with failing flags is reported but stays inconclusive
+    (the argument chain is the contract)."""
 
     params: TCParameters
-    formula: FormulaStar
-    preconditions: dict
-    curve_class: CechClassCurve
     p1_class: CechClassP1
-    verdict: str  # "certified" | "inconclusive"
-    failing_preconditions: list = dc_field(default_factory=list)
+
+    @property
+    def preconditions(self) -> dict:
+        return self.params.precondition_flags()
+
+    @property
+    def failing_preconditions(self) -> list:
+        return self._failing(self.preconditions)
+
+    @property
+    def verdict(self) -> str:
+        return "inconclusive" if self.failing_preconditions else "certified"
+
+    def _failing(self, flags: dict) -> list:
+        failing = sorted(name for name, ok in flags.items() if not ok)
+        return failing or (["class_is_zero"] if self.p1_class.is_zero() else [])
 
     def to_json_dict(self) -> dict:
         pr = self.params
+        a, bq, k = pr.a, pr.bq, pr.k
+        aq = a * pr.q
+        flags = pr.precondition_flags()
+        failing = self._failing(flags)
         out = {
             "schema": SCHEMA_VERSION,
             "p": pr.p,
             "b": pr.b,
             "e": pr.e,
-            "a": pr.a,
+            "a": a,
             "d": pr.d,
             "q": pr.q,
             "u": pr.u,
-            "k": pr.k,
+            "k": k,
             "m": pr.m,
-            "statement": f"(XYZ)^{pr.b} not in (X^{pr.a},Y^{pr.a},Z^{pr.a})^* "
+            "statement": f"(XYZ)^{pr.b} not in (X^{a},Y^{a},Z^{a})^* "
             f"in F_{pr.p}[X,Y,Z]/(X^{pr.d}+Y^{pr.d}+Z^{pr.d})",
-            "expected_formula": self.formula.to_json_dict(),
-            "preconditions": self.preconditions,
-            "failing_preconditions": self.failing_preconditions,
-            "curve_class": self.curve_class.to_json_dict(),
+            # the ideal itself plus everything of degree >= 3a/2
+            "expected_formula": {
+                "ideal": [f"X^{a}", f"Y^{a}", f"Z^{a}"],
+                "threshold": format_fraction(Fraction(3 * a, 2)),
+            },
+            "preconditions": flags,
+            "failing_preconditions": failing,
+            # the syzygy-valued class (f/X^aq, -f/Y^aq, 0) of f = (XYZ)^(bq) maps
+            # to -f Z^k / (X^aq Y^aq) in H^1(C, O_C(m + k - 2aq)), which is
+            # -Z^(bq+k) / (X^bq Y^bq) after cancelling X^bq Y^bq
+            "curve_class": {
+                "monomial": [bq, bq, bq],
+                "syzygy_class_denominators": [aq, aq],
+                "image_numerator": [bq, bq, bq + k],
+                "image_twist": pr.m + k - 2 * aq,
+                "reduced_numerator": [0, 0, bq + k],
+                "reduced_denominator": [bq, bq],
+            },
             "assumed_implication": ASSUMED_IMPLICATION,
-            "verdict": self.verdict,
+            "verdict": "inconclusive" if failing else "certified",
         }
         out.update(self.p1_class.to_json_dict())
         return out
 
 
 def tc_counterexample(p: int, b: int, e: int) -> TCReport:
-    """Run the full chain; "certified" requires every precondition flag and
-    a nonzero projective-line class.  A nonzero class with failing flags is
-    reported but stays inconclusive (the argument chain is the contract)."""
-    params = tc_parameters(p, b, e)
-    flags = params.precondition_flags()
-    failing = sorted(name for name, ok in flags.items() if not ok)
-    curve = cech_class_curve(params)
-    p1 = cech_class_p1(params)
-    certified = not failing and not p1.is_zero()
-    return TCReport(
-        params=params,
-        formula=formula_star(params.a),
-        preconditions=flags,
-        curve_class=curve,
-        p1_class=p1,
-        verdict="certified" if certified else "inconclusive",
-        failing_preconditions=failing if failing else ([] if certified else ["class_is_zero"]),
-    )
+    """Run the full chain at (p, b, e); see ``TCReport`` for the verdict."""
+    params = TCParameters(p, b, e)
+    return TCReport(params, cech_class_p1(params))

@@ -1,7 +1,11 @@
+import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +165,23 @@ def test_verify_malformed_json_exit_1(tmp_path, capsys):
         assert err.startswith(message) and err.count("\n") == 1
 
 
+def test_verify_jsonl_reads_past_a_line_that_is_not_an_object(tmp_path, capsys):
+    _, cert, _ = run_cli(capsys, "certify", "--p", "5", "--a", "2", "--d0", "8")
+    line = json.dumps(json.loads(cert))
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(f"{line}\n[1]\n{line}\n{{not json\n")
+    code, stdout, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert stdout.splitlines() == [
+        f"OK {path}:1",
+        f"OK {path}:3",
+        "2 malformed line(s); 0 of 2 certificate(s) failed",
+    ]
+    assert err.splitlines()[0] == "error: line 2 is not a JSON object"
+    assert err.splitlines()[1].startswith("error: line 4 is not valid JSON: ")
+    assert len(err.splitlines()) == 2
+
+
 def test_verify_missing_file_exit_1(capsys):
     code, _, err = run_cli(capsys, "verify", "/nonexistent/file.json")
     assert code == 1
@@ -190,6 +211,33 @@ def test_tc_cli_inconclusive_exit_2(capsys):
     code, out, _ = run_cli(capsys, "tc", "--p", "2", "--b", "1", "--e", "2")
     assert code == 2
     assert json.loads(out)["verdict"] == "inconclusive"
+
+
+def test_tc_bytes_match_the_benchmark_pins(capsys):
+    # [exit code, sha256(stdout)[:16]] of every tc call the records workload
+    # makes, as pinned in the benchmark's expected outputs (read only)
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "expected.json"
+    results = json.loads(expected.read_text())["records"]["results"]
+    pins = {key: value for key, value in results.items() if key.startswith("tc,")}
+    triples = [(p, b, e) for p in (2, 3, 5, 7, 11) for b in (1, 2, 3) for e in (1, 2, 3)]
+    assert sorted(pins) == sorted(f"tc,{p},{b},{e}" for p, b, e in triples)
+    for p, b, e in triples:
+        code, out, _ = run_cli(capsys, "tc", "--p", str(p), "--b", str(b), "--e", str(e))
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert [code, digest] == pins[f"tc,{p},{b},{e}"], (p, b, e)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    for p, code in (("5", 0), ("2", 2)):
+        argv = ["tc", "--p", p, "--b", "1", "--e", "2"]
+        done = subprocess.run(
+            [sys.executable, "-m", "fermatsyz.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == code, done.stderr
+        assert done.stdout == run_cli(capsys, *argv)[1]
 
 
 @pytest.mark.parametrize("ps", ["0", "4", "3,4", "3215031751"])

@@ -63,6 +63,9 @@ def test_records_hold_only_what_defines_them():
         "p", "a", "d", "e", "twist", "section",
     ]
     assert [f.name for f in dataclasses.fields(ParameterChoice)] == ["p", "a", "d0", "e", "d"]
+    cert = certify_destabilization(5, 2, 11)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.twist = 60  # in the window, but the section was built for twist 55
 
 
 def test_parameter_choice_rejects_d_outside_the_window():
@@ -94,7 +97,7 @@ def test_find_parameters_rejects_bad_input():
 
 def test_entry_points_reject_p_beyond_proven_primality_range():
     # 3215031751 = 151 * 751 * 28351 passes the Miller-Rabin witnesses 2..7
-    from fermatsyz.tightclosure import tc_parameters
+    from fermatsyz.tightclosure import TCParameters
 
     p = 3215031751
     for call in (
@@ -102,7 +105,7 @@ def test_entry_points_reject_p_beyond_proven_primality_range():
         lambda: certify_destabilization(p, 3, 5),
         lambda: search_destabilization(p, 5, 3, 1),
         lambda: deviation_lower_bound(p, 3, 1),
-        lambda: tc_parameters(p, 1, 1),
+        lambda: TCParameters(p, 1, 1),
     ):
         with pytest.raises(NotPrimeError):
             call()

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,25 +8,25 @@ from fermatsyz.field import PrimeField
 from fermatsyz.poly import GradedPoly
 from fermatsyz.ring import FermatRing
 from fermatsyz.tightclosure import (
-    cech_class_curve,
+    CechClassP1,
+    TCParameters,
+    TCReport,
     cech_class_p1,
-    formula_star,
     ideal_membership,
     tc_counterexample,
-    tc_parameters,
 )
 
 F5 = PrimeField(5)
 
 
 def test_formula_star():
-    fs = formula_star(2)
-    assert fs.generators == ("X^2", "Y^2", "Z^2")
-    assert fs.threshold == Fraction(3)
-    assert formula_star(1).threshold == Fraction(3, 2)
-    # (XYZ)^b sits exactly at the critical degree for a = 2b
+    formula = tc_counterexample(5, 1, 2).to_json_dict()["expected_formula"]
+    assert formula["ideal"] == ["X^2", "Y^2", "Z^2"]
+    assert Fraction(formula["threshold"]) == Fraction(3)
+    # (XYZ)^b sits exactly at the critical degree 3a/2 for a = 2b
     b = 3
-    assert Fraction(3 * b) == formula_star(2 * b).threshold
+    formula = tc_counterexample(7, b, 2).to_json_dict()["expected_formula"]
+    assert Fraction(3 * b) == Fraction(formula["threshold"])
 
 
 def test_ideal_membership_generator_multiple():
@@ -90,8 +91,23 @@ def in_span(rows, vector, p):
     return m.rank() == aug.rank()
 
 
+def test_tc_records_hold_only_what_defines_them():
+    assert [f.name for f in dataclasses.fields(TCParameters)] == ["p", "b", "e"]
+    assert [f.name for f in dataclasses.fields(TCReport)] == ["params", "p1_class"]
+    assert [f.name for f in dataclasses.fields(CechClassP1)] == [
+        "degree", "coefficients", "global_sign",
+    ]
+    report = tc_counterexample(5, 1, 2)
+    for record, name in ((report.params, "e"), (report, "params"), (report.p1_class, "degree")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 3)
+    # the checks run again on a changed copy
+    with pytest.raises(InapplicableError):
+        dataclasses.replace(report.params, e=0)
+
+
 def test_tc_parameters_derivations():
-    params = tc_parameters(5, 1, 2)
+    params = TCParameters(5, 1, 2)
     assert (params.a, params.q, params.d, params.k, params.u, params.m) == (
         2,
         25,
@@ -100,7 +116,7 @@ def test_tc_parameters_derivations():
         3,
         75,
     )
-    assert params.r == params.s == params.t == 25
+    assert params.bq == 25
     flags = params.precondition_flags()
     assert flags == {
         "ud_ge_bq_plus_p": True,
@@ -111,26 +127,26 @@ def test_tc_parameters_derivations():
 
 def test_tc_parameters_validation():
     with pytest.raises(NotPrimeError):
-        tc_parameters(4, 1, 2)
+        TCParameters(4, 1, 2)
     with pytest.raises(InapplicableError):
-        tc_parameters(5, 0, 2)
+        TCParameters(5, 0, 2)
     with pytest.raises(InapplicableError):
-        tc_parameters(5, 1, 0)
+        TCParameters(5, 1, 0)
 
 
 def test_cech_class_curve_bookkeeping():
-    params = tc_parameters(5, 1, 2)
-    cls = cech_class_curve(params)
-    assert cls.numerator == (25, 25, 25)
-    assert cls.image_numerator == (25, 25, 30)
+    params = TCParameters(5, 1, 2)
+    cls = TCReport(params, cech_class_p1(params)).to_json_dict()["curve_class"]
+    assert cls["monomial"] == [25, 25, 25]
+    assert cls["image_numerator"] == [25, 25, 30]
     # reduced form -Z^30 / (X^25 Y^25), living in H^1(C, O_C(k - bq))
-    assert cls.reduced_numerator == (0, 0, 30)
-    assert cls.reduced_denominator == (25, 25)
-    assert cls.image_twist == params.k - params.bq == -20
+    assert cls["reduced_numerator"] == [0, 0, 30]
+    assert cls["reduced_denominator"] == [25, 25]
+    assert cls["image_twist"] == params.k - params.bq == -20
 
 
 def test_cech_class_p1_paper_instance():
-    params = tc_parameters(5, 1, 2)
+    params = TCParameters(5, 1, 2)
     cls = cech_class_p1(params)
     assert cls.degree == 3 * 11 - 50 == -17
     # second summand u * X^((u-1)d - bq) Y^(d - bq) = 3 * X^-3 Y^-14 survives
@@ -142,7 +158,7 @@ def test_cech_class_p1_paper_instance():
 
 
 def test_cech_class_p1_extreme_terms_vanish():
-    params = tc_parameters(5, 1, 2)
+    params = TCParameters(5, 1, 2)
     cls = cech_class_p1(params)
     # X^(ud - bq) Y^-bq has X-exponent 8 >= 0: discarded
     assert all(i <= -1 and j <= -1 for (i, j) in cls.coefficients)
@@ -150,7 +166,7 @@ def test_cech_class_p1_extreme_terms_vanish():
 
 
 def test_cech_class_p1_p7():
-    params = tc_parameters(7, 1, 2)
+    params = TCParameters(7, 1, 2)
     assert (params.d, params.q, params.u) == (15, 49, 4)
     assert (params.u - 1) * params.d == 45 < 49
     cls = cech_class_p1(params)
@@ -215,13 +231,26 @@ def test_tc_never_certifies_with_failing_flags():
                     assert not report.p1_class.is_zero()
                 else:
                     assert report.failing_preconditions
+                # the curve class lives in H^1(C, O_C(m + k - 2aq)), m + k - 2aq = k - bq,
+                # and cancelling X^bq Y^bq leaves -Z^(bq+k)
+                params, data = report.params, report.to_json_dict()
+                curve = data["curve_class"]
+                assert curve["image_twist"] == params.k - params.bq
+                x, y, z = curve["monomial"]
+                assert curve["reduced_numerator"] == [
+                    x - params.bq, y - params.bq, z + params.k
+                ] == [0, 0, params.bq + params.k]
+                # every surviving projective-line term has degree ud - 2bq
+                degree = params.u * params.d - 2 * params.bq
+                assert data["class_degree"] == report.p1_class.degree == degree
+                assert all(i + j == degree for (i, j) in report.p1_class.coefficients)
 
 
 def test_tc_second_summand_coefficient_is_u():
     # whenever both exponents of the second summand are negative its
     # coefficient is exactly u mod p
     for p, b, e in ((5, 1, 2), (7, 1, 2), (11, 1, 2), (5, 2, 2), (13, 3, 2)):
-        params = tc_parameters(p, b, e)
+        params = TCParameters(p, b, e)
         cls = cech_class_p1(params)
         i = (params.u - 1) * params.d - params.bq
         j = params.d - params.bq
