@@ -7,18 +7,21 @@ rewrite is applied in closed form per monomial,
 
     X^i = X^(i mod d) * (X^d)^t  ==  (-1)^t * X^(i mod d) * (Y^d + Z^d)^t,
 
-with the binomial expansion of (Y^d + Z^d)^t taken mod p via Lucas.
+with the binomial expansion of (Y^d + Z^d)^t taken mod p by Lucas'
+theorem: ``lucas_terms`` lists only the v with C(t, v) != 0 mod p, the
+product of (r + 1) over the base-p digits r of t (``lucas_count``), so at
+a Frobenius exponent t = p^e the rewrite has two terms, not t + 1.
+``FermatRing.check_syzygies`` expands X^i from the same ``lucas_terms``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
 from typing import Iterable, NamedTuple
 
 from .errors import ExponentOverflowError
+# binom_uint is not called here; perfbench/probes.py wraps poly.binom_uint
 from .field import PrimeField, binom_uint
 
 # Exponents are kept strictly below 2^62 so sums of two of them, and the
@@ -262,39 +265,34 @@ def frobenius_power(f: GradedPoly, e: int) -> GradedPoly:
     return GradedPoly(f.field, degree, terms)
 
 
-# reduce_monomial keeps no row longer than this: a row holds t + 1 entries,
-# and a certificate read from a file can carry an astronomically large t;
-# above it only the Lucas-nonzero binomials are enumerated
-ROW_LIMIT = 1024
-
-
-@lru_cache(maxsize=256)
-def binom_row(t: int, p: int) -> tuple:
-    """(C(t, 0), ..., C(t, t)) mod p: the coefficients of (Y^d + Z^d)^t."""
-    return tuple(binom_uint(t, v, p) for v in range(t + 1))
+def lucas_count(t: int, p: int) -> int:
+    """len(lucas_terms(t, p)): the product of (r + 1) over the base-p digits r of t."""
+    count = 1
+    while t:
+        t, r = divmod(t, p)
+        count *= r + 1
+    return count
 
 
 def lucas_terms(t: int, p: int) -> Iterable[tuple]:
     """Yield (v, C(t, v) mod p) for every v with C(t, v) != 0 mod p, v increasing.
 
-    By Lucas' theorem these are the v whose base-p digits are each at most
-    t's, and C(t, v) is the product of the digit binomials, so the work
-    follows the number of terms, not t.
+    Lucas' theorem as a recursion on t = p t' + r: (1 + x)^t = (1 + x^p)^t'
+    (1 + x)^r mod p, so v = p v' + k over the terms v' of t' and k <= r, with
+    C(t, v) = C(t', v') C(r, k).  The work follows the number of terms,
+    ``lucas_count(t, p)``, not t, and no list of them is kept; a t below
+    2^62 recurses at most 62 deep.
     """
-    digits = []  # per base-p digit of t, least significant first: (v part, C) pairs
-    place = 1
-    while t:
-        t, r = divmod(t, p)
-        row = [1]
-        for k in range(r):  # C(r, k + 1) = C(r, k) (r - k) / (k + 1), k + 1 < p
-            row.append(row[-1] * (r - k) * pow(k + 1, -1, p) % p)
-        digits.append([(k * place, c) for k, c in enumerate(row)])
-        place *= p
-    for combo in product(*reversed(digits)):
-        coeff = 1
-        for _v, c in combo:
-            coeff = coeff * c % p
-        yield sum(v for v, _c in combo), coeff
+    if t == 0:
+        yield 0, 1
+        return
+    high, r = divmod(t, p)
+    row = [1]
+    for k in range(r):  # C(r, k + 1) = C(r, k) (r - k) / (k + 1), k + 1 < p
+        row.append(row[-1] * (r - k) * pow(k + 1, -1, p) % p)
+    for v, c in lucas_terms(high, p):
+        for k, b in enumerate(row):
+            yield v * p + k, c * b % p
 
 
 def reduce_monomial(mono: Monomial, coeff: int, d: int, p: int) -> Iterable[tuple]:
@@ -305,8 +303,7 @@ def reduce_monomial(mono: Monomial, coeff: int, d: int, p: int) -> Iterable[tupl
         return
     sign = p - 1 if t % 2 else 1
     base = coeff * sign % p
-    terms = enumerate(binom_row(t, p)) if t <= ROW_LIMIT else lucas_terms(t, p)
-    for v, b in terms:
+    for v, b in lucas_terms(t, p):
         c = base * b % p
         if c:
             yield Monomial(i2, mono.j + v * d, mono.l + (t - v) * d), c

@@ -19,7 +19,7 @@ from .poly import (
     FermatRelation,
     GradedPoly,
     Monomial,
-    binom_row,
+    lucas_terms,
     monomial_text,
     normal_form,
     reduce_monomial,
@@ -163,15 +163,18 @@ class FermatRing:
         X-exponent i + a1 = i' + t d is rewritten as in
         ``poly.reduce_monomial``,
 
-            (-1)^t sum_v C(t, v) X^i' Y^(j + v d) Z^(l + (t - v) d).
+            (-1)^t sum_v C(t, v) X^i' Y^(j + v d) Z^(l + (t - v) d),
 
+        summed over the v of ``poly.lucas_terms(t, p)`` only, the v with
+        C(t, v) != 0 mod p; one table of them serves every s1 entry of its t.
         Each contribution is reduced mod p, and a coordinate of R_n gets at
-        most t + 3 of them, so no int64 sum passes (t + 3) p.
+        most one per expansion term, so no int64 sum passes p times their
+        count.
 
         The check shares no code with the kernel's construction in
         ``bundle`` (``_classes``, ``_band``, ``_binom_row``,
         ``_block_kernel``, ``_block_entry``): its binomials come from
-        ``poly.binom_row``, its monomials from ``_basis_exponents``, and it
+        ``poly.lucas_terms``, its monomials from ``_basis_exponents``, and it
         multiplies term by term instead of by the blocks' outer products.
         """
         p = self.p
@@ -204,15 +207,14 @@ class FermatRing:
             i, j = self._basis_exponents(pos, m)
             if var == 0:
                 t, i2 = np.divmod(i + a, d)
-                k = np.repeat(np.arange(len(t)), t + 1)  # term -> its s1 entry
-                v = np.arange(len(k)) - (np.cumsum(t + 1) - (t + 1))[k]
-                t, r, c = t[k], r[k], c[k]
-                b = np.zeros(len(k), dtype=np.int64)
-                for tt in np.unique(t).tolist():
-                    at = t == tt
-                    b[at] = np.array(binom_row(tt, p), dtype=np.int64)[v[at]]
-                c = c * b % p
-                c = np.where(t % 2 == 1, (p - c) % p, c)
+                k, v, b = np.zeros((3, 0), dtype=np.int64)
+                for tt in np.unique(t).tolist():  # one Lucas table per distinct t
+                    at = np.flatnonzero(t == tt)
+                    vt, bt = np.array(list(lucas_terms(tt, p)), dtype=np.int64).T
+                    k = np.concatenate([k, np.repeat(at, len(vt))])  # term -> its entry
+                    v = np.concatenate([v, np.tile(vt, len(at))])
+                    b = np.concatenate([b, np.tile(p - bt if tt % 2 else bt, len(at))])  # (-1)^t
+                r, c = r[k], c[k] * b % p
                 pos = basis_pos(i2[k], j[k] + v * d, n)
             else:
                 pos = basis_pos(i, j + a if var == 1 else j, n)

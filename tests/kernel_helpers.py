@@ -1,9 +1,15 @@
 """Test-side conversions between sparse kernel triples and dense matrices,
-and the dense reference elimination of a section space."""
+the dense reference elimination of a section space, a certificate whose
+normal form is too large to expand, and a deadline for checks that must
+answer at once."""
+
+import signal
+from fractions import Fraction
 
 import numpy as np
 
 from fermatsyz.bundle import SectionVector, syzygy_matrix
+from fermatsyz.stability import format_fraction
 
 
 def to_dense(spec, n, kernel):
@@ -79,3 +85,33 @@ def reference_block_entry(p, t, A, B, N, rows_cache):
     local = np.hstack([K, w[:, g2:], w[:, :g3]])
     r, c = np.nonzero(local)
     return np.argmax(K != 0, axis=1), r, parts[c], exps[c], local[r, c]
+
+
+def within(seconds: int, call, *args):
+    """call(*args), interrupted by TimeoutError after ``seconds``: a check that
+    must answer at once then fails its test instead of hanging it."""
+
+    def hang(*_):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        return call(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def crafted_certificate(e: int) -> dict:
+    """p = 2, a = 1, d = 3, twist 2^e + 1, section (X, Y, Z): every cross-check
+    before the normal form holds, and X^(2^e + 1) rewrites with
+    t = (2^e + 1) / 3, whose binary ones number (e + 1) / 2 for odd e."""
+    q = 2**e
+    degree = (2 - q) * 3
+    return {
+        "schema": 1, "p": 2, "a": 1, "d": 3, "e": e, "q": q, "k": 1, "twist": q + 1,
+        "degree": degree, "slope_sub": 0, "slope_quotient": degree,
+        "normalized_gap": format_fraction(Fraction(-degree, q)), "smooth": True,
+        "section": ["1*X^1*Y^0*Z^0", "1*X^0*Y^1*Z^0", "1*X^0*Y^0*Z^1"],
+    }

@@ -12,6 +12,7 @@ import pytest
 from fermatsyz import bundle, cli
 from fermatsyz.cli import _parse_int_list, main
 from fermatsyz.errors import ExponentOverflowError, FermatSyzError
+from kernel_helpers import crafted_certificate, within
 
 
 def run_cli(capsys, *argv):
@@ -364,6 +365,34 @@ def test_verify_jsonl_reports_every_failing_line(tmp_path, capsys):
     assert "2^62" in fails[0] and fails[1].endswith("aq = 1*4611686018427387904 is not below 2^62")
     assert stdout.count("\nOK ") + stdout.startswith("OK ") == len(certs) - 4
     assert stdout.endswith(f"4 of {len(certs)} certificate(s) failed\n")
+
+
+def test_verify_refuses_a_section_past_the_term_budget_and_reads_on(tmp_path, capsys):
+    # p = 2, a = 1, d = 3, e = 61, section (X, Y, Z): its normal form would
+    # expand X^(2^61 + 1) into 2^31 terms; verify refuses it at once, alone
+    # and as one line of a file whose other lines are still checked
+    crafted = crafted_certificate(61)
+    reason = "section expands into 2,147,483,650 normal-form terms, above the budget of 1,048,576"
+    single = tmp_path / "crafted.json"
+    single.write_text(json.dumps(crafted))
+    started = time.perf_counter()
+    code, stdout, _ = within(2, run_cli, capsys, "verify", str(single))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and stdout == f"FAIL {single}: {reason}\n"
+    _, good, _ = run_cli(capsys, "certify", "--p", "5", "--a", "2", "--d0", "8")
+    good = json.dumps(json.loads(good))
+    lines = tmp_path / "mixed.jsonl"
+    lines.write_text(f"{good}\n{json.dumps(crafted)}\n{good}\n")
+    started = time.perf_counter()
+    code, stdout, err = within(2, run_cli, capsys, "verify", str(lines))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and err == ""
+    assert stdout.splitlines() == [
+        f"OK {lines}:1",
+        f"FAIL {lines}:2: {reason}",
+        f"OK {lines}:3",
+        "1 of 3 certificate(s) failed",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,10 @@ from fermatsyz.errors import ExponentOverflowError
 from fermatsyz.field import PrimeField, binom_uint
 from fermatsyz.poly import (
     EXP_LIMIT,
-    ROW_LIMIT,
     FermatRelation,
     GradedPoly,
     frobenius_power,
+    lucas_count,
     lucas_terms,
     Monomial,
     make_monomial,
@@ -111,10 +111,10 @@ def test_normal_form_frobenius_power_vanishes():
 
 
 def test_reduce_monomial_on_both_sides_of_the_row_limit():
-    # up to ROW_LIMIT the binomials come from one cached row per (t, p),
-    # above it term by term; both give (-1)^t C(t, v) per term
+    # an even and an odd t: each term is (-1)^t C(t, v), every v with
+    # C(t, v) != 0 mod p present
     for p in (5, 7):
-        for t in (ROW_LIMIT, ROW_LIMIT + 1):
+        for t in (1024, 1025):
             sign = (-1) ** t
             expected = {
                 Monomial(2, 1 + 3 * v, 3 * (t - v)): sign * 2 * math.comb(t, v) % p
@@ -126,9 +126,9 @@ def test_reduce_monomial_on_both_sides_of_the_row_limit():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_lucas_terms_match_every_binomial_above_the_row_limit(p):
-    # above ROW_LIMIT reduce_monomial enumerates only the v whose base-p
-    # digits lie under t's; every other C(t, v) is 0 mod p
-    for t in [ROW_LIMIT + 1, ROW_LIMIT + 2, ROW_LIMIT + 7, 2000, 2186, 3125, 4095, 4096]:
+    # reduce_monomial enumerates only the v whose base-p digits lie under
+    # t's; every other C(t, v) is 0 mod p
+    for t in [1025, 1026, 1031, 2000, 2186, 3125, 4095, 4096]:
         binoms = [binom_uint(t, v, p) for v in range(t + 1)]
         expected = [(v, b) for v, b in enumerate(binoms) if b]
         assert list(lucas_terms(t, p)) == expected, (p, t)
@@ -136,6 +136,14 @@ def test_lucas_terms_match_every_binomial_above_the_row_limit(p):
         assert dict(reduce_monomial(Monomial(2 + 3 * t, 1, 0), 1, 3, p)) == {
             Monomial(2, 1 + 3 * v, 3 * (t - v)): sign * b % p for v, b in expected
         }, (p, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(min_value=0, max_value=5000))
+def test_lucas_terms_are_the_nonzero_binomials(p, t):
+    expected = [(v, b) for v in range(t + 1) if (b := binom_uint(t, v, p))]
+    assert list(lucas_terms(t, p)) == expected
+    assert lucas_count(t, p) == len(expected)
 
 
 def test_normal_form_single_step():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -144,3 +145,19 @@ def test_coords_rejects_a_monomial_outside_the_basis():
         FermatRing(5, 4).coords(GradedPoly.monomial(F5, 1, (4, 0, 0)))
     # on the plane every monomial is one
     assert FermatRing(5, 0).coords(GradedPoly.monomial(F5, 1, (4, 0, 0)))[-1] == 1
+
+
+def test_check_syzygies_expands_only_the_lucas_terms():
+    # (X, Y, Z) is a syzygy of (X^a, Y^a, Z^a) on the cubic over F_2 when
+    # a + 1 = 3 * 2^22: X^(a + 1) = (Y^3 + Z^3)^(2^22) = Y^(a + 1) + Z^(a + 1),
+    # since of the 2^22 + 1 binomials C(2^22, v) only the outer two are odd
+    a = 3 * 2**22 - 1
+    ring, n = FermatRing(2, 3), a + 1
+    z, y, x = (basis_pos(i, j, 1) for i, j in ((0, 0), (0, 1), (1, 0)))
+    width = ring.hilbert(1)
+    started = time.perf_counter()
+    ring.check_syzygies((1, [0, 0, 0], [x, width + y, 2 * width + z], [1, 1, 1]), n, (a, a, a))
+    assert time.perf_counter() - started < 0.5
+    # s3 = Y instead of Z leaves Y Z^a + Z^(a + 1) over
+    with pytest.raises(ValueError, match="syzygy relation"):
+        ring.check_syzygies((1, [0, 0, 0], [x, width + y, 2 * width + y], [1, 1, 1]), n, (a, a, a))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fermatsyz import stability
 from fermatsyz.bundle import SectionVector, SyzygySpec, section_space
 from fermatsyz.errors import (
     ExponentOverflowError,
@@ -30,7 +31,7 @@ from fermatsyz.stability import (
     search_destabilization,
     verify_certificate,
 )
-from kernel_helpers import dense_kernel, dense_section, to_dense
+from kernel_helpers import crafted_certificate, dense_kernel, dense_section, to_dense, within
 
 
 def test_find_parameters_paper_instance():
@@ -373,6 +374,36 @@ def test_verify_answers_on_a_huge_q_certificate():
     assert failures == [
         "syzygy relation fails under normal form: components do not satisfy the syzygy relation"
     ]
+
+
+def test_verify_refuses_a_section_past_the_term_budget():
+    # e = 61: X^(2^61 + 1) would expand into 2^31 terms; the count comes
+    # from the digits of t and nothing is expanded
+    started = time.perf_counter()
+    failures = within(2, verify_certificate, crafted_certificate(61))
+    assert time.perf_counter() - started < 1.0
+    assert failures == [
+        "section expands into 2,147,483,650 normal-form terms, above the budget of 1,048,576"
+    ]
+
+
+def test_term_budget_counts_every_product_term(monkeypatch):
+    # (X^k, Y^k, Z^k) at p = 5, d = 11, aq = 50, k = 5: X^55 = X^0 (X^11)^5,
+    # and C(5, v) is nonzero mod 5 at v = 0 and 5 only, so 2 + 1 + 1 terms;
+    # the budget passes a section that needs exactly it
+    cert = certify_destabilization(5, 2, 11).to_json_dict()
+    monkeypatch.setattr(stability, "TERM_BUDGET", 4)
+    assert verify_certificate(cert) == []
+    monkeypatch.setattr(stability, "TERM_BUDGET", 3)
+    assert verify_certificate(cert) == [
+        "section expands into 4 normal-form terms, above the budget of 3"
+    ]
+    # the package's deep certificates fit: (7, 11, 3, 4) needs 4,410
+    deep = search_destabilization(7, 11, 3, 4).to_json_dict()
+    monkeypatch.setattr(stability, "TERM_BUDGET", 4410)
+    assert verify_certificate(deep) == []
+    monkeypatch.setattr(stability, "TERM_BUDGET", 4409)
+    assert verify_certificate(deep)[0].startswith("section expands into 4,410 ")
 
 
 def test_verify_rejects_tampered_degree():
