@@ -309,6 +309,12 @@ def reduce_monomial(mono: Monomial, coeff: int, d: int, p: int) -> Iterable[tupl
             yield Monomial(i2, mono.j + v * d, mono.l + (t - v) * d), c
 
 
+def expansion_terms(f: GradedPoly, rel: FermatRelation) -> int:
+    """How many terms ``normal_form(f, rel)`` adds up, counted without expanding
+    any: ``reduce_monomial`` yields ``lucas_count(i // d, p)`` per monomial."""
+    return sum(lucas_count(m.i // rel.d, f.field.p) for m in f.terms)
+
+
 def normal_form(f: GradedPoly, rel: FermatRelation) -> GradedPoly:
     """Canonical representative of f mod (X^d + Y^d + Z^d): X-exponents < d."""
     if f.field != rel.field:

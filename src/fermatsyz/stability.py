@@ -53,7 +53,7 @@ from .errors import (
     SmoothnessError,
 )
 from .field import MAX_PRIME, PrimeField, check_prime, is_prime
-from .poly import EXP_LIMIT, GradedPoly, lucas_count, parse_poly, scaled_power
+from .poly import EXP_LIMIT, GradedPoly, expansion_terms, parse_poly, scaled_power
 
 SCHEMA_VERSION = 1
 
@@ -347,9 +347,11 @@ def deviation_lower_bound(p: int, a: int, e: int):
 _INT_FIELDS = ("p", "a", "d", "e", "q", "k", "twist", "degree", "slope_sub", "slope_quotient")
 
 # The most normal-form terms ``verify_certificate`` expands for one section:
-# 4.5 times the 233,766 of the (13, 16, 3, 4) certificate, and about 5 s and
-# 330 MB for a section whose terms never cancel (2-core x86 VM, numpy backend).
-TERM_BUDGET = 2**20
+# 1.35 times the 3,107,720 of the (13, 23, 1, 5) certificate, the deepest the
+# band guard lets the search build, which verifies in 8 s and 32 MB max RSS
+# because its terms meet and cancel as they are added.  A section whose terms
+# never meet takes 27 s and 1.2 GB at the budget (2-core x86 VM).
+TERM_BUDGET = 2**22
 
 
 def verify_certificate(data: dict) -> list:
@@ -428,14 +430,14 @@ def verify_certificate(data: dict) -> list:
         return failures + [f"section component malformed: {exc}"]
     if all(s.is_zero() for s in polys):
         return failures + ["section is zero"]
-    # normal_form rewrites each X^i of s1 X^aq, s2 Y^aq and s3 Z^aq into
-    # lucas_count(i // d, p) terms; count them all before expanding any
-    terms = sum(lucas_count((m.i + x) // d, p) for x, s in zip((aq, 0, 0), polys) for m in s.terms)
-    if terms > TERM_BUDGET:
-        return failures + [
-            f"section expands into {terms:,} normal-form terms, above the budget of {TERM_BUDGET:,}"
-        ]
+    shifts = (GradedPoly.monomial(field, 1, x) for x in ((aq, 0, 0), (0, aq, 0), (0, 0, aq)))
     try:
+        # the terms normal_form expands s1 X^aq, s2 Y^aq and s3 Z^aq into
+        terms = sum(expansion_terms(s * x, spec.ring.relation) for s, x in zip(polys, shifts))
+        if terms > TERM_BUDGET:
+            return failures + [
+                f"section expands into {terms:,} normal-form terms, above the budget of {TERM_BUDGET:,}"
+            ]
         SectionVector(spec, twist, tuple(polys))
     except (ValueError, ExponentOverflowError) as exc:
         failures.append(f"syzygy relation fails under normal form: {exc}")

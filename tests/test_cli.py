@@ -372,7 +372,7 @@ def test_verify_refuses_a_section_past_the_term_budget_and_reads_on(tmp_path, ca
     # expand X^(2^61 + 1) into 2^31 terms; verify refuses it at once, alone
     # and as one line of a file whose other lines are still checked
     crafted = crafted_certificate(61)
-    reason = "section expands into 2,147,483,650 normal-form terms, above the budget of 1,048,576"
+    reason = "section expands into 2,147,483,650 normal-form terms, above the budget of 4,194,304"
     single = tmp_path / "crafted.json"
     single.write_text(json.dumps(crafted))
     started = time.perf_counter()

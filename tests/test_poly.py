@@ -9,6 +9,7 @@ from fermatsyz.poly import (
     EXP_LIMIT,
     FermatRelation,
     GradedPoly,
+    expansion_terms,
     frobenius_power,
     lucas_count,
     lucas_terms,
@@ -144,6 +145,18 @@ def test_lucas_terms_are_the_nonzero_binomials(p, t):
     expected = [(v, b) for v in range(t + 1) if (b := binom_uint(t, v, p))]
     assert list(lucas_terms(t, p)) == expected
     assert lucas_count(t, p) == len(expected)
+
+
+def test_expansion_terms_counts_what_normal_form_adds_up():
+    # X^20 Y + X^3 Z^18 + Z^21 mod X^3 + Y^3 + Z^3 over F_2: t = 6 (110 in
+    # binary) and t = 1 give 4 and 2 terms, Z^21 stays, and the Z^21 of
+    # X^3 Z^18 = Y^3 Z^18 + Z^21 cancels it in the normal form
+    f = poly(F2, (1, (20, 1, 0)), (1, (3, 0, 18)), (1, (0, 0, 21)))
+    rel = FermatRelation(3, F2)
+    expanded = [term for m, c in f.terms.items() for term in reduce_monomial(m, c, 3, 2)]
+    assert expansion_terms(f, rel) == len(expanded) == 4 + 2 + 1
+    assert len(normal_form(f, rel).terms) == 7 - 2
+    assert expansion_terms(GradedPoly.zero(F2, 21), rel) == 0
 
 
 def test_normal_form_single_step():

@@ -1,15 +1,17 @@
 import dataclasses
+import gzip
 import hashlib
 import json
 import signal
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fermatsyz import stability
-from fermatsyz.bundle import SectionVector, SyzygySpec, section_space
+from fermatsyz.bundle import SectionVector, SyzygySpec, first_section_twist, section_space
 from fermatsyz.errors import (
     ExponentOverflowError,
     InapplicableError,
@@ -18,7 +20,14 @@ from fermatsyz.errors import (
     SmoothnessError,
 )
 from fermatsyz.field import PrimeField
-from fermatsyz.poly import Monomial, parse_poly, reduce_monomial
+from fermatsyz.poly import (
+    GradedPoly,
+    Monomial,
+    expansion_terms,
+    lucas_count,
+    parse_poly,
+    reduce_monomial,
+)
 from fermatsyz.stability import (
     DestabCertificate,
     ParameterChoice,
@@ -383,7 +392,7 @@ def test_verify_refuses_a_section_past_the_term_budget():
     failures = within(2, verify_certificate, crafted_certificate(61))
     assert time.perf_counter() - started < 1.0
     assert failures == [
-        "section expands into 2,147,483,650 normal-form terms, above the budget of 1,048,576"
+        "section expands into 2,147,483,650 normal-form terms, above the budget of 4,194,304"
     ]
 
 
@@ -404,6 +413,36 @@ def test_term_budget_counts_every_product_term(monkeypatch):
     assert verify_certificate(deep) == []
     monkeypatch.setattr(stability, "TERM_BUDGET", 4409)
     assert verify_certificate(deep)[0].startswith("section expands into 4,410 ")
+
+
+def test_term_budget_admits_the_deep_certificate(monkeypatch):
+    # (13, 23, 1, 5), whose certificate block the band guard admits
+    # (test_bundle's test_band_guard_on_deep_certificates); its RREF takes
+    # minutes, so the certificate is read from a file
+    with gzip.open(Path(__file__).parent / "data" / "certificate_13_23_1_5.json.gz") as f:
+        cert = json.load(f)
+    p, d, a, e = 13, 23, 1, 5
+    assert (cert["p"], cert["d"], cert["a"], cert["e"]) == (p, d, a, e)
+    aq = a * p**e
+    spec = SyzygySpec(p, d, (aq, aq, aq))
+    assert first_section_twist(spec, aq + 1, (3 * aq + 1) // 2 - 1) == cert["twist"]
+    field = PrimeField(p)
+    s1, s2, s3 = (parse_poly(text, field) for text in cert["section"])
+    assert (len(s1.terms), len(s2.terms), len(s3.terms)) == (1008, 1540, 1540)
+    # every X^(i + aq) of s1 X^aq rewrites with t = 16,143, base-13 digits
+    # 7, 4, 6, 10, so into 8 * 5 * 7 * 11 terms; s2 Y^aq and s3 Z^aq need none
+    assert {(m.i + aq) // d for m in s1.terms} == {16143}
+    assert lucas_count(16143, p) == 8 * 5 * 7 * 11
+    shifts = [GradedPoly.monomial(field, 1, x) for x in ((aq, 0, 0), (0, aq, 0), (0, 0, aq))]
+    terms = sum(expansion_terms(s * x, spec.ring.relation) for s, x in zip((s1, s2, s3), shifts))
+    assert terms == 1008 * 3080 + 2 * 1540 == 3_107_720
+    assert terms <= stability.TERM_BUDGET
+    # every cross-check and the budget pass, and the section reaches the
+    # normal-form check, which accepts it in about 8 s
+    checked = []
+    monkeypatch.setattr(stability, "SectionVector", lambda *args: checked.append(args))
+    assert verify_certificate(cert) == []
+    assert len(checked) == 1
 
 
 def test_verify_rejects_tampered_degree():
