@@ -38,7 +38,6 @@ from .tightclosure import (
     TCParameters,
     TCReport,
     cech_class_p1,
-    ideal_membership,
     tc_counterexample,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "find_parameters",
     "frobenius_power",
     "hn_data",
-    "ideal_membership",
     "normal_form",
     "search_destabilization",
     "section_space",

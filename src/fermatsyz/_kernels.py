@@ -2,10 +2,10 @@
 
 Every exact elimination in the package (the banded residue blocks of
 ``bundle._block_kernel``, and ``linalg.MatrixModP`` for the dense
-reference that tests compare against and for ideal membership) calls
-``_kernels.rref_mod_p``, looked up on this module at each call.  The RREF
-of a matrix is unique, and the pivot rule -- first nonzero entry in
-column order -- is fixed here.
+reference that tests compare against) calls ``_kernels.rref_mod_p``,
+looked up on this module at each call.  The RREF of a matrix is unique,
+and the pivot rule -- first nonzero entry in column order -- is fixed
+here.
 
 ``BACKEND`` names this implementation; benchmark results record it.
 """

@@ -99,11 +99,13 @@ calls.  A banded block's product with the binomial row is one sparse
 outer product of its kernel's nonzeros, summed per (row, gamma).  Each
 class places the block's nonzeros at its own column offsets, ranking the
 s1 pivots gives the rows their canonical order, and one sort puts the
-triples in (row, column) order.  ``_band`` is a strided window on one
-zero-padded binomial row, so the one band-sized array is the copy that
-``_block_kernel`` eliminates; a block whose band would pass
-``BAND_LIMIT_BYTES`` is refused with ``BlockTooLargeError`` before that
-copy.  ``section_space`` verifies each call's triples with one batch
+triples in (row, column) order.  ``_band_rows`` is the one account of a
+block's band rows: ``_block_entry`` sizes the band from it and refuses a
+block whose band would pass ``BAND_LIMIT_BYTES`` with
+``BlockTooLargeError`` before it builds the block's binomial row of t + 1
+entries.  ``_band`` is a strided window on that row, zero-padded, so the
+one band-sized array is the copy that ``_block_kernel`` eliminates.
+``section_space`` verifies each call's triples with one batch
 check, ``FermatRing.check_syzygies``, which shares no code with the
 kernel's construction (``_classes``, ``_band``, ``_binom_row``,
 ``_block_kernel``, ``_block_entry``): it multiplies every row out term by
@@ -118,7 +120,8 @@ monomial from its basis position in closed form.  The first
 triples, in the bytes ``GradedPoly.to_string`` would write, and each
 ``serialize`` then copies one row's strings.  The public
 ``SectionVector`` constructor checks its vector by ``normal_form``, and
-so does the search for the one section it certifies.
+so does ``first_section``, which unpacks only row 0 of a twist's basis:
+the one section the search certifies.
 
 The plane (d = 0) runs through the same code.  In degrees below d the
 Fermat ring equals F_p[X, Y, Z], so the degree-n syzygies on P^2 are
@@ -361,31 +364,33 @@ def _binom_row(t: int, p: int, cache: dict) -> np.ndarray:
 BAND_LIMIT_BYTES = 2**29  # the largest band _block_kernel copies
 
 
+def _band_rows(t: int, A: int, B: int, N: int) -> tuple:
+    """Rows [g3, g2) of the bad-projection band of the family (t, A, B) at level N.
+
+    They are the target exponents gamma with gamma < A and N + t - gamma < B;
+    the band product goes to s3 below g3 and to s2 from g2 on, and g2 == g3
+    when the band is empty (a free block).
+    """
+    g3 = max(0, N + t + 1 - B)
+    return g3, min(N + t + 1, max(A, g3))
+
+
 def _band(t: int, A: int, B: int, N: int, row: np.ndarray) -> np.ndarray:
     """Bad-projection block of the residue family (t, A, B) at level N.
 
-    Columns are alpha = 0..N, rows the target exponents gamma with
-    gamma < A and N + t - gamma < B; the entry is C(t, gamma - alpha),
-    read from ``row`` = [C(t, v) mod p for v = 0..t].  Raises
-    ``BlockTooLargeError`` for a band of more than ``BAND_LIMIT_BYTES``.
-    The band is a read-only window: row gamma is ext[gamma : gamma + N + 1]
-    reversed, where ext[N + k] = C(t, k) is zero-padded to N + hi + 1
-    entries, the only ones allocated.
+    Columns are alpha = 0..N, rows the target exponents gamma in
+    ``_band_rows``; the entry is C(t, gamma - alpha), read from ``row`` =
+    [C(t, v) mod p for v = 0..t].  The band is a read-only window: row
+    gamma is ext[gamma : gamma + N + 1] reversed, where ext[N + k] = C(t, k)
+    is zero-padded to N + hi entries, the only ones allocated.
     """
-    lo = max(0, N + t - B + 1)
-    hi = min(N + t, A - 1)
-    if lo > hi:
+    lo, hi = _band_rows(t, A, B, N)
+    if lo == hi:
         return np.zeros((0, N + 1), dtype=np.int64)
-    size = (hi - lo + 1) * (N + 1) * 8
-    if size > BAND_LIMIT_BYTES:
-        raise BlockTooLargeError(
-            f"block (t, A, B, N) = {(t, A, B, N)} needs a band of {size:,} bytes, "
-            f"above the limit of {BAND_LIMIT_BYTES:,}"
-        )
-    k = min(t, hi) + 1
-    ext = np.zeros(N + hi + 1, dtype=np.int64)
+    k = min(t + 1, hi)
+    ext = np.zeros(N + hi, dtype=np.int64)
     ext[N : N + k] = row[:k]
-    return sliding_window_view(ext, N + 1)[lo : hi + 1, ::-1]
+    return sliding_window_view(ext, N + 1)[lo:hi, ::-1]
 
 
 def _classes(spec: SyzygySpec, n: int):
@@ -403,8 +408,6 @@ def _classes(spec: SyzygySpec, n: int):
         for j0 in range(min(d, src_deg - i + 1)):
             l0 = (src_deg - i - j0) % d
             rem = src_deg - i - j0 - l0
-            if rem < 0:
-                continue
             A = (a2 - 1 - j0) // d + 1
             B = (a3 - 1 - l0) // d + 1
             yield i, j0, l0, rem // d, t, A, B
@@ -488,19 +491,27 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int, rows_cache: dict):
     (0, 1, 2 for s1, s2, s3), its exponent (alpha for s1, gamma for s2 and
     s3) and its value, in no particular order.  Checks the block's nullity
     against ``_nullity`` and, for a banded block, that its bad-projection
-    vanishes.
+    vanishes.  Raises ``BlockTooLargeError`` for a band of more than
+    ``BAND_LIMIT_BYTES`` before its binomial row or band is built.
     """
     nullity = _nullity(p, t, A, B, N)
     if nullity == 0:
         return None
+    # the band product w goes to s3 below g3, to s2 from g2 on; between
+    # them lies the bad-projection, and a block without one is free.  The
+    # band is sized first: a refused block's t can pass 10^8, and its row
+    # would take minutes and gigabytes
+    g3, g2 = _band_rows(t, A, B, N)
+    size = (g2 - g3) * (N + 1) * 8
+    if size > BAND_LIMIT_BYTES:
+        raise BlockTooLargeError(
+            f"block (t, A, B, N) = {(t, A, B, N)} needs a band of {size:,} bytes, "
+            f"above the limit of {BAND_LIMIT_BYTES:,}"
+        )
     row = _binom_row(t, p, rows_cache)
     v = row.nonzero()[0]
     c = row[v] if t % 2 else p - row[v]  # (-1)^(t + 1) C(t, v), in [1, p)
     top = N + t + 1
-    # the band product w goes to s3 below g3, to s2 from g2 on; between
-    # them lies the bad-projection, and a block without one is free
-    g3 = max(0, top - B)
-    g2 = min(top, max(A, g3))
     if g2 == g3:
         if nullity != N + 1:
             raise InternalCheckError(
@@ -638,6 +649,18 @@ def section_space(spec: SyzygySpec, n: int) -> list:
         view._components = None
         views.append(view)
     return views
+
+
+def first_section(spec: SyzygySpec, n: int) -> SectionVector:
+    """Row 0 of the canonical basis in twist n, checked by the ``SectionVector``
+    constructor; only that row is unpacked.  Raises ``ValueError`` when the
+    twist has no section."""
+    count, rows, cols, values = _structured_kernel(spec, n)
+    if not count:
+        raise ValueError(f"twist {n} has no section")
+    first = rows == 0
+    row = _KernelRows(spec, n, (1, rows[first], cols[first], values[first]))
+    return SectionVector(spec, n, row.components(0))
 
 
 def section_space_dim(spec: SyzygySpec, n: int, method: str = "structured") -> int:

@@ -193,9 +193,11 @@ def cmd_verify(args) -> int:
         return _verify_one(data, args.path)
 
     # JSONL: verify every certificate record and report each failing line;
-    # a line that is not a JSON object is reported and the reading goes on
+    # a line that is not a JSON object is reported and the reading goes on.
+    # Lines end at "\n" only: str.splitlines would also break at U+2028 and
+    # the like, which a JSON string may hold raw
     checked = failed = malformed = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

@@ -1,10 +1,12 @@
 """Dense exact linear algebra over F_p on int64 numpy arrays.
 
-Everything downstream (syzygy kernels, ideal membership, certificate
-re-verification) reduces to reduced row echelon form and the canonical
-kernel basis read off from it.  Elimination is ``_kernels.rref_mod_p``,
-looked up on its module at each call.  Results are exact and
-deterministic -- no tolerances anywhere.
+``kernel_from_rref`` reads a kernel basis off a reduced row echelon form;
+``bundle._block_kernel`` uses it on each banded residue block.
+``MatrixModP`` holds the dense syzygy matrix of the reference path
+(``bundle.syzygy_matrix``), which only tests and
+``section_space_dim(spec, n, "dense")`` eliminate.  Elimination is
+``_kernels.rref_mod_p``, looked up on its module at each call.  Results
+are exact and deterministic -- no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .field import PrimeField
 
 _I64 = np.int64
 
@@ -43,8 +44,6 @@ class MatrixModP:
     __slots__ = ("array", "p")
 
     def __init__(self, data, p):
-        if isinstance(p, PrimeField):
-            p = p.p
         self.p = p
         self.array = _as_matrix(data, p)
 

@@ -40,8 +40,7 @@ from fractions import Fraction
 from .bundle import (
     SectionVector,
     SyzygySpec,
-    _KernelRows,
-    _structured_kernel,
+    first_section,
     first_section_twist,
     has_section,  # not called here; perfbench/probes.py wraps stability.has_section
     section_space,  # likewise: the search unpacks only the row it uses
@@ -147,6 +146,9 @@ class DestabCertificate:
             raise InternalCheckError(f"twist {self.twist} is outside the window of aq = {aq}")
         if self.degree >= 0:  # the plane, d = 0
             raise InternalCheckError("certificate bundle degree is not negative")
+        spec, twist = self.section.spec, self.section.twist
+        if (spec.p, spec.d, spec.exponents, twist) != (self.p, self.d, (aq, aq, aq), self.twist):
+            raise InternalCheckError(f"certificate section lies in twist {twist} of {spec}")
 
     @property
     def q(self) -> int:
@@ -253,9 +255,10 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
     which Han's syzygy gap delta_p(t, A, B) gives in closed form, once per
     distinct (t, A, B), at most eight times per level (see the ``bundle``
     module docstring and ``bundle.first_section_twist``).  No level is
-    eliminated; the only elimination is the certificate's section, the
-    first vector of ``section_space`` at the twist found.  Only that row
-    is unpacked, and the ``SectionVector`` constructor checks it.  The plane
+    eliminated; the only elimination is the certificate's section,
+    ``bundle.first_section`` at the twist found: the first vector of
+    ``section_space``, the only row unpacked, checked by the
+    ``SectionVector`` constructor.  The plane
     (d = 0) runs the same search; a section found there would give a
     certificate of degree 0, which ``DestabCertificate`` rejects.
 
@@ -274,11 +277,7 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
         window = destabilizing_twists(spec.exponents[0])  # the exponents are (aq, aq, aq)
         n = first_section_twist(spec, window.start, window.stop - 1)
         if n is not None:
-            _count, rows, cols, values = _structured_kernel(spec, n)
-            first = rows == 0
-            row = _KernelRows(spec, n, (1, rows[first], cols[first], values[first]))
-            section = SectionVector(spec, n, row.components(0))
-            return DestabCertificate(p, a, d, e, n, section)
+            return DestabCertificate(p, a, d, e, n, first_section(spec, n))
     return None
 
 

@@ -30,14 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .bundle import SyzygySpec, syzygy_matrix
 from .errors import InapplicableError, SmoothnessError
 from .field import binom_uint, check_prime
-from .linalg import MatrixModP
-from .poly import GradedPoly, scaled_power
-from .ring import FermatRing
+from .poly import scaled_power
 from .stability import SCHEMA_VERSION, format_fraction
 
 ASSUMED_IMPLICATION = (
@@ -100,26 +95,6 @@ class TCParameters:
             "u_minus_1_d_lt_bq": (u - 1) * d < bq,
             "p_not_dividing_u": u % self.p != 0,
         }
-
-
-def ideal_membership(f: GradedPoly, a: int, ring: FermatRing) -> bool:
-    """Does f lie in the degree-deg(f) piece of (X^a, Y^a, Z^a) R?
-
-    Decided by solvability of the linear system over the graded piece
-    bases: f must be in the column span of the three multiplication maps.
-    """
-    if a < 1:
-        raise InapplicableError("need a >= 1")
-    f = ring.normal_form(f)
-    if f.is_zero():
-        return True
-    n = f.degree
-    if n < a:
-        return False
-    m = syzygy_matrix(SyzygySpec(ring.p, ring.d, (a, a, a)), n)
-    target = ring.coords(f).reshape(-1, 1)
-    rank_aug = MatrixModP(np.hstack([m.array, target]), ring.p).rank()
-    return m.rank() == rank_aug
 
 
 @dataclass(frozen=True)

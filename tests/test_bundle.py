@@ -17,6 +17,7 @@ from fermatsyz.bundle import (
     _block_entry,
     _structured_dim,
     _structured_kernel,
+    first_section,
     first_section_twist,
     has_section,
     section_space,
@@ -28,7 +29,7 @@ from fermatsyz.field import PrimeField
 from fermatsyz.poly import EXP_LIMIT, GradedPoly, frobenius_power, parse_poly
 from fermatsyz.ring import FermatRing
 from fermatsyz.stability import search_destabilization
-from kernel_helpers import dense_kernel, reference_block_entry, to_dense, to_triples
+from kernel_helpers import dense_kernel, reference_block_entry, to_dense, to_triples, within
 
 F5 = PrimeField(5)
 
@@ -559,10 +560,24 @@ def _band_bytes(t, A, B, N):
     return max(0, rows) * (N + 1) * 8
 
 
+def test_first_section_is_row_0_of_the_basis():
+    for p, d, exps in ((3, 4, (9, 9, 9)), (2, 5, (3, 4, 5)), (5, 0, (2, 3, 3))):
+        spec = SyzygySpec(p, d, exps)
+        for n in range(min(spec.exponents), sum(spec.exponents) + 2):
+            basis = section_space(spec, n)
+            if not basis:
+                with pytest.raises(ValueError, match=f"twist {n} has no section"):
+                    first_section(spec, n)
+                continue
+            first = first_section(spec, n)
+            assert first == basis[0] and first.serialize() == basis[0].serialize(), (spec, n)
+
+
 def test_band_guard_on_deep_certificates():
     # the certificate twist of (13, 23, 1, 5) has one banded block, of
     # 497 MiB, under the limit; those of (7, 34, 1, 8) and (13, 27, 1, 6)
     # would need 54 and 60 GB and are refused before anything is allocated
+    # (see test_band_guard_runs_before_the_binomial_row)
     for (p, d, a, e), refused in [
         ((13, 23, 1, 5), False),
         ((7, 34, 1, 8), True),
@@ -580,6 +595,21 @@ def test_band_guard_on_deep_certificates():
         if refused:
             with pytest.raises(BlockTooLargeError):
                 search_destabilization(p, d, a, e)
+
+
+def test_band_guard_runs_before_the_binomial_row():
+    # the refused blocks have t = 178,771, 27,651,889 and 459,015,217: their
+    # binomial rows alone would take seconds to minutes and up to 7 GB.  Each
+    # cell is refused within 1 s, and the refusal allocates under 1 MB
+    for p, d, a, e in ((13, 27, 1, 6), (13, 59, 2, 8), (19, 37, 1, 8)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BlockTooLargeError, match="needs a band of"):
+                within(1, search_destabilization, p, d, a, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (p, d, a, e, peak)
 
 
 def test_band_is_a_window_on_one_padded_row():

@@ -183,6 +183,38 @@ def test_verify_jsonl_reads_past_a_line_that_is_not_an_object(tmp_path, capsys):
     assert len(err.splitlines()) == 2
 
 
+def test_verify_jsonl_ends_lines_at_newlines_only(tmp_path, capsys):
+    # a raw U+2028 inside a JSON string, as ensure_ascii=False writes it,
+    # neither ends the line nor shifts the later line numbers
+    _, cert, _ = run_cli(capsys, "certify", "--p", "5", "--a", "2", "--d0", "8")
+    note = json.dumps({"outcome": "none", "note": "a\u2028b"}, ensure_ascii=False)
+    assert "\u2028" in note
+    path = tmp_path / "scan.jsonl"
+    path.write_text(f'{note}\n{{"outcome":"skipped"}}\n', encoding="utf-8")
+    assert run_cli(capsys, "verify", str(path)) == (0, "verified 0 certificate(s)\n", "")
+    path.write_text(f"{note}\n{json.dumps(json.loads(cert))}\n", encoding="utf-8")
+    code, stdout, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    assert stdout.splitlines() == [f"OK {path}:2", "verified 1 certificate(s)"]
+
+
+def test_verify_jsonl_skips_blank_lines(tmp_path, capsys):
+    _, cert, _ = run_cli(capsys, "certify", "--p", "5", "--a", "2", "--d0", "8")
+    line = json.dumps(json.loads(cert))
+    path = tmp_path / "gaps.jsonl"
+    path.write_text(f"\n{line}\n  \n\r\n{line}\n\n")
+    code, stdout, err = run_cli(capsys, "verify", str(path))
+    assert code == 0 and err == ""
+    assert stdout.splitlines() == [f"OK {path}:2", f"OK {path}:5", "verified 2 certificate(s)"]
+
+
+def test_verify_zero_section_fails(tmp_path, capsys):
+    path = _certificate_file(tmp_path, capsys, section=["0", "0", "0"])
+    code, stdout, _ = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert stdout == f"FAIL {path}: section is zero\n"
+
+
 def test_verify_missing_file_exit_1(capsys):
     code, _, err = run_cli(capsys, "verify", "/nonexistent/file.json")
     assert code == 1
@@ -406,6 +438,14 @@ def test_scan_rejects_bad_ranges_before_writing(tmp_path, capsys, d, a, e_max):
     )
     assert code == 1
     assert stdout == "" and err == "error: need a >= 1, d >= 0, e_max >= 0\n"
+    assert not out.exists()
+
+
+def test_scan_rejects_an_empty_range_before_writing(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    code, stdout, err = run_cli(capsys, "scan", "--p", "3", "--d", "5..4", "--out", str(out))
+    assert code == 1
+    assert stdout == "" and err == "error: empty integer list\n"
     assert not out.exists()
 
 

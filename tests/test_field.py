@@ -15,6 +15,23 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes_below_100)
 
 
+def test_is_prime_matches_a_sieve():
+    limit = 10_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for n in range(2, 100):
+        if sieve[n]:
+            sieve[n * n :: n] = [False] * len(range(n * n, limit, n))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # no factor 2, 3, 5 or 7, so only the witness loop can reject them: 2047
+    # passes base 2, 1373653 bases 2 and 3, 25326001 bases 2, 3 and 5
+    for n, factors in ((2047, (23, 89)), (1373653, (829, 1657)), (25326001, (2251, 11251))):
+        assert factors[0] * factors[1] == n
+        assert not is_prime(n), n
+
+
 def test_prime_field_rejects_composites_and_big_primes():
     with pytest.raises(NotPrimeError):
         PrimeField(4)

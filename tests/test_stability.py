@@ -98,6 +98,21 @@ def test_certificate_rejects_twists_outside_the_window_and_the_plane():
         dataclasses.replace(cert, d=0)
 
 
+def test_certificate_rejects_a_section_of_another_bundle_or_twist():
+    cert = certify_destabilization(5, 2, 11)  # e = 2, twist 55, Syz(X^50, ...) on d = 11
+    other = certify_destabilization(5, 2, 12).section  # twist 60 on d = 12
+    assert (other.spec.exponents, other.twist) == ((50, 50, 50), 60)
+    for changes in ({"section": other}, {"twist": 56}, {"d": 12}):
+        with pytest.raises(InternalCheckError, match="certificate section lies in twist"):
+            dataclasses.replace(cert, **changes)
+    with pytest.raises(InternalCheckError, match="twist 60 of SyzygySpec"):
+        DestabCertificate(5, 2, 11, 2, 55, other)
+    # a section of Syz(X^50, Y^50, Z^51), the right curve and twist
+    spec = SyzygySpec(5, 11, (50, 50, 51))
+    with pytest.raises(InternalCheckError, match="exponents=\\(50, 50, 51\\)"):
+        dataclasses.replace(cert, section=section_space(spec, 55)[0])
+
+
 def test_find_parameters_rejects_bad_input():
     with pytest.raises(NotPrimeError):
         find_parameters(6, 1, 1)

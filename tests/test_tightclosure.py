@@ -4,19 +4,13 @@ from fractions import Fraction
 import pytest
 
 from fermatsyz.errors import InapplicableError, NotPrimeError
-from fermatsyz.field import PrimeField
-from fermatsyz.poly import GradedPoly
-from fermatsyz.ring import FermatRing
 from fermatsyz.tightclosure import (
     CechClassP1,
     TCParameters,
     TCReport,
     cech_class_p1,
-    ideal_membership,
     tc_counterexample,
 )
-
-F5 = PrimeField(5)
 
 
 def test_formula_star():
@@ -27,68 +21,6 @@ def test_formula_star():
     b = 3
     formula = tc_counterexample(7, b, 2).to_json_dict()["expected_formula"]
     assert Fraction(3 * b) == Fraction(formula["threshold"])
-
-
-def test_ideal_membership_generator_multiple():
-    ring = FermatRing(5, 11)
-    f = GradedPoly.monomial(F5, 1, (3, 0, 0))  # X^2 * X
-    assert ideal_membership(f, 2, ring)
-
-
-def test_ideal_membership_xyz_not_in_squares():
-    ring = FermatRing(5, 11)
-    f = GradedPoly.monomial(F5, 1, (1, 1, 1))
-    assert not ideal_membership(f, 2, ring)
-
-
-def test_ideal_membership_zero():
-    ring = FermatRing(5, 11)
-    assert ideal_membership(GradedPoly.zero(F5, 3), 2, ring)
-
-
-def test_ideal_membership_uses_relation():
-    # X^11 = -(Y^11 + Z^11) lies in (Y^4, Z^4) only through the relation
-    ring = FermatRing(5, 11)
-    f = GradedPoly.monomial(F5, 1, (11, 0, 0))
-    assert ideal_membership(f, 4, ring)
-
-
-def test_ideal_membership_brute_force_low_degrees():
-    """Span check agrees with brute-force enumeration of the ideal piece."""
-    import numpy as np
-
-    from fermatsyz.linalg import MatrixModP
-
-    p, d, a = 3, 4, 2
-    ring = FermatRing(p, d)
-    field = ring.field
-    for n in range(2 * d + 1):
-        gens = []
-        for var in range(3):
-            if n - a < 0:
-                continue
-            exps = [0, 0, 0]
-            exps[var] = a
-            gen = GradedPoly.monomial(field, 1, tuple(exps))
-            for mono in ring.basis(n - a):
-                prod = ring.normal_form(GradedPoly(field, n - a, {mono: 1}) * gen)
-                gens.append(ring.coords(prod))
-        for trial_mono in ring.basis(n):
-            f = GradedPoly(field, n, {trial_mono: 1})
-            expected = (
-                in_span(gens, ring.coords(f), p) if gens else f.is_zero()
-            )
-            assert ideal_membership(f, a, ring) == expected
-
-
-def in_span(rows, vector, p):
-    import numpy as np
-
-    from fermatsyz.linalg import MatrixModP
-
-    m = MatrixModP(np.asarray(rows), p)
-    aug = MatrixModP(np.vstack([rows, vector]), p)
-    return m.rank() == aug.rank()
 
 
 def test_tc_records_hold_only_what_defines_them():
