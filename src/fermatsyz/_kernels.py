@@ -1,8 +1,8 @@
 """The mod-p elimination kernel: in-place reduced row echelon form in numpy.
 
 Every exact elimination in the package (the banded residue blocks of
-``bundle._block_kernel``, and ``linalg.MatrixModP`` for the dense
-reference that tests compare against) calls ``_kernels.rref_mod_p``,
+``bundle._block_kernel``, ``linalg.MatrixModP.rank`` for the dense
+reference, and the tests' kernel oracle) calls ``_kernels.rref_mod_p``,
 looked up on this module at each call.  The RREF of a matrix is unique,
 and the pivot rule -- first nonzero entry in column order -- is fixed
 here.

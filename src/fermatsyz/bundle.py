@@ -19,12 +19,12 @@ constraint splits into independent small banded binomial blocks indexed
 by the exponent residues mod d (the rewrite X^d -> -(Y^d + Z^d) moves
 exponents only in steps of d).
 
-``section_space`` runs this path alone.  The dense elimination -- the
-full block matrix ``syzygy_matrix`` and its ``kernel_basis`` -- is the
-reference that tests compare against, and ``section_space_dim(spec, n,
-"dense")`` takes its rank.  Both give the reduced echelon basis of the
-kernel (columns s1, then s2, then s3, each in basis order), which is
-unique, so they give identical bases.
+``section_space`` runs this path alone.  The dense reference is the
+full block matrix ``syzygy_matrix``: ``section_space_dim(spec, n,
+"dense")`` takes its rank, and the tests' kernel oracle eliminates it to
+the reduced echelon basis of the kernel (columns s1, then s2, then s3,
+each in basis order).  That basis is unique, so the structured path must
+give it exactly.
 
 Residue families.  On a curve (d > 0) the blocks come in families: the
 class (i, j0, l0) in [0, d)^3 owns the twists n = a1 + i + j0 + l0 + d N,
@@ -153,15 +153,9 @@ from .linalg import MatrixModP, kernel_from_rref
 from .poly import GradedPoly, join_rows, scaled_power, term_texts
 from .ring import FermatRing, basis_pos
 
-_RING_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _ring(p: int, d: int) -> FermatRing:
-    ring = _RING_CACHE.get((p, d))
-    if ring is None:
-        ring = FermatRing(p, d)
-        _RING_CACHE[(p, d)] = ring
-    return ring
+    return FermatRing(p, d)
 
 
 @dataclass(frozen=True)

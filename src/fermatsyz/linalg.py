@@ -3,10 +3,11 @@
 ``kernel_from_rref`` reads a kernel basis off a reduced row echelon form;
 ``bundle._block_kernel`` uses it on each banded residue block.
 ``MatrixModP`` holds the dense syzygy matrix of the reference path
-(``bundle.syzygy_matrix``), which only tests and
-``section_space_dim(spec, n, "dense")`` eliminate.  Elimination is
-``_kernels.rref_mod_p``, looked up on its module at each call.  Results
-are exact and deterministic -- no tolerances anywhere.
+(``bundle.syzygy_matrix``), and ``section_space_dim(spec, n, "dense")``
+takes its ``rank``; the tests eliminate it further with their own
+kernel oracle.  Elimination is ``_kernels.rref_mod_p``, looked up on its
+module at each call.  Results are exact and deterministic -- no
+tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ from . import _kernels
 _I64 = np.int64
 
 
-def _as_matrix(data, p: int) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(data, dtype=_I64) % p)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-dimensional array")
-    return a
-
-
 def kernel_from_rref(a: np.ndarray, rank: int, pivots, p: int) -> np.ndarray:
     """Raw kernel basis (one row per free column) of an RREF matrix."""
     cols = a.shape[1]
@@ -33,8 +27,7 @@ def kernel_from_rref(a: np.ndarray, rank: int, pivots, p: int) -> np.ndarray:
     k = np.zeros((len(free), cols), dtype=_I64)
     for row, f in enumerate(free):
         k[row, f] = 1
-        if rank:
-            k[row, pivots] = (-a[:rank, f]) % p
+        k[row, pivots] = (-a[:rank, f]) % p
     return k
 
 
@@ -45,40 +38,13 @@ class MatrixModP:
 
     def __init__(self, data, p):
         self.p = p
-        self.array = _as_matrix(data, p)
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
+        self.array = np.ascontiguousarray(np.asarray(data, dtype=_I64) % p)
+        if self.array.ndim != 2:
+            raise ValueError("expected a 2-dimensional array")
 
     @property
     def cols(self) -> int:
         return self.array.shape[1]
 
-    def copy(self) -> "MatrixModP":
-        m = MatrixModP.__new__(MatrixModP)
-        m.p = self.p
-        m.array = self.array.copy()
-        return m
-
-    def __repr__(self):
-        return f"MatrixModP({self.rows}x{self.cols} over F_{self.p})"
-
-    # -- elimination ---------------------------------------------------------
-
-    def rref(self):
-        """Return (R, rank, pivot_cols) with R the reduced echelon form."""
-        m = self.copy()
-        rank, pivots = _kernels.rref_mod_p(m.array, self.p)
-        return m, rank, pivots
-
     def rank(self) -> int:
-        return self.rref()[1]
-
-    def kernel_basis(self) -> np.ndarray:
-        """Canonical basis of {v : Mv = 0}: rows, in reduced echelon form."""
-        r, rank, pivots = self.rref()
-        k = kernel_from_rref(r.array, rank, pivots, self.p)
-        _kernels.rref_mod_p(k, self.p)
-        return k
-
+        return _kernels.rref_mod_p(self.array.copy(), self.p)[0]

@@ -303,10 +303,8 @@ def reduce_monomial(mono: Monomial, coeff: int, d: int, p: int) -> Iterable[tupl
         return
     sign = p - 1 if t % 2 else 1
     base = coeff * sign % p
-    for v, b in lucas_terms(t, p):
-        c = base * b % p
-        if c:
-            yield Monomial(i2, mono.j + v * d, mono.l + (t - v) * d), c
+    for v, b in lucas_terms(t, p):  # base and b are nonzero mod the prime p
+        yield Monomial(i2, mono.j + v * d, mono.l + (t - v) * d), base * b % p
 
 
 def expansion_terms(f: GradedPoly, rel: FermatRelation) -> int:

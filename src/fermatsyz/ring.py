@@ -7,6 +7,12 @@ question about multiplication maps into exact linear algebra over F_p.
 d = 0 is accepted as the ambient-plane sentinel: no relation, every
 monomial is a basis monomial, and the Hilbert function is the full
 binomial count.  That keeps one code path for the curve and for P^2.
+
+The kernel and its batch check index R_m by ``basis_pos`` in closed form
+and never build a basis.  ``basis(m)`` builds one afresh at each call;
+in production only ``term_text(m)`` calls it, once per degree, and keeps
+the texts.  ``from_coords`` and ``multiplication_matrix`` serve the dense
+reference path.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ def basis_pos(i, j, m):
 class FermatRing:
     """F_p[X,Y,Z]/(X^d+Y^d+Z^d), or the plain polynomial ring when d = 0."""
 
-    __slots__ = ("field", "d", "relation", "_bases", "_texts")
+    __slots__ = ("field", "d", "relation", "_texts")
 
     def __init__(self, field, d: int):
         if isinstance(field, int):
@@ -51,7 +57,6 @@ class FermatRing:
         self.field = field
         self.d = d
         self.relation = FermatRelation(d, field) if d > 0 else None
-        self._bases: dict = {}
         self._texts: dict = {}
 
     @property
@@ -81,18 +86,10 @@ class FermatRing:
 
     def basis(self, n: int) -> tuple:
         """Monomial basis of R_n: X-exponent < d, ascending lex on (i, j, l)."""
-        cached = self._bases.get(n)
-        if cached is not None:
-            return cached
         if n < 0:
-            monos: tuple = ()
-        else:
-            top = n if self.d == 0 else min(n, self.d - 1)
-            monos = tuple(
-                Monomial(i, j, n - i - j) for i in range(top + 1) for j in range(n - i + 1)
-            )
-        self._bases[n] = monos
-        return monos
+            return ()
+        top = n if self.d == 0 else min(n, self.d - 1)
+        return tuple(Monomial(i, j, n - i - j) for i in range(top + 1) for j in range(n - i + 1))
 
     def term_text(self, n: int) -> tuple:
         """``poly.monomial_text`` of each monomial of ``basis(n)``."""
@@ -108,16 +105,6 @@ class FermatRing:
         if self.relation is None:
             return f
         return normal_form(f, self.relation)
-
-    def coords(self, f: GradedPoly) -> np.ndarray:
-        """Coordinates of a normal-form element of R_n in the basis of R_n."""
-        n = f.degree
-        v = np.zeros(self.hilbert(n), dtype=np.int64)
-        for mono, c in f.terms.items():
-            if self.d and mono.i >= self.d:
-                raise ValueError(f"{tuple(mono)} is not a basis monomial of R_{n}")
-            v[basis_pos(mono.i, mono.j, n)] = c
-        return v
 
     def from_coords(self, v, n: int) -> GradedPoly:
         basis = self.basis(n)

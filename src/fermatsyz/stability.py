@@ -166,9 +166,6 @@ class DestabCertificate:
     def normalized_gap(self) -> Fraction:
         return Fraction(-self.degree, self.q)
 
-    def spec(self) -> SyzygySpec:
-        return SyzygySpec(self.p, self.d, (self.a, self.a, self.a)).frobenius_pullback(self.e)
-
     def to_json_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
@@ -307,7 +304,7 @@ def hn_data(cert: DestabCertificate) -> HNData:
             "hn_data needs a certificate built from the monomial section (X^k, Y^k, Z^k)"
         )
     quotient_slope = cert.degree  # O_C(2 twist - 3aq) has degree (2 twist - 3aq) d
-    bundle_degree, _slope = cert.spec().degree_and_slope(cert.twist)
+    bundle_degree, _slope = cert.section.spec.degree_and_slope(cert.twist)
     if 0 + quotient_slope != bundle_degree:
         raise InternalCheckError("degree additivity failed")
     return HNData(0, quotient_slope, cert.normalized_gap)

@@ -1,15 +1,40 @@
 """Test-side conversions between sparse kernel triples and dense matrices,
-the dense reference elimination of a section space, a certificate whose
-normal form is too large to expand, and a deadline for checks that must
-answer at once."""
+coordinates of a polynomial in the basis of its degree, the dense
+reference elimination of a section space, a certificate whose normal form
+is too large to expand, and a deadline for checks that must answer at
+once."""
 
 import signal
 from fractions import Fraction
 
 import numpy as np
 
+from fermatsyz import _kernels
 from fermatsyz.bundle import SectionVector, syzygy_matrix
+from fermatsyz.linalg import kernel_from_rref
+from fermatsyz.ring import basis_pos
 from fermatsyz.stability import format_fraction
+
+
+def coords(ring, f):
+    """Coordinates of a normal-form element of R_n in ``ring.basis(n)``."""
+    n = f.degree
+    v = np.zeros(ring.hilbert(n), dtype=np.int64)
+    for mono, c in f.terms.items():
+        if ring.d and mono.i >= ring.d:
+            raise ValueError(f"{tuple(mono)} is not a basis monomial of R_{n}")
+        v[basis_pos(mono.i, mono.j, n)] = c
+    return v
+
+
+def kernel_basis(m):
+    """Canonical basis of {v : Mv = 0} for a ``MatrixModP``: rows, in reduced
+    echelon form."""
+    r = m.array.copy()
+    rank, pivots = _kernels.rref_mod_p(r, m.p)
+    k = kernel_from_rref(r, rank, pivots, m.p)
+    _kernels.rref_mod_p(k, m.p)
+    return k
 
 
 def to_dense(spec, n, kernel):
@@ -29,12 +54,12 @@ def to_triples(dense):
 
 def dense_kernel(spec, n):
     """The canonical kernel basis by dense elimination of ``syzygy_matrix``, as triples."""
-    return to_triples(syzygy_matrix(spec, n).kernel_basis())
+    return to_triples(kernel_basis(syzygy_matrix(spec, n)))
 
 
 def dense_section(spec, n):
     """Row 0 of the dense kernel as a checked ``SectionVector``, or None if it is empty."""
-    kernel = syzygy_matrix(spec, n).kernel_basis()
+    kernel = kernel_basis(syzygy_matrix(spec, n))
     if not len(kernel):
         return None
     ring = spec.ring

@@ -19,7 +19,7 @@ import fermatsyz as fz
 from fermatsyz.cli import main as cli_main
 from fermatsyz.field import binom_uint
 from fermatsyz.linalg import MatrixModP
-from kernel_helpers import dense_kernel, to_dense
+from kernel_helpers import coords, dense_kernel, to_dense
 
 
 @contextmanager
@@ -63,10 +63,10 @@ def test_criterion_2_proposition_certificate():
         assert cert.degree == -440 < 0
         # independent verification: the stored section lies in the kernel
         # computed from scratch by the dense elimination path at twist 55
-        rows = to_dense(cert.spec(), 55, dense_kernel(cert.spec(), 55))
+        spec = cert.section.spec
+        rows = to_dense(spec, 55, dense_kernel(spec, 55))
         assert rows.shape[0] >= 1
-        ring = cert.spec().ring
-        vec = np.concatenate([ring.coords(s) for s in cert.section.components])
+        vec = np.concatenate([coords(spec.ring, s) for s in cert.section.components])
         assert (
             MatrixModP(rows, 5).rank()
             == MatrixModP(np.vstack([rows, vec]), 5).rank()

@@ -29,9 +29,17 @@ from fermatsyz.field import PrimeField
 from fermatsyz.poly import EXP_LIMIT, GradedPoly, frobenius_power, parse_poly
 from fermatsyz.ring import FermatRing
 from fermatsyz.stability import search_destabilization
-from kernel_helpers import dense_kernel, reference_block_entry, to_dense, to_triples, within
+from kernel_helpers import (
+    coords,
+    dense_kernel,
+    reference_block_entry,
+    to_dense,
+    to_triples,
+    within,
+)
 
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def in_span(rows, vector, p):
@@ -162,9 +170,9 @@ def test_koszul_syzygy_always_present():
         ring = spec.ring
         vec = np.concatenate(
             [
-                ring.coords(koszul.components[0]),
-                ring.coords(koszul.components[1]),
-                ring.coords(koszul.components[2])
+                coords(ring, koszul.components[0]),
+                coords(ring, koszul.components[1]),
+                coords(ring, koszul.components[2])
                 if n - a3 >= 0
                 else np.zeros(0, dtype=np.int64),
             ]
@@ -186,6 +194,34 @@ def test_section_vector_verified_on_construction():
                 GradedPoly.monomial(field, 1, (0, 0, 5)),
             ),
         )
+
+
+def quartic_section(s1):
+    """(s1, 0, 0) in twist 2 of Syz(X, Y, Z) on the quartic over F_5."""
+    zero = GradedPoly.zero(F5, 1)
+    return SectionVector(SyzygySpec(5, 4, (1, 1, 1)), 2, (s1, zero, zero))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SyzygySpec(5, -1, (2, 2, 2)), "curve degree must be >= 0"),
+        (lambda: SyzygySpec(5, 11, (2, 2)), "three generator exponents >= 1"),
+        (lambda: SyzygySpec(5, 11, (2, 0, 2)), "three generator exponents >= 1"),
+        (
+            lambda: quartic_section(GradedPoly.monomial(F7, 1, (1, 0, 0))),
+            "component over the wrong field",
+        ),
+        (
+            lambda: quartic_section(GradedPoly.monomial(F5, 1, (2, 0, 0))),
+            "component degree 2 != twist - exponent = 1",
+        ),
+    ],
+    ids=["negative-d", "two-exponents", "exponent-0", "other-field", "wrong-degree"],
+)
+def test_constructors_reject_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_section_dimensions_near_the_first_section():
@@ -235,8 +271,8 @@ def test_dense_structured_equality_battery():
             # the sections are the rows, and each passes the constructor's
             # own normal-form check, which the batch check does not use
             sections = section_space(spec, n)
-            coords = [np.concatenate([ring.coords(c) for c in s.components]) for s in sections]
-            assert np.array_equal(np.reshape(coords, dense.shape), dense), (spec, n)
+            vecs = [np.concatenate([coords(ring, c) for c in s.components]) for s in sections]
+            assert np.array_equal(np.reshape(vecs, dense.shape), dense), (spec, n)
             for s in sections:
                 assert s == SectionVector(spec, n, s.components), (spec, n)
             assert section_space_dim(spec, n, "dense") == dense.shape[0]
@@ -368,6 +404,28 @@ def test_block_nullity_disagreeing_with_the_closed_form_raises(monkeypatch):
     monkeypatch.setattr(bundle, "_nullity", one_too_many)
     with pytest.raises(InternalCheckError, match="closed form"):
         _structured_kernel(spec, 11)
+
+
+# (t, A, B, N) = (1, 1, 3, 1) over F_5: band [[1, 0]], kernel [[0, 1]], nullity 1
+BANDED = (5, 1, 1, 3, 1)
+
+
+def test_banded_block_nullity_disagreeing_with_the_closed_form_raises(monkeypatch):
+    assert bundle._band_rows(*BANDED[1:]) == (0, 1)  # one band row: not free
+    assert _block_entry(*BANDED, {}) is not None
+    closed_form = bundle._nullity
+    monkeypatch.setattr(bundle, "_nullity", lambda *key: closed_form(*key) + 1)
+    with pytest.raises(InternalCheckError, match=r"^block .* has nullity 1, closed form 2"):
+        _block_entry(*BANDED, {})
+
+
+def test_kernel_row_outside_the_kernel_fails_the_bad_projection_check(monkeypatch):
+    real = bundle._block_kernel
+    assert real(*BANDED[1:], _binom_row(1, 5, {}), 5).tolist() == [[0, 1]]
+    # the unit row at alpha = 0 meets the band's nonzero column
+    monkeypatch.setattr(bundle, "_block_kernel", lambda *args: np.array([[1, 0]]))
+    with pytest.raises(InternalCheckError, match="bad-projection of a kernel element is nonzero"):
+        _block_entry(*BANDED, {})
 
 
 def test_one_corrupted_kernel_entry_makes_section_space_raise(monkeypatch):
@@ -518,13 +576,17 @@ def test_view_components_name_monomials_without_the_basis(monkeypatch):
     # on a fresh ring, section_space and reading every view's components
     # build no basis; the components equal the polynomials named by the
     # basis, across the battery (every other twist) and the P31 cases
+    def no_basis(self, n):
+        raise AssertionError("reading a view built a basis")
+
     cases = [(spec, battery_twists(spec)[::2]) for spec in BATTERY] + P31_CASES
     for spec, twists in cases:
         named = FermatRing(spec.p, spec.d)
         for n in twists:
-            monkeypatch.setattr(bundle, "_RING_CACHE", {})
-            components = [s.components for s in section_space(spec, n)]
-            assert not spec.ring._bases, (spec, n)
+            bundle._ring.cache_clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(FermatRing, "basis", no_basis)
+                components = [s.components for s in section_space(spec, n)]
             rows = to_dense(spec, n, _structured_kernel(spec, n))
             widths = [named.hilbert(n - a) for a in spec.exponents]
             for row, got in zip(rows, components):
@@ -688,7 +750,7 @@ def test_all_returned_sections_satisfy_relation():
 def test_dim_counts_match_matrix_shape():
     spec = SyzygySpec(5, 11, (50, 50, 50))
     m = syzygy_matrix(spec, 55)
-    assert m.rows == spec.ring.hilbert(55)
+    assert m.array.shape[0] == spec.ring.hilbert(55)
     assert m.cols == 3 * spec.ring.hilbert(5)
 
 

@@ -234,6 +234,23 @@ def test_deviation_inapplicable_exit_2(capsys):
     assert json.loads(out)["applicable"] is False
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("certify", "--p", "5", "--a", "0", "--d", "11"), "need a >= 1 and d >= 1"),
+        (("deviation", "--p", "5", "--a", "2", "--e", "0"), "need e >= 1 and a >= 1"),
+        # p divides a p^(e-1) + 1 exactly when e = 1 and p divides a + 1
+        (("deviation", "--p", "2", "--a", "3", "--e", "1"), "p divides d = a p^(e-1) + 1 = 4"),
+        (("deviation", "--p", "5", "--a", "4", "--e", "1"), "p divides d = a p^(e-1) + 1 = 5"),
+    ],
+    ids=["certify-a-0", "deviation-e-0", "deviation-p-2-divides-d", "deviation-p-5-divides-d"],
+)
+def test_inapplicable_arguments_exit_2(capsys, argv, reason):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["reason"] == reason
+
+
 def test_tc_cli_certified(capsys):
     code, out, _ = run_cli(capsys, "tc", "--p", "5", "--b", "1", "--e", "2")
     assert code == 0

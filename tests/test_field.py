@@ -6,6 +6,12 @@ from fermatsyz.errors import NotPrimeError
 from fermatsyz.field import PrimeField, binom_uint, check_prime, is_prime
 
 
+@pytest.mark.parametrize("n, k", [(-1, 0), (0, -1)])
+def test_binom_uint_rejects_negative_arguments(n, k):
+    with pytest.raises(ValueError, match="nonnegative"):
+        binom_uint(n, k, 5)
+
+
 def test_is_prime_small():
     primes_below_100 = {
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,

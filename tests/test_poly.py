@@ -33,6 +33,27 @@ def poly(field, *terms):
     return out
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: make_monomial(-1, 0, 0), "negative exponent"),
+        (lambda: FermatRelation(0, F5), "curve degree d must be >= 1"),
+        (
+            lambda: GradedPoly.monomial(F5, 1, (1, 0, 0)) + GradedPoly.monomial(F2, 1, (1, 0, 0)),
+            "different prime fields",
+        ),
+        (
+            lambda: normal_form(GradedPoly.monomial(F2, 1, (1, 0, 0)), FermatRelation(4, F5)),
+            "different fields",
+        ),
+    ],
+    ids=["negative-exponent", "relation-degree-0", "sum-over-two-fields", "normal-form-two-fields"],
+)
+def test_poly_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_multiply_difference_of_squares():
     x_plus_y = poly(F5, (1, (1, 0, 0)), (1, (0, 1, 0)))
     x_minus_y = poly(F5, (1, (1, 0, 0)), (4, (0, 1, 0)))

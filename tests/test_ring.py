@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fermatsyz.field import PrimeField
 from fermatsyz.poly import GradedPoly
 from fermatsyz.ring import FermatRing, basis_pos
+from kernel_helpers import coords
 
 F5 = PrimeField(5)
 
@@ -37,18 +38,22 @@ def test_hilbert_counts_basis():
             assert ring.hilbert(n) == len(ring.basis(n)) == brute_force_basis_count(d, n)
 
 
-def test_basis_pos_matches_the_basis_order():
+def test_basis_pos_matches_the_basis_order(monkeypatch):
     # the closed form both the kernel and the batch check index R_m with,
     # and its inverse basis_monomials, which builds no basis
+    def no_basis(self, n):
+        raise AssertionError("basis_monomials built a basis")
+
     for d in (0, 1, 2, 5):
         ring = FermatRing(5, d)
         for m in range(3 * max(d, 3) + 1):
-            fresh = FermatRing(5, d)
-            named = fresh.basis_monomials(range(ring.hilbert(m)), m)
-            assert not fresh._bases
             basis = ring.basis(m)
+            with monkeypatch.context() as patched:
+                patched.setattr(FermatRing, "basis", no_basis)
+                named = ring.basis_monomials(range(len(basis)), m)
+                every_third = ring.basis_monomials(range(1, len(basis), 3), m)
             assert named == list(basis), (d, m)
-            assert fresh.basis_monomials(range(1, len(basis), 3), m) == list(basis[1::3])
+            assert every_third == list(basis[1::3])
             i = np.array([mono.i for mono in basis], dtype=np.int64)
             j = np.array([mono.j for mono in basis], dtype=np.int64)
             assert np.array_equal(basis_pos(i, j, m), np.arange(len(basis))), (d, m)
@@ -95,7 +100,7 @@ def test_multiplication_matrix_x_power():
     ring = FermatRing(5, 11)
     g = GradedPoly.monomial(F5, 1, (11, 0, 0))
     m = ring.multiplication_matrix(g, 0)
-    assert m.cols == 1 and m.rows == ring.hilbert(11)
+    assert m.cols == 1 and m.array.shape[0] == ring.hilbert(11)
     col = m.array[:, 0]
     assert col[basis_pos(0, 11, 11)] == 4
     assert col[basis_pos(0, 0, 11)] == 4
@@ -132,19 +137,39 @@ def test_multiplication_matrix_functorial(p, d, n, deg1, deg2, seed):
     assert np.array_equal(lhs.array, m1.array @ m2.array % p)  # exact: p <= 5
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FermatRing(5, -1), "degree d must be >= 0"),
+        (
+            lambda: FermatRing(5, 4).check_syzygies((1, [0, 0], [0], [1, 1]), 2, (1, 1, 1)),
+            "1-d arrays of one length",
+        ),
+        (
+            lambda: FermatRing(5, 4).check_syzygies((1, [0], [0], [1, 1]), 2, (1, 1, 1)),
+            "1-d arrays of one length",
+        ),
+    ],
+    ids=["negative-d", "short-columns", "long-values"],
+)
+def test_ring_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_coords_round_trip():
     ring = FermatRing(5, 4)
     f = ring.normal_form(GradedPoly.monomial(F5, 3, (6, 1, 0)))
-    v = ring.coords(f)
+    v = coords(ring, f)
     assert ring.from_coords(v, f.degree) == f
 
 
 def test_coords_rejects_a_monomial_outside_the_basis():
     # X^4 is no basis monomial of R_4 on the quartic; reduce it first
     with pytest.raises(ValueError, match="not a basis monomial"):
-        FermatRing(5, 4).coords(GradedPoly.monomial(F5, 1, (4, 0, 0)))
+        coords(FermatRing(5, 4), GradedPoly.monomial(F5, 1, (4, 0, 0)))
     # on the plane every monomial is one
-    assert FermatRing(5, 0).coords(GradedPoly.monomial(F5, 1, (4, 0, 0)))[-1] == 1
+    assert coords(FermatRing(5, 0), GradedPoly.monomial(F5, 1, (4, 0, 0)))[-1] == 1
 
 
 def test_check_syzygies_expands_only_the_lucas_terms():

@@ -40,7 +40,14 @@ from fermatsyz.stability import (
     search_destabilization,
     verify_certificate,
 )
-from kernel_helpers import crafted_certificate, dense_kernel, dense_section, to_dense, within
+from kernel_helpers import (
+    coords,
+    crafted_certificate,
+    dense_kernel,
+    dense_section,
+    to_dense,
+    within,
+)
 
 
 def test_find_parameters_paper_instance():
@@ -153,9 +160,9 @@ def test_certify_paper_instance():
 
 def test_certificate_reverifies_against_kernel():
     cert = certify_destabilization(5, 2, 11)
-    rows = to_dense(cert.spec(), cert.twist, dense_kernel(cert.spec(), cert.twist))
-    ring = cert.spec().ring
-    vec = np.concatenate([ring.coords(s) for s in cert.section.components])
+    spec = cert.section.spec
+    rows = to_dense(spec, cert.twist, dense_kernel(spec, cert.twist))
+    vec = np.concatenate([coords(spec.ring, s) for s in cert.section.components])
     from fermatsyz.linalg import MatrixModP
 
     assert MatrixModP(rows, 5).rank() == MatrixModP(np.vstack([rows, vec]), 5).rank()
@@ -175,6 +182,29 @@ def test_certify_smoothness_rejection():
 def test_certify_no_window():
     with pytest.raises(InapplicableError):
         certify_destabilization(5, 2, 2)  # a >= d: aq >= dp for all e >= 1
+
+
+def zero_section_certificate():
+    spec = certify_destabilization(5, 2, 11).section.spec
+    zero = tuple(GradedPoly.zero(PrimeField(5), 55 - a) for a in spec.exponents)
+    return DestabCertificate(5, 2, 11, 2, 55, SectionVector(spec, 55, zero))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (zero_section_certificate, InternalCheckError, "certificate section is zero"),
+        (
+            lambda: search_destabilization(5, 11, 0, 1),
+            InapplicableError,
+            "need a >= 1, d >= 0, e_max >= 0",
+        ),
+    ],
+    ids=["zero-section", "search-a-0"],
+)
+def test_stability_rejects_malformed_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_search_finds_fermat_relation_syzygy():
@@ -245,15 +275,18 @@ def test_deep_certificate_is_built_from_its_family_block():
 
 
 def test_certificate_section_equals_the_same_section_rebuilt():
-    # cert.spec() names the bundle the search worked on, so the section read
-    # back from its text (as verify rebuilds it) and the first section_space
-    # vector at the certificate twist both equal the certificate's section
+    # cert.section.spec names the bundle the search worked on, so the section
+    # read back from its text (as verify rebuilds it) and the first
+    # section_space vector at the certificate twist both equal the
+    # certificate's section
     cert = search_destabilization(2, 5, 1, 3)
+    spec = cert.section.spec
+    assert spec == SyzygySpec(cert.p, cert.d, (cert.a,) * 3).frobenius_pullback(cert.e)
     field = PrimeField(cert.p)
     degree = cert.twist - cert.a * cert.q
     parsed = tuple(parse_poly(s, field, degree=degree) for s in cert.section.serialize())
-    assert SectionVector(cert.spec(), cert.twist, parsed) == cert.section
-    assert section_space(cert.spec(), cert.twist)[0] == cert.section
+    assert SectionVector(spec, cert.twist, parsed) == cert.section
+    assert section_space(spec, cert.twist)[0] == cert.section
 
 
 def test_search_plane_returns_none():
