@@ -34,17 +34,19 @@ N >= 0, and its block at level N depends only on
 
 (A or B is 0 when its numerator is negative) and on N.  With u = Y^d and
 w = Z^d the block's kernel is the degree-N part of
-{f in F_p[u, w] : f (u + w)^t in (u^A, w^B)}.  When A or B is 0 every f
-qualifies.  Otherwise the triples (g1, g2, f) with
-g1 u^A + g2 w^B + f (u + w)^t = 0 form a free module on two generators of
-degrees m1 <= m2 with m1 + m2 = A + B + t (Hilbert-Burch), and f fixes
-(g1, g2) up to the Koszul syzygies (w^B h, -u^A h, 0).  So with D = N + t
-the block nullity is
+{f in F_p[u, w] : f (u + w)^t in (u^A, w^B)}.  The triples (g1, g2, f)
+with g1 u^A + g2 w^B + f (u + w)^t = 0 form a free module on two
+generators of degrees m1 <= m2 with m1 + m2 = A + B + t (Hilbert-Burch),
+and f fixes (g1, g2) up to the Koszul syzygies (w^B h, -u^A h, 0).  So
+with D = N + t the block nullity is
 
     (D - m1 + 1)+ + (D - m2 + 1)+ - (D - A - B + 1)+,
 
 and the family threshold, the least level with a kernel, is
-N*(t, A, B) = max(0, m1 - t).  The difference m2 - m1 is Han's syzygy gap
+N*(t, A, B) = max(0, m1 - t).  When A or B is 0 every f qualifies, and
+the formulas say so: for A = 0 Han's gap below is |B - t|, so
+{m1, m2} = {B, t}, the threshold is 0 and the nullity N + 1 (B = 0 is
+symmetric).  The difference m2 - m1 is Han's syzygy gap
 delta_p(t, A, B) (C. Han, thesis, Brandeis 1991; Han and Monsky, "Some
 surprising Hilbert-Kunz functions", Math. Z. 1993), computed by
 ``_han_gap`` from Han's theorem in its taxicab-distance form: for
@@ -55,7 +57,9 @@ and |k - q u|_1 < q; and delta = (k1 + k2 + k3) mod 2 when there is no
 such pair.  The largest value matters for p = 2, where two levels can
 qualify: for (3, 4, 4), q = 1 gives 1 and q = 4 gives 3, and the gap is
 3.  tests/test_family.py checks both formulas against elimination of
-every block with t, A, B <= 10 and p in {2, 3, 5, 7}.
+every block with t, A, B <= 10 and p in {2, 3, 5, 7}, and m1 against the
+extended Euclidean algorithm on u^A and (u + w)^t, which eliminates
+nothing, there and on boxes far past elimination.
 
 ``first_section_twist`` and ``section_space_dim`` run on these closed
 forms and eliminate nothing.  Families sharing (t, A, B) share the
@@ -319,11 +323,7 @@ def syzygy_matrix(spec: SyzygySpec, n: int) -> MatrixModP:
     """Block matrix [ .X^a1 | .Y^a2 | .Z^a3 ] into R_n (dense reference path)."""
     ring = spec.ring
     blocks = []
-    rows = ring.hilbert(n)
     for var, a in enumerate(spec.exponents):
-        if n - a < 0:
-            blocks.append(np.zeros((rows, 0), dtype=np.int64))
-            continue
         exps = [0, 0, 0]
         exps[var] = a
         g = GradedPoly.monomial(ring.field, 1, tuple(exps))
@@ -376,14 +376,13 @@ def _band(t: int, A: int, B: int, N: int, row: np.ndarray) -> np.ndarray:
     ``_band_rows``; the entry is C(t, gamma - alpha), read from ``row`` =
     [C(t, v) mod p for v = 0..t].  The band is a read-only window: row
     gamma is ext[gamma : gamma + N + 1] reversed, where ext[N + k] = C(t, k)
-    is zero-padded to N + hi entries, the only ones allocated.
+    is zero-padded to N + hi + 1 entries, the only ones allocated, so both
+    slices of the copy clip to the same length.  An empty band (lo == hi)
+    is a (0, N + 1) window of the same array.
     """
     lo, hi = _band_rows(t, A, B, N)
-    if lo == hi:
-        return np.zeros((0, N + 1), dtype=np.int64)
-    k = min(t + 1, hi)
-    ext = np.zeros(N + hi, dtype=np.int64)
-    ext[N : N + k] = row[:k]
+    ext = np.zeros(N + hi + 1, dtype=np.int64)
+    ext[N : N + t + 1] = row[: hi + 1]
     return sliding_window_view(ext, N + 1)[lo:hi, ::-1]
 
 
@@ -439,15 +438,11 @@ def _syzygy_degrees(p: int, t: int, A: int, B: int) -> tuple:
 
 def _threshold(p: int, t: int, A: int, B: int) -> int:
     """Least level N at which the family (t, A, B) has a block kernel."""
-    if min(A, B) == 0:
-        return 0
     return max(0, _syzygy_degrees(p, t, A, B)[0] - t)
 
 
 def _nullity(p: int, t: int, A: int, B: int, N: int) -> int:
     """Kernel dimension of the family (t, A, B) block at level N."""
-    if min(A, B) == 0:
-        return N + 1
     m1, m2 = _syzygy_degrees(p, t, A, B)
     D = N + t
     return max(0, D - m1 + 1) + max(0, D - m2 + 1) - max(0, D - A - B + 1)
@@ -605,10 +600,8 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     # Koszul family g * (0, Z^a3, -Y^a2), g in the basis of R_{n - a2 - a3}
     mk = n - a2 - a3
     n_koszul, koszul = 0, (empty, empty, empty)
-    if mk >= 0:
-        top = min(mk, d - 1)
-        gi = np.repeat(np.arange(top + 1), mk + 1 - np.arange(top + 1))
-        gj = np.arange(len(gi)) - basis_pos(gi, 0, mk)
+    if mk >= 0:  # every certificate twist has mk < 0: skip the empty arrays
+        gi, gj = ring._basis_exponents(np.arange(ring.hilbert(mk)), mk)
         n_koszul = len(gi)
         koszul = (
             n_family + np.repeat(np.arange(n_koszul), 2),

@@ -82,12 +82,11 @@ def binom_uint(n: int, k: int, p: int) -> int:
     """C(n, k) mod p as a plain int, via Lucas' theorem.
 
     Works digit by digit in base p, so it never forms the (possibly
-    astronomically large) integer C(n, k).  Returns 0 for k > n.
+    astronomically large) integer C(n, k).  Returns 0 for k > n: the digits
+    of n run out first.
     """
     if k < 0 or n < 0:
         raise ValueError("binomial arguments must be nonnegative")
-    if k > n:
-        return 0
     result = 1
     while k > 0 or n > 0:
         ni, n = n % p, n // p
@@ -96,10 +95,9 @@ def binom_uint(n: int, k: int, p: int) -> int:
             return 0
         # C(ni, ki) mod p with ni, ki < p, by the multiplicative formula
         ki = min(ki, ni - ki)
-        if ki:
-            num = den = 1
-            for j in range(1, ki + 1):
-                num = num * ((ni - j + 1) % p) % p
-                den = den * j % p
-            result = result * num % p * pow(den, -1, p) % p
+        num = den = 1
+        for j in range(1, ki + 1):
+            num = num * ((ni - j + 1) % p) % p
+            den = den * j % p
+        result = result * num % p * pow(den, -1, p) % p
     return result

@@ -9,10 +9,12 @@ monomial is a basis monomial, and the Hilbert function is the full
 binomial count.  That keeps one code path for the curve and for P^2.
 
 The kernel and its batch check index R_m by ``basis_pos`` in closed form
-and never build a basis.  ``basis(m)`` builds one afresh at each call;
-in production only ``term_text(m)`` calls it, once per degree, and keeps
-the texts.  ``from_coords`` and ``multiplication_matrix`` serve the dense
-reference path.
+and never build a basis.  Its two inverses name the monomials at given
+positions: ``basis_monomials`` by one walk up the X-exponents, and
+``_basis_exponents`` as arrays.  ``basis(m)`` is that walk over every
+position, built afresh at each call; in production only ``term_text(m)``
+calls it, once per degree, and keeps the texts.  ``from_coords`` and
+``multiplication_matrix`` serve the dense reference path.
 """
 
 from __future__ import annotations
@@ -76,20 +78,20 @@ class FermatRing:
     # -- dimensions and bases ------------------------------------------------
 
     def hilbert(self, n: int) -> int:
-        """dim R_n = C(n+2,2) - C(n-d+2,2) (second term absent for d = 0)."""
-        if n < 0:
-            return 0
+        """dim R_n = C(n+2,2) - C(n-d+2,2) (second term absent for d = 0);
+        0 for n < 0, where both binomials vanish."""
         full = _choose2(n + 2)
         if self.d == 0:
             return full
         return full - _choose2(n - self.d + 2)
 
     def basis(self, n: int) -> tuple:
-        """Monomial basis of R_n: X-exponent < d, ascending lex on (i, j, l)."""
-        if n < 0:
-            return ()
-        top = n if self.d == 0 else min(n, self.d - 1)
-        return tuple(Monomial(i, j, n - i - j) for i in range(top + 1) for j in range(n - i + 1))
+        """Monomial basis of R_n: X-exponent < d, ascending lex on (i, j, l).
+
+        It is the walk of ``basis_monomials`` over every position of R_n
+        (none for n < 0).
+        """
+        return tuple(self.basis_monomials(range(self.hilbert(n)), n))
 
     def term_text(self, n: int) -> tuple:
         """``poly.monomial_text`` of each monomial of ``basis(n)``."""

@@ -34,6 +34,7 @@ before it builds the bundle.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -411,8 +412,13 @@ def verify_certificate(data: dict) -> list:
     need(data["slope_sub"] == 0, "sub slope must be 0")
     need(data["slope_quotient"] == data["degree"], "quotient slope must equal degree")
     try:
-        gap = Fraction(data["normalized_gap"])
-    except (ValueError, TypeError, KeyError, ZeroDivisionError):
+        gap = data["normalized_gap"]
+        # Fraction also reads exponents, and "1e100000000" takes minutes to
+        # expand: a string passes only in the form format_fraction writes
+        if isinstance(gap, str) and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", gap):
+            raise ValueError(gap)
+        gap = Fraction(gap)
+    except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError):
         return failures + ["normalized_gap is not a rational"]
     need(gap == Fraction(-data["degree"], q), "normalized gap formula mismatch")
 

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InapplicableError, SmoothnessError
+# binom_uint is not called here; perfbench/probes.py wraps tightclosure.binom_uint
 from .field import binom_uint, check_prime
-from .poly import scaled_power
+from .poly import lucas_terms, scaled_power
 from .stability import SCHEMA_VERSION, format_fraction
 
 ASSUMED_IMPLICATION = (
@@ -128,19 +129,19 @@ def cech_class_p1(params: TCParameters) -> CechClassP1:
 
     Z^(ud) = (-1)^u (X^d + Y^d)^u on the curve, so the stored terms are
     C(u, v) X^(vd - bq) Y^((u-v)d - bq), each of degree ud - 2bq; terms
-    with a nonnegative exponent vanish in H^1 and are discarded.  The
+    with a nonnegative exponent vanish in H^1 and are discarded.  Since
+    u < p, every C(u, v) is nonzero mod p, and ``poly.lucas_terms`` yields
+    them all, each from the last, so the work is linear in p.  The
     expansion is computed for any parameters; whether it proves anything
     is decided by the precondition flags of the report.
     """
     p, u, d, bq = params.p, params.u, params.d, params.bq
     coeffs = {}
-    for v in range(u + 1):
+    for v, c in lucas_terms(u, p):
         i = v * d - bq
         j = (u - v) * d - bq
         if i <= -1 and j <= -1:
-            c = binom_uint(u, v, p)
-            if c:
-                coeffs[(i, j)] = c
+            coeffs[(i, j)] = c
     sign = 1 if (u + 1) % 2 == 0 else -1
     return CechClassP1(degree=u * d - 2 * bq, coefficients=coeffs, global_sign=sign)
 
@@ -163,22 +164,17 @@ class TCReport:
 
     @property
     def failing_preconditions(self) -> list:
-        return self._failing(self.preconditions)
+        failing = sorted(name for name, ok in self.preconditions.items() if not ok)
+        return failing or (["class_is_zero"] if self.p1_class.is_zero() else [])
 
     @property
     def verdict(self) -> str:
         return "inconclusive" if self.failing_preconditions else "certified"
 
-    def _failing(self, flags: dict) -> list:
-        failing = sorted(name for name, ok in flags.items() if not ok)
-        return failing or (["class_is_zero"] if self.p1_class.is_zero() else [])
-
     def to_json_dict(self) -> dict:
         pr = self.params
         a, bq, k = pr.a, pr.bq, pr.k
         aq = a * pr.q
-        flags = pr.precondition_flags()
-        failing = self._failing(flags)
         out = {
             "schema": SCHEMA_VERSION,
             "p": pr.p,
@@ -197,8 +193,8 @@ class TCReport:
                 "ideal": [f"X^{a}", f"Y^{a}", f"Z^{a}"],
                 "threshold": format_fraction(Fraction(3 * a, 2)),
             },
-            "preconditions": flags,
-            "failing_preconditions": failing,
+            "preconditions": self.preconditions,
+            "failing_preconditions": self.failing_preconditions,
             # the syzygy-valued class (f/X^aq, -f/Y^aq, 0) of f = (XYZ)^(bq) maps
             # to -f Z^k / (X^aq Y^aq) in H^1(C, O_C(m + k - 2aq)), which is
             # -Z^(bq+k) / (X^bq Y^bq) after cancelling X^bq Y^bq
@@ -211,7 +207,7 @@ class TCReport:
                 "reduced_denominator": [bq, bq],
             },
             "assumed_implication": ASSUMED_IMPLICATION,
-            "verdict": "inconclusive" if failing else "certified",
+            "verdict": self.verdict,
         }
         out.update(self.p1_class.to_json_dict())
         return out

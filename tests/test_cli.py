@@ -277,6 +277,18 @@ def test_tc_bytes_match_the_benchmark_pins(capsys):
         assert [code, digest] == pins[f"tc,{p},{b},{e}"], (p, b, e)
 
 
+def test_tc_class_grows_linearly_with_p(capsys):
+    # u = (p + 1) / 2 < p, so every C(u, v) is nonzero mod p and each v of the
+    # window survives; the class is built term by term, not binomial by binomial
+    p = 100003
+    code, out, _ = within(5, run_cli, capsys, "tc", "--p", str(p), "--b", "1", "--e", "1")
+    assert code == 2
+    data = json.loads(out)
+    u, d, bq = data["u"], data["d"], data["b"] * data["q"]
+    window = [v for v in range(u + 1) if v * d < bq and (u - v) * d < bq]
+    assert len(data["surviving_terms"]) == len(window) > 10**4
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -539,6 +551,30 @@ def test_verify_zero_denominator_gap_fails(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "verify", str(path))
     assert code == 2
     assert stdout == f"FAIL {path}: normalized_gap is not a rational\n"
+
+
+def test_verify_reads_the_gap_only_as_certify_writes_it(tmp_path, capsys):
+    # Fraction would expand "1e7000000" for seconds; verify refuses every
+    # string but -?digits(/digits)? at once, alone and as one JSONL line
+    reason = "normalized_gap is not a rational"
+    single = _certificate_file(tmp_path, capsys, normalized_gap="1e7000000")
+    started = time.perf_counter()
+    code, stdout, _ = within(1, run_cli, capsys, "verify", str(single))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and stdout == f"FAIL {single}: {reason}\n"
+    good = json.loads(single.read_text())
+    good["normalized_gap"] = "88/5"
+    lines = tmp_path / "mixed.jsonl"
+    bad = [dict(good, normalized_gap=gap) for gap in ("1e7000000", "17.6", " 88/5", float("inf"))]
+    lines.write_text("\n".join(map(json.dumps, [good, *bad, good])) + "\n")
+    code, stdout, err = within(1, run_cli, capsys, "verify", str(lines))
+    assert code == 2 and err == ""
+    assert stdout.splitlines() == [
+        f"OK {lines}:1",
+        *(f"FAIL {lines}:{k}: {reason}" for k in range(2, 6)),
+        f"OK {lines}:6",
+        "4 of 6 certificate(s) failed",
+    ]
 
 
 def test_verify_accepts_a_certificate_without_schema(tmp_path, capsys):

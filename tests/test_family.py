@@ -6,6 +6,8 @@ tests keep the dense path and the per-family band elimination as oracles.
 """
 
 import itertools
+import math
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from fermatsyz.bundle import (
     _han_gap,
     _nullity,
     _structured_kernel,
+    _syzygy_degrees,
     _threshold,
     first_section_twist,
     section_space_dim,
@@ -108,6 +111,65 @@ def test_closed_form_gap_matches_band_elimination(p):
             assert _nullity(p, t, A, B, N) == nullities[-1], (p, t, A, B, N)
         n_star = next(N for N, v in enumerate(nullities) if v)
         assert _threshold(p, t, A, B) == n_star, (p, t, A, B)
+
+
+def _degree(f):
+    nz = np.flatnonzero(f)
+    return int(nz[-1]) if len(nz) else -math.inf
+
+
+def _euclid_m1(p, t, A, B):
+    """m1 of (u^A, w^B, (u + w)^t) by the extended Euclidean algorithm, with
+    no elimination and no step of ``_han_gap``.
+
+    With w = 1 and u = x, a syzygy of degree D is a pair (f, r) with
+    f (1 + x)^t = r mod x^A, deg f <= D - t and deg r <= D - B, or the Koszul
+    syzygy at D = A + B.  Euclid on x^A and T = (1 + x)^t mod x^A yields
+    remainders r_i with cofactors s_i T = r_i mod x^A, and the least such D
+    is reached at one of them (Brent, Gustavson and Yun, J. Algorithms
+    1980); s_0 = 0 with r_0 = x^A is the Koszul syzygy.
+    """
+    r0 = np.zeros(A + 1, dtype=np.int64)
+    r0[A] = 1
+    r1 = np.zeros(A, dtype=np.int64)  # (1 + x)^t mod (p, x^A), by Pascal's rule
+    r1[:1] = 1
+    for _ in range(t):
+        r1[1:] = (r1[1:] + r1[:-1]) % p
+    s0, s1 = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    best = A + B
+    while True:
+        top = _degree(r1)
+        best = min(best, max(_degree(s1) + t, top + B))
+        if top < 0:
+            return best
+        inv = pow(int(r1[top]), -1, p)
+        shift = _degree(r0) - top  # >= 1: the remainders' degrees fall
+        q, rem = np.zeros(shift + 1, dtype=np.int64), r0.copy()
+        for k in range(shift, -1, -1):
+            c = rem[k + top] * inv % p
+            if c:
+                q[k] = c
+                rem[k : k + top + 1] = (rem[k : k + top + 1] - c * r1[: top + 1]) % p
+        qs = np.convolve(q, s1) % p
+        s2 = np.zeros(max(len(qs), len(s0)), dtype=np.int64)
+        s2[: len(s0)] += s0
+        s2[: len(qs)] -= qs
+        r0, r1, s0, s1 = r1, rem, s1, s2 % p
+
+
+def test_han_gap_matches_the_euclid_oracle():
+    # every (t, A, B) <= 10, zeros included, then seeded random boxes below
+    # 400 and the (13, 16, 3, 4) certificate block, with no elimination
+    cases = [(p, *k) for p in (2, 3, 5, 7) for k in itertools.product(range(11), repeat=3)]
+    rng = random.Random(2029)
+    for _ in range(300):
+        cases.append((rng.choice((2, 3, 5, 7, 11, 13)), *(rng.randrange(400) for _ in range(3))))
+    cases.append((13, 5355, 5355, 5355))
+    for p, t, A, B in cases:
+        m1 = _euclid_m1(p, t, A, B)
+        assert m1 == _syzygy_degrees(p, t, A, B)[0], (p, t, A, B)
+        assert max(0, m1 - t) == _threshold(p, t, A, B), (p, t, A, B)
+    assert _threshold(13, 5355, 5355, 5355) == 2677
 
 
 def test_han_gap_takes_the_largest_level():

@@ -85,6 +85,13 @@ def test_basis_order_deterministic():
     ring = FermatRing(3, 4)
     basis = ring.basis(2)
     assert [tuple(m) for m in basis] == sorted(tuple(m) for m in basis)
+    # basis is the walk of basis_monomials; brute force fixes its order
+    for d in (0, 1, 4, 7):
+        ring = FermatRing(3, d)
+        for m in range(-1, 13):
+            every = [(i, j, m - i - j) for i in range(m + 1) for j in range(m - i + 1)]
+            expected = sorted(mono for mono in every if d == 0 or mono[0] < d)
+            assert [tuple(mono) for mono in ring.basis(m)] == expected, (d, m)
 
 
 def test_multiplication_by_one_is_identity():
