@@ -125,7 +125,9 @@ triples, in the bytes ``GradedPoly.to_string`` would write, and each
 ``serialize`` then copies one row's strings.  The public
 ``SectionVector`` constructor checks its vector by ``normal_form``, and
 so does ``first_section``, which unpacks only row 0 of a twist's basis:
-the one section the search certifies.
+the one section the search certifies.  ``normal_form`` bounds its own
+work: a vector whose check would pass ``poly.NORMAL_FORM_BUDGET`` steps
+is refused with ``BlockTooLargeError`` before anything is multiplied.
 
 The plane (d = 0) runs through the same code.  In degrees below d the
 Fermat ring equals F_p[X, Y, Z], so the degree-n syzygies on P^2 are
@@ -210,7 +212,9 @@ class SectionVector:
 
     Components are normal-form polynomials with deg s_i = twist - a_i
     (zero components allowed, including in negative degrees).  The
-    constructor checks the relation by ``normal_form``.  ``section_space``
+    constructor checks the relation by ``normal_form``, which raises
+    ``BlockTooLargeError`` instead for a vector whose check would take
+    more than ``poly.NORMAL_FORM_BUDGET`` steps.  ``section_space``
     returns views instead: ``_rows`` is its call's batch-checked
     ``_KernelRows`` and ``_row`` the view's row, and the components are
     built on first access.

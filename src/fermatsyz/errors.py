@@ -26,4 +26,7 @@ class InternalCheckError(FermatSyzError):
 
 
 class BlockTooLargeError(FermatSyzError):
-    """A residue block's dense band would exceed the package's memory limit."""
+    """A computation would pass one of the package's size limits, and is
+    refused before it starts: a residue block's dense band above
+    ``bundle.BAND_LIMIT_BYTES``, or a normal form of more than
+    ``poly.NORMAL_FORM_BUDGET`` steps."""

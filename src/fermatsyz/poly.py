@@ -3,15 +3,20 @@
 The central nonstandard operation is ``normal_form``: the canonical
 representative modulo the Fermat relation X^d + Y^d + Z^d, obtained by
 rewriting X^d -> -(Y^d + Z^d) until every X-exponent is below d.  The
-rewrite is applied in closed form per monomial,
+rewrite is applied in closed form,
 
     X^i = X^(i mod d) * (X^d)^t  ==  (-1)^t * X^(i mod d) * (Y^d + Z^d)^t,
 
-with the binomial expansion of (Y^d + Z^d)^t taken mod p by Lucas'
-theorem: ``lucas_terms`` lists only the v with C(t, v) != 0 mod p, the
-product of (r + 1) over the base-p digits r of t (``lucas_count``), so at
-a Frobenius exponent t = p^e the rewrite has two terms, not t + 1.
-``FermatRing.check_syzygies`` expands X^i from the same ``lucas_terms``.
+with (Y^d + Z^d)^t expanded mod p by Lucas' theorem, one base-p digit r
+of t at a time: each digit multiplies by (Y^(d p^k) + Z^(d p^k))^r, whose
+``digit_row(r, p)`` has r + 1 nonzero binomials, so at a Frobenius
+exponent t = p^e the rewrite has two terms, not t + 1.  ``normal_form``
+multiplies whole groups of terms digit by digit, adding groups as their
+remaining digits meet so that terms cancel early, and refuses, before
+multiplying, a polynomial that would take more than
+``NORMAL_FORM_BUDGET`` steps.  ``lucas_terms`` lists the nonzero
+binomials of one t from the same rows; ``FermatRing.check_syzygies``
+expands X^i from it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import ExponentOverflowError
+from .errors import BlockTooLargeError, ExponentOverflowError
 # binom_uint is not called here; perfbench/probes.py wraps poly.binom_uint
 from .field import PrimeField, binom_uint
 
@@ -265,13 +270,13 @@ def frobenius_power(f: GradedPoly, e: int) -> GradedPoly:
     return GradedPoly(f.field, degree, terms)
 
 
-def lucas_count(t: int, p: int) -> int:
-    """len(lucas_terms(t, p)): the product of (r + 1) over the base-p digits r of t."""
-    count = 1
-    while t:
-        t, r = divmod(t, p)
-        count *= r + 1
-    return count
+def digit_row(r: int, p: int) -> list:
+    """[C(r, 0), ..., C(r, r)] mod p for a base-p digit r < p: the
+    coefficients of (1 + x)^r, every one nonzero mod p."""
+    row = [1]
+    for k in range(r):  # C(r, k + 1) = C(r, k) (r - k) / (k + 1), k + 1 < p
+        row.append(row[-1] * (r - k) * pow(k + 1, -1, p) % p)
+    return row
 
 
 def lucas_terms(t: int, p: int) -> Iterable[tuple]:
@@ -279,51 +284,88 @@ def lucas_terms(t: int, p: int) -> Iterable[tuple]:
 
     Lucas' theorem as a recursion on t = p t' + r: (1 + x)^t = (1 + x^p)^t'
     (1 + x)^r mod p, so v = p v' + k over the terms v' of t' and k <= r, with
-    C(t, v) = C(t', v') C(r, k).  The work follows the number of terms,
-    ``lucas_count(t, p)``, not t, and no list of them is kept; a t below
-    2^62 recurses at most 62 deep.
+    C(t, v) = C(t', v') C(r, k).  The work follows the number of terms, the
+    product of (r + 1) over the base-p digits r of t, not t, and no list of
+    them is kept; a t below 2^62 recurses at most 62 deep.
     """
     if t == 0:
         yield 0, 1
         return
     high, r = divmod(t, p)
-    row = [1]
-    for k in range(r):  # C(r, k + 1) = C(r, k) (r - k) / (k + 1), k + 1 < p
-        row.append(row[-1] * (r - k) * pow(k + 1, -1, p) % p)
+    row = digit_row(r, p)
     for v, c in lucas_terms(high, p):
         for k, b in enumerate(row):
             yield v * p + k, c * b % p
 
 
-def reduce_monomial(mono: Monomial, coeff: int, d: int, p: int) -> Iterable[tuple]:
-    """Yield the normal-form terms of coeff * X^i Y^j Z^l modulo X^d + Y^d + Z^d."""
-    t, i2 = divmod(mono.i, d)
-    if t == 0:
-        yield mono, coeff
-        return
-    sign = p - 1 if t % 2 else 1
-    base = coeff * sign % p
-    for v, b in lucas_terms(t, p):  # base and b are nonzero mod the prime p
-        yield Monomial(i2, mono.j + v * d, mono.l + (t - v) * d), base * b % p
-
-
-def expansion_terms(f: GradedPoly, rel: FermatRelation) -> int:
-    """How many terms ``normal_form(f, rel)`` adds up, counted without expanding
-    any: ``reduce_monomial`` yields ``lucas_count(i // d, p)`` per monomial."""
-    return sum(lucas_count(m.i // rel.d, f.field.p) for m in f.terms)
+# The most steps ``normal_form`` takes for one polynomial, a step being one
+# term times one entry of a digit's row, as its pre-pass bounds them before
+# anything is multiplied.  The (13, 23, 1, 5) certificate, the deepest the
+# band guard lets the search build, needs at most 179,150 and verifies in
+# 0.07 s.  The slowest polynomials measured at the budget (2-core x86 VM):
+# one term X^(t d) over F_p, p = 2^31 - 1, t = 2^20 - 1, whose one digit
+# spreads into 2^20 terms that never cancel, 3.6-5.3 s and 397 MB max RSS;
+# 2^19 one-term groups with t = 1, 4.2-6.1 s and 754 MB, 208 MB of it the
+# input.
+NORMAL_FORM_BUDGET = 2**20
 
 
 def normal_form(f: GradedPoly, rel: FermatRelation) -> GradedPoly:
-    """Canonical representative of f mod (X^d + Y^d + Z^d): X-exponents < d."""
+    """Canonical representative of f mod (X^d + Y^d + Z^d): X-exponents < d.
+
+    On the curve X^(i + t d) = (-1)^t X^i (Y^d + Z^d)^t, so a term
+    X^(i + t d) Y^(j + alpha d) Z^l with i, j < d is X^i Y^j Z^(D - i - j)
+    times (-1)^t x^alpha (1 + x)^t in x = Y^d / Z^d, D = deg f.  Terms are
+    grouped by (i, j, t) into one polynomial in x each, and (1 + x)^t is
+    applied digit by digit, (1 + x)^t = prod_k (1 + x^(p^k))^(t_k) mod p
+    (Lucas), lowest digit first.  Each digit's products go straight into
+    the group of the remaining t // p^(k + 1), so groups whose remaining
+    digits agree are added together and their terms cancel as soon as
+    their futures coincide.  Coefficients are kept reduced mod p, and one
+    that has cancelled to 0 is skipped.  A pre-pass bounds the steps (a
+    term times one entry of a digit's row) from each group's support, span
+    and digits; above ``NORMAL_FORM_BUDGET`` it raises
+    ``BlockTooLargeError`` before anything is multiplied.
+    """
     if f.field != rel.field:
         raise ValueError("polynomial and relation live over different fields")
-    p = f.field.p
-    out: dict = {}
+    p, d = f.field.p, rel.d
+    pending: dict = {}  # (i, j, t left) -> {exponent of x: coefficient}
+    done: dict = {}  # (i, j) -> {exponent of x: coefficient}, every digit applied
     for mono, c in f.terms.items():
-        for m2, c2 in reduce_monomial(mono, c, rel.d, p):
-            nc = (out.get(m2, 0) + c2) % p
-            if nc:
-                out[m2] = nc
-            else:
-                out.pop(m2, None)
-    return GradedPoly(f.field, f.degree, out)
+        t, i = divmod(mono.i, d)
+        alpha, j = divmod(mono.j, d)
+        pending.setdefault((i, j, t), {})[alpha] = p - c if t % 2 else c
+    steps = 0
+    for (_, _, t), poly in pending.items():
+        # a product's support is at most the old one times r + 1, and at
+        # most its span plus one; adding groups only unites supports
+        size, span, scale = len(poly), max(poly) - min(poly), 1
+        while t:
+            t, r = divmod(t, p)
+            steps += size * (r + 1)
+            span += r * scale
+            size = min(size * (r + 1), span + 1)
+            scale *= p
+    if steps > NORMAL_FORM_BUDGET:
+        raise BlockTooLargeError(
+            f"normal form needs up to {steps:,} steps, above the budget of {NORMAL_FORM_BUDGET:,}"
+        )
+    scale = 1
+    while pending:
+        groups, pending = pending, {}
+        for (i, j, t), poly in groups.items():
+            t, r = divmod(t, p)
+            row = digit_row(r, p)
+            into = pending.setdefault((i, j, t), {}) if t else done.setdefault((i, j), {})
+            for w, c in poly.items():
+                if c:
+                    for k, b in enumerate(row):
+                        into[w + k * scale] = (into.get(w + k * scale, 0) + c * b) % p
+        scale *= p
+    out = {}
+    for (i, j), poly in done.items():
+        for w, c in poly.items():
+            if c:
+                out[Monomial(i, j + w * d, f.degree - i - j - w * d)] = c
+    return GradedPoly._trusted(f.field, f.degree, out)

@@ -23,15 +23,7 @@ import numpy as np
 
 from .field import PrimeField
 from .linalg import MatrixModP
-from .poly import (
-    FermatRelation,
-    GradedPoly,
-    Monomial,
-    lucas_terms,
-    monomial_text,
-    normal_form,
-    reduce_monomial,
-)
+from .poly import FermatRelation, GradedPoly, Monomial, lucas_terms, monomial_text, normal_form
 
 
 def _choose2(m: int) -> int:
@@ -149,8 +141,7 @@ class FermatRing:
         this is rejected, never summed.  One vectorized pass checks
         s1 X^a1 + s2 Y^a2 + s3 Z^a3 = 0 in R_n for all rows.  Y^a2 and Z^a3
         move a basis monomial to a basis monomial; X^a1 does too once its
-        X-exponent i + a1 = i' + t d is rewritten as in
-        ``poly.reduce_monomial``,
+        X-exponent i + a1 = i' + t d is rewritten by X^d = -(Y^d + Z^d),
 
             (-1)^t sum_v C(t, v) X^i' Y^(j + v d) Z^(l + (t - v) d),
 
@@ -221,14 +212,10 @@ class FermatRing:
         """Matrix of (.g): R_n -> R_{n+deg g} in the monomial bases."""
         if g.field != self.field:
             raise ValueError("polynomial lives over a different field")
-        p = self.p
         top = n + g.degree
-        d = self.d or top + 1  # the plane: no rewrite below degree top + 1
-        src = self.basis(n)
-        m = np.zeros((self.hilbert(top), len(src)), dtype=np.int64)
-        for col, mono in enumerate(src):
-            for gm, gc in g.terms.items():
-                for m2, c2 in reduce_monomial(mono.mul(gm), gc, d, p):
-                    row = basis_pos(m2.i, m2.j, top)
-                    m[row, col] = (m[row, col] + c2) % p
-        return MatrixModP(m, p)
+        m = np.zeros((self.hilbert(top), self.hilbert(n)), dtype=np.int64)
+        for col, mono in enumerate(self.basis(n)):
+            product = GradedPoly.monomial(self.field, 1, mono) * g
+            for m2, c in self.normal_form(product).terms.items():
+                m[basis_pos(m2.i, m2.j, top), col] = c
+        return MatrixModP(m, self.p)

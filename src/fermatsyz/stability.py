@@ -47,13 +47,14 @@ from .bundle import (
     section_space,  # likewise: the search unpacks only the row it uses
 )
 from .errors import (
+    BlockTooLargeError,
     ExponentOverflowError,
     InapplicableError,
     InternalCheckError,
     SmoothnessError,
 )
 from .field import MAX_PRIME, PrimeField, check_prime, is_prime
-from .poly import EXP_LIMIT, GradedPoly, expansion_terms, parse_poly, scaled_power
+from .poly import EXP_LIMIT, GradedPoly, parse_poly, scaled_power
 
 SCHEMA_VERSION = 1
 
@@ -222,7 +223,9 @@ def certify_destabilization(p: int, a: int, d: int) -> DestabCertificate:
     spec = SyzygySpec(p, d, (a, a, a)).frobenius_pullback(e)
     field = PrimeField(p)
     # the constructor normal-forms X^k X^aq + Y^k Y^aq + Z^k Z^aq =
-    # X^dp + Y^dp + Z^dp = (X^d + Y^d + Z^d)^p, the identity behind the section
+    # X^dp + Y^dp + Z^dp = (X^d + Y^d + Z^d)^p, the identity behind the
+    # section; X^dp = (X^d)^p has t = p, base-p digits 0 and 1, so the check
+    # takes three steps of ``poly.NORMAL_FORM_BUDGET`` at any p
     section = SectionVector(
         spec,
         dp,
@@ -343,13 +346,6 @@ def deviation_lower_bound(p: int, a: int, e: int):
 
 _INT_FIELDS = ("p", "a", "d", "e", "q", "k", "twist", "degree", "slope_sub", "slope_quotient")
 
-# The most normal-form terms ``verify_certificate`` expands for one section:
-# 1.35 times the 3,107,720 of the (13, 23, 1, 5) certificate, the deepest the
-# band guard lets the search build, which verifies in 8 s and 32 MB max RSS
-# because its terms meet and cancel as they are added.  A section whose terms
-# never meet takes 27 s and 1.2 GB at the budget (2-core x86 VM).
-TERM_BUDGET = 2**22
-
 
 def verify_certificate(data: dict) -> list:
     """Re-check a certificate dict; returns the list of failed checks.
@@ -357,9 +353,11 @@ def verify_certificate(data: dict) -> list:
     Every mathematical field participates in at least one cross-check, so
     any single-field corruption that changes a quantity is caught.  A
     ``schema`` other than SCHEMA_VERSION fails at once; one that is absent
-    is read as SCHEMA_VERSION.  A section whose normal form would expand
-    into more than ``TERM_BUDGET`` terms fails before it is expanded, so
-    every answer comes in bounded time.
+    is read as SCHEMA_VERSION.  The section is checked by the
+    ``SectionVector`` constructor; a section whose normal form would take
+    more than ``poly.NORMAL_FORM_BUDGET`` steps is refused by it before
+    anything is multiplied and fails, so every answer comes in bounded
+    time.
     """
     failures = []
 
@@ -432,15 +430,10 @@ def verify_certificate(data: dict) -> list:
         return failures + [f"section component malformed: {exc}"]
     if all(s.is_zero() for s in polys):
         return failures + ["section is zero"]
-    shifts = (GradedPoly.monomial(field, 1, x) for x in ((aq, 0, 0), (0, aq, 0), (0, 0, aq)))
     try:
-        # the terms normal_form expands s1 X^aq, s2 Y^aq and s3 Z^aq into
-        terms = sum(expansion_terms(s * x, spec.ring.relation) for s, x in zip(polys, shifts))
-        if terms > TERM_BUDGET:
-            return failures + [
-                f"section expands into {terms:,} normal-form terms, above the budget of {TERM_BUDGET:,}"
-            ]
         SectionVector(spec, twist, tuple(polys))
+    except BlockTooLargeError as exc:
+        failures.append(f"section is too large to check: {exc}")
     except (ValueError, ExponentOverflowError) as exc:
         failures.append(f"syzygy relation fails under normal form: {exc}")
     return failures

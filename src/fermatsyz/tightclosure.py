@@ -33,7 +33,7 @@ from fractions import Fraction
 from .errors import InapplicableError, SmoothnessError
 # binom_uint is not called here; perfbench/probes.py wraps tightclosure.binom_uint
 from .field import binom_uint, check_prime
-from .poly import lucas_terms, scaled_power
+from .poly import digit_row, scaled_power
 from .stability import SCHEMA_VERSION, format_fraction
 
 ASSUMED_IMPLICATION = (
@@ -130,14 +130,14 @@ def cech_class_p1(params: TCParameters) -> CechClassP1:
     Z^(ud) = (-1)^u (X^d + Y^d)^u on the curve, so the stored terms are
     C(u, v) X^(vd - bq) Y^((u-v)d - bq), each of degree ud - 2bq; terms
     with a nonnegative exponent vanish in H^1 and are discarded.  Since
-    u < p, every C(u, v) is nonzero mod p, and ``poly.lucas_terms`` yields
-    them all, each from the last, so the work is linear in p.  The
+    u < p, u is one base-p digit and ``poly.digit_row(u, p)`` is every
+    C(u, v) mod p, each from the last, so the work is linear in p.  The
     expansion is computed for any parameters; whether it proves anything
     is decided by the precondition flags of the report.
     """
     p, u, d, bq = params.p, params.u, params.d, params.bq
     coeffs = {}
-    for v, c in lucas_terms(u, p):
+    for v, c in enumerate(digit_row(u, p)):
         i = v * d - bq
         j = (u - v) * d - bq
         if i <= -1 and j <= -1:

@@ -1,8 +1,8 @@
 """Test-side conversions between sparse kernel triples and dense matrices,
 coordinates of a polynomial in the basis of its degree, the dense
-reference elimination of a section space, a certificate whose normal form
-is too large to expand, and a deadline for checks that must answer at
-once."""
+reference elimination of a section space, the term-by-term reference
+normal form, a certificate whose normal form is too large to expand, and
+a deadline for checks that must answer at once."""
 
 import signal
 from fractions import Fraction
@@ -12,6 +12,7 @@ import numpy as np
 from fermatsyz import _kernels
 from fermatsyz.bundle import SectionVector, syzygy_matrix
 from fermatsyz.linalg import kernel_from_rref
+from fermatsyz.poly import GradedPoly, Monomial, lucas_terms
 from fermatsyz.ring import basis_pos
 from fermatsyz.stability import format_fraction
 
@@ -69,6 +70,34 @@ def dense_section(spec, n):
         parts.append(ring.from_coords(kernel[0, start : start + width], n - a))
         start += width
     return SectionVector(spec, n, tuple(parts))
+
+
+def reduce_monomial(mono, coeff, d, p):
+    """Yield the normal-form terms of coeff * X^i Y^j Z^l modulo X^d + Y^d + Z^d,
+    one per v of ``lucas_terms(t, p)``: X^i = X^(i mod d) (-(Y^d + Z^d))^t."""
+    t, i2 = divmod(mono.i, d)
+    if t == 0:
+        yield mono, coeff
+        return
+    sign = p - 1 if t % 2 else 1
+    base = coeff * sign % p
+    for v, b in lucas_terms(t, p):
+        yield Monomial(i2, mono.j + v * d, mono.l + (t - v) * d), base * b % p
+
+
+def reference_normal_form(f, rel):
+    """``poly.normal_form`` term by term: every monomial expanded in full by
+    ``reduce_monomial`` and the terms summed in one dict."""
+    p = f.field.p
+    out = {}
+    for mono, c in f.terms.items():
+        for m2, c2 in reduce_monomial(mono, c, rel.d, p):
+            nc = (out.get(m2, 0) + c2) % p
+            if nc:
+                out[m2] = nc
+            else:
+                out.pop(m2, None)
+    return GradedPoly(f.field, f.degree, out)
 
 
 def times_band(K, row, p):

@@ -428,12 +428,15 @@ def test_verify_jsonl_reports_every_failing_line(tmp_path, capsys):
     assert stdout.endswith(f"4 of {len(certs)} certificate(s) failed\n")
 
 
-def test_verify_refuses_a_section_past_the_term_budget_and_reads_on(tmp_path, capsys):
+def test_verify_refuses_a_section_past_the_normal_form_budget_and_reads_on(tmp_path, capsys):
     # p = 2, a = 1, d = 3, e = 61, section (X, Y, Z): its normal form would
     # expand X^(2^61 + 1) into 2^31 terms; verify refuses it at once, alone
     # and as one line of a file whose other lines are still checked
     crafted = crafted_certificate(61)
-    reason = "section expands into 2,147,483,650 normal-form terms, above the budget of 4,194,304"
+    reason = (
+        "section is too large to check: normal form needs up to 6,442,450,938 steps, "
+        "above the budget of 1,048,576"
+    )
     single = tmp_path / "crafted.json"
     single.write_text(json.dumps(crafted))
     started = time.perf_counter()

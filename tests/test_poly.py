@@ -3,23 +3,23 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermatsyz.errors import ExponentOverflowError
+from fermatsyz import poly as poly_module
+from fermatsyz.errors import BlockTooLargeError, ExponentOverflowError
 from fermatsyz.field import PrimeField, binom_uint
 from fermatsyz.poly import (
     EXP_LIMIT,
     FermatRelation,
     GradedPoly,
-    expansion_terms,
+    digit_row,
     frobenius_power,
-    lucas_count,
     lucas_terms,
     Monomial,
     make_monomial,
     normal_form,
     parse_poly,
-    reduce_monomial,
     scaled_power,
 )
+from kernel_helpers import reference_normal_form
 
 F5 = PrimeField(5)
 F2 = PrimeField(2)
@@ -132,30 +132,37 @@ def test_normal_form_frobenius_power_vanishes():
     assert normal_form(f, rel).is_zero()
 
 
-def test_reduce_monomial_on_both_sides_of_the_row_limit():
+def monomial_normal_form(p, t):
+    """normal_form of X^(2 + 3t) Y mod X^3 + Y^3 + Z^3 over F_p, as a dict."""
+    field = PrimeField(p)
+    f = GradedPoly.monomial(field, 1, (2 + 3 * t, 1, 0))
+    return normal_form(f, FermatRelation(3, field)).terms
+
+
+def test_normal_form_of_a_monomial_on_both_sides_of_the_row_limit():
     # an even and an odd t: each term is (-1)^t C(t, v), every v with
     # C(t, v) != 0 mod p present
     for p in (5, 7):
         for t in (1024, 1025):
             sign = (-1) ** t
             expected = {
-                Monomial(2, 1 + 3 * v, 3 * (t - v)): sign * 2 * math.comb(t, v) % p
+                Monomial(2, 1 + 3 * v, 3 * (t - v)): sign * math.comb(t, v) % p
                 for v in range(t + 1)
                 if math.comb(t, v) % p
             }
-            assert dict(reduce_monomial(Monomial(2 + 3 * t, 1, 0), 2, 3, p)) == expected
+            assert monomial_normal_form(p, t) == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_lucas_terms_match_every_binomial_above_the_row_limit(p):
-    # reduce_monomial enumerates only the v whose base-p digits lie under
-    # t's; every other C(t, v) is 0 mod p
+    # normal_form and lucas_terms reach only the v whose base-p digits lie
+    # under t's; every other C(t, v) is 0 mod p
     for t in [1025, 1026, 1031, 2000, 2186, 3125, 4095, 4096]:
         binoms = [binom_uint(t, v, p) for v in range(t + 1)]
         expected = [(v, b) for v, b in enumerate(binoms) if b]
         assert list(lucas_terms(t, p)) == expected, (p, t)
         sign = (-1) ** t
-        assert dict(reduce_monomial(Monomial(2 + 3 * t, 1, 0), 1, 3, p)) == {
+        assert monomial_normal_form(p, t) == {
             Monomial(2, 1 + 3 * v, 3 * (t - v)): sign * b % p for v, b in expected
         }, (p, t)
 
@@ -165,19 +172,31 @@ def test_lucas_terms_match_every_binomial_above_the_row_limit(p):
 def test_lucas_terms_are_the_nonzero_binomials(p, t):
     expected = [(v, b) for v in range(t + 1) if (b := binom_uint(t, v, p))]
     assert list(lucas_terms(t, p)) == expected
-    assert lucas_count(t, p) == len(expected)
+    if t < p:  # one digit: its row is every binomial
+        assert list(enumerate(digit_row(t, p))) == expected
 
 
-def test_expansion_terms_counts_what_normal_form_adds_up():
-    # X^20 Y + X^3 Z^18 + Z^21 mod X^3 + Y^3 + Z^3 over F_2: t = 6 (110 in
-    # binary) and t = 1 give 4 and 2 terms, Z^21 stays, and the Z^21 of
-    # X^3 Z^18 = Y^3 Z^18 + Z^21 cancels it in the normal form
+def test_digit_row_is_one_digit_of_binomials():
+    assert digit_row(0, 5) == [1]
+    assert digit_row(4, 5) == [1, 4, 6 % 5, 4, 1]
+    p = 2**31 - 1
+    assert digit_row(40, p) == [math.comb(40, v) % p for v in range(41)]
+
+
+def test_normal_form_cancels_terms_whose_digits_meet():
+    # X^20 Y + X^3 Z^18 + Z^21 mod X^3 + Y^3 + Z^3 over F_2: X^20 Y has
+    # t = 6 (110 in binary), 4 terms, X^3 Z^18 has t = 1 and 2, and Z^21
+    # stays; X^3 Z^18's group meets Z^21's once its one digit is applied,
+    # and its Z^21 = X^0 Y^0 Z^18 (Z^3) cancels
     f = poly(F2, (1, (20, 1, 0)), (1, (3, 0, 18)), (1, (0, 0, 21)))
     rel = FermatRelation(3, F2)
-    expanded = [term for m, c in f.terms.items() for term in reduce_monomial(m, c, 3, 2)]
-    assert expansion_terms(f, rel) == len(expanded) == 4 + 2 + 1
-    assert len(normal_form(f, rel).terms) == 7 - 2
-    assert expansion_terms(GradedPoly.zero(F2, 21), rel) == 0
+    nf = normal_form(f, rel)
+    assert nf == poly(
+        F2,
+        (1, (2, 1, 18)), (1, (2, 7, 12)), (1, (2, 13, 6)), (1, (2, 19, 0)), (1, (0, 3, 18)),
+    )
+    assert nf == reference_normal_form(f, rel)
+    assert normal_form(GradedPoly.zero(F2, 21), rel).is_zero()
 
 
 def test_normal_form_single_step():
@@ -277,3 +296,46 @@ def test_parse_rejects_garbage():
         parse_poly("1*X^2*Y^0*Z^0 + junk", F5)
     with pytest.raises(ValueError):
         parse_poly("1*X^1*Y^0*Z^0 + 1*X^2*Y^0*Z^0", F5)  # inhomogeneous
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 13, 2**31 - 1]),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=300),
+    st.lists(st.tuples(coeff, exp, exp), min_size=1, max_size=40),
+)
+def test_normal_form_matches_the_term_by_term_reference(p, d, degree, seed_terms):
+    field = PrimeField(p)
+    rel = FermatRelation(d, field)
+    f = random_homogeneous(field, degree, seed_terms)
+    assert normal_form(f, rel) == reference_normal_form(f, rel)
+
+
+def test_normal_form_budget_bounds_the_steps_exactly(monkeypatch):
+    # X^(3t + 1) over F_2 mod X^3 + Y^3 + Z^3 with t = 2^10 - 1: ten digits
+    # 1, and the one group doubles at each, 2 + 4 + ... + 2^10 steps
+    rel = FermatRelation(3, F2)
+    f = GradedPoly.monomial(F2, 1, (3 * (2**10 - 1) + 1, 0, 0))
+    monkeypatch.setattr(poly_module, "NORMAL_FORM_BUDGET", 2**11 - 2)
+    assert len(normal_form(f, rel).terms) == 2**10
+    monkeypatch.setattr(poly_module, "NORMAL_FORM_BUDGET", 2**11 - 3)
+    message = "needs up to 2,046 steps, above the budget of 2,045"
+    with pytest.raises(BlockTooLargeError, match=message):
+        normal_form(f, rel)
+
+
+def test_normal_form_budget_caps_a_group_at_its_span(monkeypatch):
+    # one group of 100 terms X^(168 d) Y^(alpha d) Z^..., alpha < 100, over
+    # F_13: t = 168 has digits 12, 12.  The first digit takes 100 * 13 steps
+    # and leaves at most 99 + 12 + 1 = 112 exponents, not 1,300, so the
+    # second takes 112 * 13
+    field = PrimeField(13)
+    rel = FermatRelation(2, field)
+    degree = 2 * (168 + 99)
+    f = GradedPoly(field, degree, {(2 * 168, 2 * a, degree - 2 * (168 + a)): 1 for a in range(100)})
+    monkeypatch.setattr(poly_module, "NORMAL_FORM_BUDGET", 100 * 13 + 112 * 13)
+    assert normal_form(f, rel) == reference_normal_form(f, rel)
+    monkeypatch.setattr(poly_module, "NORMAL_FORM_BUDGET", 100 * 13 + 112 * 13 - 1)
+    with pytest.raises(BlockTooLargeError, match="needs up to 2,756 steps"):
+        normal_form(f, rel)

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermatsyz import stability
+from fermatsyz import poly
 from fermatsyz.bundle import SectionVector, SyzygySpec, first_section_twist, section_space
 from fermatsyz.errors import (
+    BlockTooLargeError,
     ExponentOverflowError,
     InapplicableError,
     InternalCheckError,
@@ -20,14 +21,7 @@ from fermatsyz.errors import (
     SmoothnessError,
 )
 from fermatsyz.field import PrimeField
-from fermatsyz.poly import (
-    GradedPoly,
-    Monomial,
-    expansion_terms,
-    lucas_count,
-    parse_poly,
-    reduce_monomial,
-)
+from fermatsyz.poly import FermatRelation, GradedPoly, normal_form, parse_poly
 from fermatsyz.stability import (
     DestabCertificate,
     ParameterChoice,
@@ -45,6 +39,7 @@ from kernel_helpers import (
     crafted_certificate,
     dense_kernel,
     dense_section,
+    reference_normal_form,
     to_dense,
     within,
 )
@@ -405,7 +400,9 @@ def test_verify_answers_on_a_huge_q_certificate():
     # rewrite has t = 2^40 + 1 and only four binomials nonzero mod 2; one
     # per v up to t would never finish.  The alarm turns a hang into a failure
     q = 2**40
-    assert len(dict(reduce_monomial(Monomial(q + 1, 0, 0), 1, 1, 2))) == 4
+    f2 = PrimeField(2)
+    x = GradedPoly.monomial(f2, 1, (q + 1, 0, 0))
+    assert len(normal_form(x, FermatRelation(1, f2)).terms) == 4
     degree = 2 - q
     cert = {
         "schema": 1, "p": 2, "a": 1, "d": 1, "e": 40, "q": q, "k": 1, "twist": q + 1,
@@ -433,41 +430,51 @@ def test_verify_answers_on_a_huge_q_certificate():
     ]
 
 
-def test_verify_refuses_a_section_past_the_term_budget():
-    # e = 61: X^(2^61 + 1) would expand into 2^31 terms; the count comes
-    # from the digits of t and nothing is expanded
+DEEP_CERTIFICATE = Path(__file__).parent / "data" / "certificate_13_23_1_5.json.gz"
+
+
+def test_verify_refuses_a_section_past_the_normal_form_budget():
+    # e = 61: X^(2^61 + 1) would expand into 2^31 terms; the bound on the
+    # steps comes from the digits of t and nothing is multiplied
     started = time.perf_counter()
     failures = within(2, verify_certificate, crafted_certificate(61))
     assert time.perf_counter() - started < 1.0
     assert failures == [
-        "section expands into 2,147,483,650 normal-form terms, above the budget of 4,194,304"
+        "section is too large to check: normal form needs up to 6,442,450,938 steps, "
+        "above the budget of 1,048,576"
     ]
 
 
-def test_term_budget_counts_every_product_term(monkeypatch):
-    # (X^k, Y^k, Z^k) at p = 5, d = 11, aq = 50, k = 5: X^55 = X^0 (X^11)^5,
-    # and C(5, v) is nonzero mod 5 at v = 0 and 5 only, so 2 + 1 + 1 terms;
-    # the budget passes a section that needs exactly it
+def test_normal_form_budget_admits_the_exact_step_counts(monkeypatch):
+    # (X^k, Y^k, Z^k) at p = 5, d = 11, aq = 50, k = 5: X^55 = (X^11)^5 and
+    # t = 5 has base-5 digits 0, 1, so 1 + 2 steps; Y^55 and Z^55 need none.
+    # The budget passes a section that needs exactly it
     cert = certify_destabilization(5, 2, 11).to_json_dict()
-    monkeypatch.setattr(stability, "TERM_BUDGET", 4)
-    assert verify_certificate(cert) == []
-    monkeypatch.setattr(stability, "TERM_BUDGET", 3)
-    assert verify_certificate(cert) == [
-        "section expands into 4 normal-form terms, above the budget of 3"
-    ]
-    # the package's deep certificates fit: (7, 11, 3, 4) needs 4,410
     deep = search_destabilization(7, 11, 3, 4).to_json_dict()
-    monkeypatch.setattr(stability, "TERM_BUDGET", 4410)
+    monkeypatch.setattr(poly, "NORMAL_FORM_BUDGET", 3)
+    assert verify_certificate(cert) == []
+    monkeypatch.setattr(poly, "NORMAL_FORM_BUDGET", 2)
+    assert verify_certificate(cert) == [
+        "section is too large to check: normal form needs up to 3 steps, above the budget of 2"
+    ]
+    # the package's deep certificates fit: (7, 11, 3, 4) needs 3,780
+    monkeypatch.setattr(poly, "NORMAL_FORM_BUDGET", 3780)
     assert verify_certificate(deep) == []
-    monkeypatch.setattr(stability, "TERM_BUDGET", 4409)
-    assert verify_certificate(deep)[0].startswith("section expands into 4,410 ")
+    monkeypatch.setattr(poly, "NORMAL_FORM_BUDGET", 3779)
+    assert verify_certificate(deep) == [
+        "section is too large to check: normal form needs up to 3,780 steps, "
+        "above the budget of 3,779"
+    ]
+    # the search refuses a certificate it could not check the same way
+    with pytest.raises(BlockTooLargeError, match="needs up to 3,780 steps"):
+        search_destabilization(7, 11, 3, 4)
 
 
-def test_term_budget_admits_the_deep_certificate(monkeypatch):
+def test_normal_form_budget_admits_the_deep_certificate(monkeypatch):
     # (13, 23, 1, 5), whose certificate block the band guard admits
     # (test_bundle's test_band_guard_on_deep_certificates); its RREF takes
     # minutes, so the certificate is read from a file
-    with gzip.open(Path(__file__).parent / "data" / "certificate_13_23_1_5.json.gz") as f:
+    with gzip.open(DEEP_CERTIFICATE) as f:
         cert = json.load(f)
     p, d, a, e = 13, 23, 1, 5
     assert (cert["p"], cert["d"], cert["a"], cert["e"]) == (p, d, a, e)
@@ -478,19 +485,115 @@ def test_term_budget_admits_the_deep_certificate(monkeypatch):
     s1, s2, s3 = (parse_poly(text, field) for text in cert["section"])
     assert (len(s1.terms), len(s2.terms), len(s3.terms)) == (1008, 1540, 1540)
     # every X^(i + aq) of s1 X^aq rewrites with t = 16,143, base-13 digits
-    # 7, 4, 6, 10, so into 8 * 5 * 7 * 11 terms; s2 Y^aq and s3 Z^aq need none
+    # 10, 6, 4, 7 from the lowest; s2 Y^aq and s3 Z^aq need no rewrite
     assert {(m.i + aq) // d for m in s1.terms} == {16143}
-    assert lucas_count(16143, p) == 8 * 5 * 7 * 11
-    shifts = [GradedPoly.monomial(field, 1, x) for x in ((aq, 0, 0), (0, aq, 0), (0, 0, aq))]
-    terms = sum(expansion_terms(s * x, spec.ring.relation) for s, x in zip((s1, s2, s3), shifts))
-    assert terms == 1008 * 3080 + 2 * 1540 == 3_107_720
-    assert terms <= stability.TERM_BUDGET
-    # every cross-check and the budget pass, and the section reaches the
-    # normal-form check, which accepts it in about 8 s
-    checked = []
-    monkeypatch.setattr(stability, "SectionVector", lambda *args: checked.append(args))
-    assert verify_certificate(cert) == []
-    assert len(checked) == 1
+    # the real check, every cross-check and the normal form, in well under
+    # a second (term by term it took 5.5 s)
+    started = time.perf_counter()
+    assert within(10, verify_certificate, cert) == []
+    assert time.perf_counter() - started < 1.0
+    monkeypatch.setattr(poly, "NORMAL_FORM_BUDGET", 179_149)
+    assert verify_certificate(cert) == [
+        "section is too large to check: normal form needs up to 179,150 steps, "
+        "above the budget of 179,149"
+    ]
+
+
+# -- normal_form against the term-by-term reference ---------------------------
+
+
+def syzygy_products(spec, components) -> list:
+    """s1 X^a1, s2 Y^a2 and s3 Z^a3 of a section of ``spec``."""
+    out = []
+    for var, (s, a) in enumerate(zip(components, spec.exponents)):
+        shift = [0, 0, 0]
+        shift[var] = a
+        out.append(s * GradedPoly.monomial(s.field, 1, tuple(shift)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_certificates() -> list:
+    """Every certificate of the acceptance grid, of perfbench's certify pool
+    and of three deep cells, and certify(2^31 - 1, 3, 4)."""
+    grid = [
+        search_destabilization(p, d, a, 3)
+        for p in (2, 3, 5, 7)
+        for d in range(4, 13)
+        for a in (1, 2, 3)
+        if d % p
+    ]
+    pool = {
+        (p, a, find_parameters(p, a, d0).d)
+        for p in (2, 3, 5, 7)
+        for a in (1, 2, 3)
+        for d0 in range(1, 21)
+    }
+    certs = [c for c in grid if c is not None]
+    assert len(certs) == 51
+    certs += [certify_destabilization(*key) for key in sorted(pool)]
+    cells = ((5, 11, 1, 4), (7, 11, 3, 4), (13, 29, 1, 4))
+    certs += [search_destabilization(*cell) for cell in cells]
+    certs.append(certify_destabilization(2147483647, 3, 4))
+    return certs
+
+
+def test_normal_form_matches_the_reference_on_every_certificate(oracle_certificates):
+    certs = oracle_certificates
+    # the pool has sections (X^k, Y^k, Z^k) with k >= d, whose components
+    # are not themselves in normal form: (7, 3, 4) has k = 7
+    assert any(c.k >= c.d for c in certs) and any(c.p == 2147483647 for c in certs)
+    for cert in certs:
+        spec = cert.section.spec
+        rel = spec.ring.relation
+        parts = syzygy_products(spec, cert.section.components)
+        for part in parts:
+            assert normal_form(part, rel) == reference_normal_form(part, rel), cert
+        total = parts[0] + parts[1] + parts[2]
+        assert normal_form(total, rel).is_zero() and reference_normal_form(total, rel).is_zero()
+
+
+def changed_sections(components, terms=None):
+    """Copies of ``components`` with one coefficient c raised to c + 1, once
+    per term of each component, or once per index in ``terms`` if given."""
+    for idx, s in enumerate(components):
+        mono_list = sorted(s.terms)
+        picks = range(len(mono_list)) if terms is None else [k % len(mono_list) for k in terms]
+        for k in picks:
+            changed = dict(s.terms)
+            changed[mono_list[k]] += 1  # 0 mod p removes the term
+            out = list(components)
+            out[idx] = GradedPoly(s.field, s.degree, changed)
+            yield tuple(out)
+
+
+def test_changing_any_single_coefficient_breaks_the_relation(oracle_certificates):
+    for cert in oracle_certificates:
+        spec = cert.section.spec
+        for components in changed_sections(cert.section.components):
+            with pytest.raises(ValueError, match="do not satisfy the syzygy relation"):
+                SectionVector(spec, cert.twist, components)
+
+
+def test_normal_form_matches_the_reference_on_the_deep_certificate():
+    # (13, 23, 1, 5): the reference expands s1 X^aq into 3,107,720 terms
+    # (about 4 s); s2 Y^aq and s3 Z^aq are in normal form already
+    with gzip.open(DEEP_CERTIFICATE) as f:
+        cert = json.load(f)
+    aq = 13**5
+    spec = SyzygySpec(13, 23, (aq, aq, aq))
+    field = PrimeField(13)
+    components = tuple(parse_poly(text, field) for text in cert["section"])
+    rel = spec.ring.relation
+    x, y, z = syzygy_products(spec, components)
+    expected = reference_normal_form(x, rel)
+    assert normal_form(x, rel) == expected and len(expected.terms) == 3080
+    assert normal_form(y, rel) == y and normal_form(z, rel) == z
+    assert normal_form(x + y + z, rel).is_zero() and (expected + y + z).is_zero()
+    # a change to a coefficient, for a spread of terms of each component
+    for changed in changed_sections(components, terms=range(0, 1540, 97)):
+        with pytest.raises(ValueError, match="do not satisfy the syzygy relation"):
+            SectionVector(spec, cert["twist"], changed)
 
 
 def test_verify_rejects_tampered_degree():
