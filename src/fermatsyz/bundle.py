@@ -67,9 +67,10 @@ threshold, and there are at most eight such groups per spec.
 
 The basis without a global elimination.  ``section_space`` builds only
 the blocks whose closed-form nullity is positive, each distinct
-(t, A, B, N) once per call.  A kernel vector f of a block is s1; s2 and
-s3 follow in closed form, because s2 Y^a2 + s3 Z^a3 = -s1 X^a1 is f times
-the band (-1)^(t + 1) C(t, v) (see the structured-path comment).  Each of
+(p, t, A, B, N) once while the block cache keeps it.  A kernel vector f
+of a block is s1; s2 and s3 follow in closed form, because
+s2 Y^a2 + s3 Z^a3 = -s1 X^a1 is f times the band (-1)^(t + 1) C(t, v)
+(see the structured-path comment).  Each of
 its monomials has Y-exponent >= a2 or Z-exponent >= a3, and it is put on
 s3 whenever its Z-exponent allows, else on s2.  A block whose
 bad-projection band is empty is free: every f qualifies, its kernel is
@@ -95,28 +96,34 @@ The RREF is unique, so this is the basis the dense elimination returns.
 Sparse triples and verification.  The basis is almost all zeros, so
 ``_structured_kernel`` returns it as sparse triples (row count, rows,
 columns, values): the nonzero entries only, sorted by (row, column), with
-values in [1, p); it never forms a dense matrix.  A dict local to one
-call, keyed by (t, A, B, N), holds each distinct block's s1 pivots and
-block-local nonzeros (``_block_entry``), so a block that recurs across
-residue classes is built and checked once; nothing persists between
-calls.  A banded block's product with the binomial row is one sparse
-outer product of its kernel's nonzeros, summed per (row, gamma).  Each
-class places the block's nonzeros at its own column offsets, ranking the
-s1 pivots gives the rows their canonical order, and one sort puts the
-triples in (row, column) order.  ``_band_rows`` is the one account of a
-block's band rows: ``_block_entry`` sizes the band from it and refuses a
-block whose band would pass ``BAND_LIMIT_BYTES`` with
-``BlockTooLargeError`` before it builds the block's binomial row of t + 1
-entries.  ``_band`` is a strided window on that row, zero-padded, so the
-one band-sized array is the copy that ``_block_kernel`` eliminates.
+values in [1, p); it never forms a dense matrix.  Each distinct block's
+s1 pivots and block-local nonzeros (``_block_entry``) are built and
+checked once and then kept across calls, in one least-recently-used cache
+keyed by (p, t, A, B, N); the binomial row of each (p, t), from which the
+blocks of that t are built, is kept there too, keyed by (p, t).  The
+cache holds at most ``BLOCK_CACHE_BYTES`` of arrays in total; an entry
+larger than that is returned but not kept.  Its arrays are read-only, so
+no caller can change what a later call reads.  A banded block's product
+with the binomial row is one sparse outer product of its kernel's
+nonzeros, summed per (row, gamma).  Each class places the block's
+nonzeros at its own column offsets, ranking the s1 pivots gives the rows
+their canonical order, and one sort puts the triples in (row, column)
+order.  ``_band_rows`` is the one account of a block's band rows:
+``_block_entry`` sizes the band from it on every lookup, before the
+cache, and refuses a block whose band would pass ``BAND_LIMIT_BYTES``
+with ``BlockTooLargeError`` before it builds the block's binomial row of
+t + 1 entries, whatever the cache holds.  ``_band`` is a strided window on
+that row, zero-padded, so the one band-sized array is the copy that
+``_block_kernel`` eliminates.  The cache saves construction only:
 ``section_space`` verifies each call's triples with one batch
 check, ``FermatRing.check_syzygies``, which shares no code with the
 kernel's construction (``_classes``, ``_band``, ``_binom_row``,
-``_block_kernel``, ``_block_entry``): it multiplies every row out term by
-term with the normal-form rewrite of ``poly`` and sums the result per
-monomial of R_n.  A change to any single entry of a row, an added entry,
-and triples out of shape, out of order, repeated or outside [1, p), and a
-row without entries, all make it raise.  Each vector is then a view on
+``_block_kernel``, ``_block_entry``, ``_build_block``, ``_cached``): it
+multiplies every row out term by term with the normal-form rewrite of
+``poly`` and sums the result per monomial of R_n.  A change to any
+single entry of a row, an added entry, and triples out of shape, out of
+order, repeated or outside [1, p), and a row without entries, all make
+it raise.  Each vector is then a view on
 one row of the verified triples, without a check of its own.  It builds
 its polynomials only when its ``components`` are read, naming each
 monomial from its basis position in closed form.  The first
@@ -145,6 +152,7 @@ degree-n syzygies are exactly the global sections of the twisted bundle.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -351,15 +359,50 @@ def syzygy_matrix(spec: SyzygySpec, n: int) -> MatrixModP:
 # is the reduction against the Koszul pivots; see the module docstring).
 
 
-def _binom_row(t: int, p: int, cache: dict) -> np.ndarray:
-    row = cache.get(t)
-    if row is None:
-        row = np.array([binom_uint(t, v, p) for v in range(t + 1)], dtype=np.int64)
-        cache[t] = row
-    return row
-
-
+BLOCK_CACHE_BYTES = 2**24  # the most bytes of block entries and binomial rows kept
 BAND_LIMIT_BYTES = 2**29  # the largest band _block_kernel copies
+
+_cache: OrderedDict = OrderedDict()  # key -> (value, bytes), least recently used first
+_cache_bytes = 0
+
+
+def _cached(key: tuple, build, *args):
+    """The value kept under ``key``, or ``build(*args)`` made read-only and kept.
+
+    A value is an array or a tuple of arrays.  Keeping one evicts the least
+    recently used values until at most ``BLOCK_CACHE_BYTES`` are kept; a
+    value larger than that is returned without being kept.
+    """
+    global _cache_bytes
+    hit = _cache.get(key)
+    if hit is not None:
+        _cache.move_to_end(key)
+        return hit[0]
+    value = build(*args)
+    size = 0
+    for a in value if isinstance(value, tuple) else (value,):
+        a.setflags(write=False)
+        size += a.nbytes
+    if size <= BLOCK_CACHE_BYTES:
+        _cache[key] = value, size
+        _cache_bytes += size
+        while _cache_bytes > BLOCK_CACHE_BYTES:
+            _cache_bytes -= _cache.popitem(last=False)[1][1]
+    return value
+
+
+def clear_block_cache():
+    """Forget every kept block entry and binomial row."""
+    global _cache_bytes
+    _cache.clear()
+    _cache_bytes = 0
+
+
+def _binom_row(t: int, p: int) -> np.ndarray:
+    """[C(t, v) mod p for v = 0..t], read-only, kept in the cache under (p, t)."""
+    return _cached(
+        (p, t), lambda: np.array([binom_uint(t, v, p) for v in range(t + 1)], dtype=np.int64)
+    )
 
 
 def _band_rows(t: int, A: int, B: int, N: int) -> tuple:
@@ -412,10 +455,10 @@ def _classes(spec: SyzygySpec, n: int):
 
 def _han_gap(p: int, t: int, A: int, B: int) -> int:
     """Han's syzygy gap delta_p(t, A, B) (see the module docstring)."""
-    k = sorted((t, A, B))
-    total = sum(k)
-    if k[2] >= k[0] + k[1]:
-        return k[2] - k[0] - k[1]
+    k1, k2, k3 = sorted((t, A, B))
+    total = k1 + k2 + k3
+    if k3 >= k1 + k2:
+        return k3 - k1 - k2
     gap = total % 2
     q = 1
     while q <= total:
@@ -423,12 +466,13 @@ def _han_gap(p: int, t: int, A: int, B: int) -> int:
         # moving one u_i to its other neighbour of k_i / q costs
         # |q - 2 r_i| (q when r_i = 0, which never qualifies) and makes the
         # sum odd; moving three costs more
-        rems = [x % q for x in k]
-        dist = sum(min(r, q - r) for r in rems)
-        if sum((x + q // 2) // q for x in k) % 2 == 0:
-            dist += min(abs(q - 2 * r) for r in rems)
-        if dist < q:
-            gap = max(gap, q - dist)
+        r1, r2, r3 = k1 % q, k2 % q, k3 % q
+        dist = min(r1, q - r1) + min(r2, q - r2) + min(r3, q - r3)
+        h = q // 2
+        if ((k1 + h) // q + (k2 + h) // q + (k3 + h) // q) % 2 == 0:
+            dist += min(abs(q - 2 * r1), abs(q - 2 * r2), abs(q - 2 * r3))
+        if q - dist > gap:
+            gap = q - dist
         q *= p
     return gap
 
@@ -476,16 +520,17 @@ def _block_kernel(t: int, A: int, B: int, N: int, row: np.ndarray, p: int) -> np
     return kernel_from_rref(work, rank, pivots, p)[::-1, ::-1]
 
 
-def _block_entry(p: int, t: int, A: int, B: int, N: int, rows_cache: dict):
+def _block_entry(p: int, t: int, A: int, B: int, N: int):
     """Block-local nonzeros of the family (t, A, B) kernel at level N, or None.
 
     Returns (pivots, rows, parts, exps, values): the s1 exponent alpha of
     each kernel row's leading 1, then per nonzero its row, its component
     (0, 1, 2 for s1, s2, s3), its exponent (alpha for s1, gamma for s2 and
-    s3) and its value, in no particular order.  Checks the block's nullity
-    against ``_nullity`` and, for a banded block, that its bad-projection
-    vanishes.  Raises ``BlockTooLargeError`` for a band of more than
-    ``BAND_LIMIT_BYTES`` before its binomial row or band is built.
+    s3) and its value, in no particular order.  The arrays are read-only:
+    ``_build_block`` builds and checks them once, and the block cache keeps
+    them under (p, t, A, B, N).  Raises ``BlockTooLargeError`` for a band of
+    more than ``BAND_LIMIT_BYTES`` on every call, before the cache is read
+    and before the binomial row or the band is built.
     """
     nullity = _nullity(p, t, A, B, N)
     if nullity == 0:
@@ -501,7 +546,16 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int, rows_cache: dict):
             f"block (t, A, B, N) = {(t, A, B, N)} needs a band of {size:,} bytes, "
             f"above the limit of {BAND_LIMIT_BYTES:,}"
         )
-    row = _binom_row(t, p, rows_cache)
+    return _cached((p, t, A, B, N), _build_block, p, t, A, B, N)
+
+
+def _build_block(p: int, t: int, A: int, B: int, N: int) -> tuple:
+    """``_block_entry``'s arrays for a block with a kernel, from the binomial
+    row of (p, t).  Checks the block's nullity against ``_nullity`` and, for
+    a banded block, that its bad-projection vanishes."""
+    nullity = _nullity(p, t, A, B, N)
+    g3, g2 = _band_rows(t, A, B, N)
+    row = _binom_row(t, p)
     v = row.nonzero()[0]
     c = row[v] if t % 2 else p - row[v]  # (-1)^(t + 1) C(t, v), in [1, p)
     top = N + t + 1
@@ -554,7 +608,11 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     Returned as sparse triples (row count, rows, columns, values): only the
     nonzero entries, sorted by (row, column), with values in [1, p).  The
     rows are the family rows ranked by s1 pivot, then the Koszul rows (see
-    the module docstring).
+    the module docstring).  The classes are grouped by their block
+    (t, A, B, N), and each block is read once per call from
+    ``_block_entry``, which runs the band guard and builds and checks only a
+    block the cache does not hold.  The returned arrays are new on every
+    call.
     """
     ring = spec.ring
     a1, a2, a3 = spec.exponents
@@ -563,25 +621,15 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     d1, d2 = ring.hilbert(m1), ring.hilbert(m2)
     d = spec.d or n + 1
 
-    rows_cache: dict = {}
-    memo: dict = {}  # (t, A, B, N) -> _block_entry, for this call only
-    entries, offsets = [], []  # per class with a kernel
-    for i, j0, l0, N, t, A, B in _classes(spec, n):
-        key = (t, A, B, N)
-        if key not in memo:
-            memo[key] = _block_entry(p, t, A, B, N, rows_cache)
-        entry = memo[key]
-        if entry is None:
-            continue
-        i2 = i + a1 - t * d
-        entries.append(entry)
-        offsets.append(
-            (
-                basis_pos(i, j0, m1),
-                d1 + basis_pos(i2, j0 - a2, m2),
-                d1 + d2 + basis_pos(i2, j0, m3),
-            )
-        )
+    blocks: dict = {}  # (t, A, B, N) -> its classes (i, j0, i2)
+    for i, j0, _l0, N, t, A, B in _classes(spec, n):
+        blocks.setdefault((t, A, B, N), []).append((i, j0, i + a1 - t * d))
+    entries, classes = [], []  # per class with a kernel
+    for key, members in blocks.items():
+        entry = _block_entry(p, *key)
+        if entry is not None:
+            entries += [entry] * len(members)
+            classes += members
 
     empty = np.zeros(0, dtype=np.int64)
     n_family, family = 0, (empty, empty, empty)
@@ -589,7 +637,14 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
         pivots, r, parts, exps, values = (np.concatenate(x) for x in zip(*entries))
         sizes = np.array([[len(e[0]), len(e[4])] for e in entries])
         n_family = len(pivots)
-        offsets = np.array(offsets, dtype=np.int64)
+        i, j0, i2 = np.array(classes, dtype=np.int64).T
+        offsets = np.column_stack(
+            [
+                basis_pos(i, j0, m1),
+                d1 + basis_pos(i2, j0 - a2, m2),
+                d1 + d2 + basis_pos(i2, j0, m3),
+            ]
+        )
         owner = np.repeat(np.arange(len(entries)), sizes[:, 1])  # nonzero -> class
         cols = offsets[owner, parts] + d * exps
         # a family row's rank among the s1 pivots is its row in the basis;

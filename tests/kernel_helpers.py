@@ -118,12 +118,12 @@ def times_band(K, row, p):
     return out
 
 
-def reference_block_entry(p, t, A, B, N, rows_cache):
+def reference_block_entry(p, t, A, B, N):
     """``bundle._block_entry`` by elimination of every block and a dense band
     product, with its nonzeros in (row, component, exponent) order."""
     from fermatsyz.bundle import _binom_row, _block_kernel
 
-    row = _binom_row(t, p, rows_cache)
+    row = _binom_row(t, p)
     K = _block_kernel(t, A, B, N, row, p)
     if not len(K):
         return None

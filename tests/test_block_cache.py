@@ -1,0 +1,140 @@
+"""The block cache: kept residue blocks change no output, stay read-only and
+bounded, and never let a block past the band guard."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from fermatsyz import bundle
+from fermatsyz.bundle import SyzygySpec, _binom_row, _block_entry, first_section, section_space
+from fermatsyz.errors import BlockTooLargeError
+from fermatsyz.stability import search_destabilization
+
+# the sections benchmark's shapes (p, d, a, e); each runs at the quarter
+# points of six equal slices of its twists aq + 1 .. 3aq, and at 3aq
+SECTION_SHAPES = [
+    (2, 5, 1, 3), (2, 7, 3, 2), (2, 9, 3, 3), (3, 4, 2, 2), (3, 5, 1, 3), (3, 7, 2, 2),
+    (3, 8, 1, 3), (5, 4, 2, 2), (5, 6, 1, 2), (5, 7, 3, 1), (7, 4, 1, 2), (7, 5, 1, 2),
+    (7, 6, 1, 1),
+]
+
+
+def section_ops():
+    for p, d, a, e in SECTION_SHAPES:
+        aq = a * p**e
+        ns = range(aq + 1, 3 * aq + 1)
+        twists = [ns[int((i + f) * len(ns) / 6)] for i in range(6) for f in (0.25, 0.75)]
+        for n in twists + [ns[-1]]:
+            yield SyzygySpec(p, d, (aq, aq, aq)), n
+
+
+def certificate_ops():
+    # the search's certificate twists over the acceptance grid
+    ops = []
+    for p, d, a in itertools.product((2, 3, 5, 7), range(4, 13), (1, 2, 3)):
+        if d % p:
+            cert = search_destabilization(p, d, a, 3)
+            if cert is not None:
+                aq = a * cert.q
+                ops.append((SyzygySpec(p, d, (aq, aq, aq)), cert.twist))
+    return ops
+
+
+def _cold_then_warm(ops, build):
+    """Each op's output from an empty cache, then twice in a row from a cache
+    that the other ops filled, where a wrong key would hand over a block of
+    another op."""
+    cold = []
+    for spec, n in ops:
+        bundle.clear_block_cache()
+        cold.append(build(spec, n))
+    for _ in range(2):
+        assert [build(spec, n) for spec, n in ops] == cold
+
+
+def test_cold_and_warm_caches_give_the_same_section_bytes():
+    ops = list(section_ops())
+    assert len(ops) == 169
+    _cold_then_warm(ops, lambda spec, n: [s.serialize() for s in section_space(spec, n)])
+
+
+def test_cold_and_warm_caches_give_the_same_certificate_sections():
+    ops = certificate_ops()
+    assert len(ops) == 51
+    _cold_then_warm(ops, lambda spec, n: first_section(spec, n).serialize())
+
+
+# (t, A, B, N) = (1, 1, 3, 1) over F_5 is banded, (0, 0, 0, 2) free
+BANDED, FREE = (5, 1, 1, 3, 1), (5, 0, 0, 0, 2)
+
+
+@pytest.mark.parametrize("block", [BANDED, FREE])
+def test_cached_arrays_are_read_only(block):
+    for _ in range(2):  # as built, then as read from the cache
+        for a in [*_block_entry(*block), _binom_row(block[1], block[0])]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+
+def _kept_bytes():
+    sizes = [size for _value, size in bundle._cache.values()]
+    assert sum(sizes) == bundle._cache_bytes
+    return bundle._cache_bytes
+
+
+def test_cache_keeps_at_most_its_byte_bound(monkeypatch):
+    spec, n = SyzygySpec(3, 4, (9, 9, 9)), 20
+    expected = [s.serialize() for s in section_space(spec, n)]
+    everything = _kept_bytes()
+    assert everything > 0
+    bound = everything // 3
+    monkeypatch.setattr(bundle, "BLOCK_CACHE_BYTES", bound)
+    bundle.clear_block_cache()
+    for spec_n in [(spec, n), (SyzygySpec(7, 5, (7, 7, 7)), 15), (spec, n)]:
+        got = [s.serialize() for s in section_space(*spec_n)]
+        assert 0 < _kept_bytes() <= bound
+    assert got == expected
+
+
+def test_entry_above_the_bound_is_returned_but_not_kept(monkeypatch):
+    entry = _block_entry(*BANDED)
+    size = sum(a.nbytes for a in entry)
+    row_bytes = _binom_row(BANDED[1], BANDED[0]).nbytes
+    assert BANDED in bundle._cache and row_bytes < size
+    monkeypatch.setattr(bundle, "BLOCK_CACHE_BYTES", size - 1)
+    bundle.clear_block_cache()
+    again = _block_entry(*BANDED)
+    assert all(np.array_equal(a, b) for a, b in zip(again, entry))
+    assert BANDED not in bundle._cache
+    assert list(bundle._cache) == [BANDED[:2]]  # the binomial row fits
+    assert _kept_bytes() == row_bytes
+
+
+def test_cache_evicts_the_least_recently_used(monkeypatch):
+    # three free blocks of t = 0, which share one binomial row
+    a, b, c = [(5, 0, 0, 0, N) for N in (2, 3, 4)]
+    size_c = sum(x.nbytes for x in _block_entry(*c))
+    bundle.clear_block_cache()
+    _block_entry(*a)
+    _block_entry(*b)
+    # room for c once one entry goes; a is used again, so b is the least recent
+    monkeypatch.setattr(bundle, "BLOCK_CACHE_BYTES", _kept_bytes() + size_c - 1)
+    _block_entry(*a)
+    _block_entry(*c)
+    assert a in bundle._cache and c in bundle._cache and (5, 0) in bundle._cache
+    assert b not in bundle._cache
+    assert _kept_bytes() <= bundle.BLOCK_CACHE_BYTES
+
+
+def test_band_guard_refuses_a_cached_block(monkeypatch):
+    # the guard runs on every lookup, before the cache: a block kept under
+    # the old limit is refused under a lower one
+    entry = _block_entry(*BANDED)
+    assert BANDED in bundle._cache
+    band_bytes = 1 * (BANDED[4] + 1) * 8  # one band row of N + 1 columns
+    monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", band_bytes - 1)
+    with pytest.raises(BlockTooLargeError, match=f"needs a band of {band_bytes:,} bytes"):
+        _block_entry(*BANDED)
+    monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", band_bytes)
+    assert _block_entry(*BANDED) is entry

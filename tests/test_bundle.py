@@ -297,7 +297,7 @@ P31_CASES = [
 
 
 def test_dense_structured_equality_at_the_largest_prime():
-    assert max(_binom_row(34, P31, {})) > P31 // 2
+    assert max(_binom_row(34, P31)) > P31 // 2
     for spec, twists in P31_CASES:
         for n in twists:
             dense = to_dense(spec, n, dense_kernel(spec, n))
@@ -402,6 +402,7 @@ def test_block_nullity_disagreeing_with_the_closed_form_raises(monkeypatch):
         return nullity + 1 if nullity else 0
 
     monkeypatch.setattr(bundle, "_nullity", one_too_many)
+    bundle.clear_block_cache()  # the check runs when a block is built
     with pytest.raises(InternalCheckError, match="closed form"):
         _structured_kernel(spec, 11)
 
@@ -412,20 +413,21 @@ BANDED = (5, 1, 1, 3, 1)
 
 def test_banded_block_nullity_disagreeing_with_the_closed_form_raises(monkeypatch):
     assert bundle._band_rows(*BANDED[1:]) == (0, 1)  # one band row: not free
-    assert _block_entry(*BANDED, {}) is not None
+    assert _block_entry(*BANDED) is not None
     closed_form = bundle._nullity
     monkeypatch.setattr(bundle, "_nullity", lambda *key: closed_form(*key) + 1)
+    bundle.clear_block_cache()  # the check runs when a block is built
     with pytest.raises(InternalCheckError, match=r"^block .* has nullity 1, closed form 2"):
-        _block_entry(*BANDED, {})
+        _block_entry(*BANDED)
 
 
 def test_kernel_row_outside_the_kernel_fails_the_bad_projection_check(monkeypatch):
     real = bundle._block_kernel
-    assert real(*BANDED[1:], _binom_row(1, 5, {}), 5).tolist() == [[0, 1]]
+    assert real(*BANDED[1:], _binom_row(1, 5), 5).tolist() == [[0, 1]]
     # the unit row at alpha = 0 meets the band's nonzero column
     monkeypatch.setattr(bundle, "_block_kernel", lambda *args: np.array([[1, 0]]))
     with pytest.raises(InternalCheckError, match="bad-projection of a kernel element is nonzero"):
-        _block_entry(*BANDED, {})
+        _block_entry(*BANDED)
 
 
 def test_one_corrupted_kernel_entry_makes_section_space_raise(monkeypatch):
@@ -504,9 +506,10 @@ def _is_banded(t, A, B, N):
 
 
 def test_one_block_elimination_per_distinct_block(monkeypatch):
-    # blocks repeat across the residue classes of one twist; each distinct
-    # banded (t, A, B, N) with a kernel is eliminated once per call, a block
-    # with an empty band never, and nothing is kept between calls
+    # blocks repeat across the residue classes of one twist; a cold call
+    # eliminates each distinct banded (t, A, B, N) with a kernel once, a
+    # block with an empty band never, and a repeat call, which finds every
+    # block in the cache, eliminates nothing
     calls = []
     real = bundle._block_kernel
 
@@ -531,10 +534,11 @@ def test_one_block_elimination_per_distinct_block(monkeypatch):
         banded = [key for key in keys if _is_banded(*key)]
         repeats += len(banded) - len(set(banded))
         free += len(keys) - len(banded)
-        for _ in range(2):
+        bundle.clear_block_cache()
+        for eliminated in (sorted(set(banded)), []):
             calls.clear()
             section_space(spec, n)
-            assert sorted(calls) == sorted(set(banded)), (spec, n)
+            assert sorted(calls) == eliminated, (spec, n)
     assert repeats and free  # some banded block repeats; some blocks are free
 
 
@@ -547,10 +551,9 @@ def _block_oracle(p, banded, count):
     seeded sample of ``count`` of the blocks (t, A, B, N), t, A, B <= 12 and
     N <= 10, with an empty or a nonempty band."""
     blocks = [key for key in BLOCK_GRID if _is_banded(*key) == banded]
-    cache = {}
     for t, A, B, N in random.Random(p).sample(blocks, count):
-        got = _block_entry(p, t, A, B, N, cache)
-        want = reference_block_entry(p, t, A, B, N, cache)
+        got = _block_entry(p, t, A, B, N)
+        want = reference_block_entry(p, t, A, B, N)
         assert (got is None) == (want is None), (p, t, A, B, N)
         if got is None:
             continue
@@ -677,7 +680,7 @@ def test_band_guard_runs_before_the_binomial_row():
 def test_band_is_a_window_on_one_padded_row():
     # the 999 x 1001 band of (t, A, B, N) = (2000, 2000, 2000, 1000) holds
     # 8.0 MB; building it allocates only its padded binomial row
-    row = _binom_row(2000, 7, {})
+    row = _binom_row(2000, 7)
     tracemalloc.start()
     try:
         band = bundle._band(2000, 2000, 2000, 1000, row)
@@ -696,8 +699,8 @@ def test_block_kernel_eliminates_a_copy_of_the_band():
     # N = 0: the one-column window is contiguous as it stands, yet it is
     # read-only, so the elimination must work on a copy.  C(2, 1) is 0 mod 2
     # (nullity 1) and 2 mod 3, which the elimination scales in place
-    assert bundle._block_kernel(2, 2, 2, 0, _binom_row(2, 2, {}), 2).tolist() == [[1]]
-    assert bundle._block_kernel(2, 2, 2, 0, _binom_row(2, 3, {}), 3).shape == (0, 1)
+    assert bundle._block_kernel(2, 2, 2, 0, _binom_row(2, 2), 2).tolist() == [[1]]
+    assert bundle._block_kernel(2, 2, 2, 0, _binom_row(2, 3), 3).shape == (0, 1)
 
 
 def test_check_syzygies_rejects_malformed_triples():

@@ -92,8 +92,8 @@ def test_plane_runs_through_the_family_path(p):
             assert first_section_twist(spec, lo, hi) == expected, (p, exps, lo, hi)
 
 
-def _band_nullity(t, A, B, N, p, cache):
-    block = _band(t, A, B, N, _binom_row(t, p, cache))
+def _band_nullity(t, A, B, N, p):
+    block = _band(t, A, B, N, _binom_row(t, p))
     if not block.shape[0]:
         return N + 1
     return N + 1 - _kernels.rref_mod_p(np.array(block), p)[0]
@@ -103,11 +103,10 @@ def _band_nullity(t, A, B, N, p, cache):
 def test_closed_form_gap_matches_band_elimination(p):
     # every family block with t, A, B <= 10, up to the level where the
     # Koszul syzygies take over: nullity and threshold against elimination
-    cache = {}
     for t, A, B in itertools.product(range(11), repeat=3):
         nullities = []
         for N in range(A + B + t + 3):
-            nullities.append(_band_nullity(t, A, B, N, p, cache))
+            nullities.append(_band_nullity(t, A, B, N, p))
             assert _nullity(p, t, A, B, N) == nullities[-1], (p, t, A, B, N)
         n_star = next(N for N, v in enumerate(nullities) if v)
         assert _threshold(p, t, A, B) == n_star, (p, t, A, B)
@@ -178,19 +177,18 @@ def test_han_gap_takes_the_largest_level():
     # would give 1 and move the threshold from 1 to 2
     assert _han_gap(2, 3, 4, 4) == 3
     assert _threshold(2, 3, 4, 4) == 1
-    assert [_band_nullity(3, 4, 4, N, 2, {}) for N in range(3)] == [0, 1, 2]
+    assert [_band_nullity(3, 4, 4, N, 2) for N in range(3)] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_family_kernel_monotone_in_level(p):
-    cache = {}
     for t, A, B in itertools.product(range(0, 12), range(0, 7), range(0, 7)):
-        row = _binom_row(t, p, cache)
+        row = _binom_row(t, p)
         binoms = [binom_uint(t, v, p) for v in range(t + 1)]
         nullities = []
         for N in range(min(A, B) + 3):
             block = _band(t, A, B, N, row)
-            nullities.append(_band_nullity(t, A, B, N, p, cache))
+            nullities.append(_band_nullity(t, A, B, N, p))
             # every kernel vector f satisfies f (u + w)^t in (u^A, w^B)
             if block.shape[0]:
                 for f in kernel_basis(MatrixModP(block, p)):
