@@ -117,10 +117,10 @@ that row, zero-padded, so the one band-sized array is the copy that
 ``_block_kernel`` eliminates.  The cache saves construction only:
 ``section_space`` verifies each call's triples with one batch
 check, ``FermatRing.check_syzygies``, which shares no code with the
-kernel's construction (``_classes``, ``_band``, ``_binom_row``,
-``_block_kernel``, ``_block_entry``, ``_build_block``, ``_cached``): it
-multiplies every row out term by term with the normal-form rewrite of
-``poly`` and sums the result per monomial of R_n.  A change to any
+kernel's construction (``_classes``, ``_kernel_classes``, ``_band``,
+``_binom_row``, ``_block_kernel``, ``_block_entry``, ``_build_block``,
+``_cached``): it multiplies every row out term by term with the
+normal-form rewrite of ``poly`` and sums the result per monomial of R_n.  A change to any
 single entry of a row, an added entry, and triples out of shape, out of
 order, repeated or outside [1, p), and a row without entries, all make
 it raise.  Each vector is then a view on
@@ -131,8 +131,11 @@ monomial from its basis position in closed form.  The first
 triples, in the bytes ``GradedPoly.to_string`` would write, and each
 ``serialize`` then copies one row's strings.  The public
 ``SectionVector`` constructor checks its vector by ``normal_form``, and
-so does ``first_section``, which unpacks only row 0 of a twist's basis:
-the one section the search certifies.  ``normal_form`` bounds its own
+so does ``first_section``, which builds only row 0 of a twist's basis,
+never the rest: the one section the search certifies.  It ranks the
+classes with a kernel by their first s1 pivot, as ``_structured_kernel``
+ranks rows, and writes down local row 0 of the least one's block, or the
+first Koszul row when no class has a kernel.  ``normal_form`` bounds its own
 work: a vector whose check would pass ``poly.NORMAL_FORM_BUDGET`` steps
 is refused with ``BlockTooLargeError`` before anything is multiplied.
 
@@ -164,7 +167,7 @@ from . import _kernels
 from .errors import BlockTooLargeError, InternalCheckError
 from .field import PrimeField, binom_uint
 from .linalg import MatrixModP, kernel_from_rref
-from .poly import GradedPoly, join_rows, scaled_power, term_texts
+from .poly import GradedPoly, Monomial, join_rows, scaled_power, term_texts
 from .ring import FermatRing, basis_pos
 
 @lru_cache(maxsize=None)
@@ -602,17 +605,36 @@ def _build_block(p: int, t: int, A: int, B: int, N: int) -> tuple:
     )
 
 
+def _kernel_classes(spec: SyzygySpec, n: int) -> list:
+    """[((i, j0, i2), entry)] per residue class in twist n whose block has a kernel.
+
+    i2 = i + a1 - t d is the X-exponent of the class's products with X^a1,
+    and entry is its block's ``_block_entry``.  The classes are grouped by
+    their block (t, A, B, N), and each block is read once per call from
+    ``_block_entry``, which runs the band guard and builds and checks only a
+    block the cache does not hold.
+    """
+    a1 = spec.exponents[0]
+    d = spec.d or n + 1
+    blocks: dict = {}  # (t, A, B, N) -> its classes (i, j0, i2)
+    for i, j0, _l0, N, t, A, B in _classes(spec, n):
+        blocks.setdefault((t, A, B, N), []).append((i, j0, i + a1 - t * d))
+    out = []
+    for key, members in blocks.items():
+        entry = _block_entry(spec.p, *key)
+        if entry is not None:
+            out += [(cls, entry) for cls in members]
+    return out
+
+
 def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     """Canonical (reduced echelon) kernel basis in twist n, from the residue blocks.
 
     Returned as sparse triples (row count, rows, columns, values): only the
     nonzero entries, sorted by (row, column), with values in [1, p).  The
     rows are the family rows ranked by s1 pivot, then the Koszul rows (see
-    the module docstring).  The classes are grouped by their block
-    (t, A, B, N), and each block is read once per call from
-    ``_block_entry``, which runs the band guard and builds and checks only a
-    block the cache does not hold.  The returned arrays are new on every
-    call.
+    the module docstring).  The blocks come from ``_kernel_classes``.  The
+    returned arrays are new on every call.
     """
     ring = spec.ring
     a1, a2, a3 = spec.exponents
@@ -620,16 +642,9 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     m1, m2, m3 = n - a1, n - a2, n - a3
     d1, d2 = ring.hilbert(m1), ring.hilbert(m2)
     d = spec.d or n + 1
-
-    blocks: dict = {}  # (t, A, B, N) -> its classes (i, j0, i2)
-    for i, j0, _l0, N, t, A, B in _classes(spec, n):
-        blocks.setdefault((t, A, B, N), []).append((i, j0, i + a1 - t * d))
-    entries, classes = [], []  # per class with a kernel
-    for key, members in blocks.items():
-        entry = _block_entry(p, *key)
-        if entry is not None:
-            entries += [entry] * len(members)
-            classes += members
+    pairs = _kernel_classes(spec, n)
+    classes = [cls for cls, _entry in pairs]
+    entries = [entry for _cls, entry in pairs]
 
     empty = np.zeros(0, dtype=np.int64)
     n_family, family = 0, (empty, empty, empty)
@@ -699,14 +714,42 @@ def section_space(spec: SyzygySpec, n: int) -> list:
 
 def first_section(spec: SyzygySpec, n: int) -> SectionVector:
     """Row 0 of the canonical basis in twist n, checked by the ``SectionVector``
-    constructor; only that row is unpacked.  Raises ``ValueError`` when the
-    twist has no section."""
-    count, rows, cols, values = _structured_kernel(spec, n)
-    if not count:
+    constructor.  Raises ``ValueError`` when the twist has no section.
+
+    Only that row is built, never the rest of the basis.  It is the family
+    row with the least s1 pivot, the key ``_structured_kernel`` ranks rows
+    by: local row 0 of the block of the class with the least
+    basis_pos(i, j0, m1) + d * pivots[0].  Without a family row it is the
+    first Koszul row (0, Z^a3 g, -Y^a2 g), g = Z^(n - a2 - a3).
+    """
+    field = spec.ring.field
+    a1, a2, a3 = spec.exponents
+    degrees = m1, m2, m3 = n - a1, n - a2, n - a3
+    d = spec.d or n + 1
+    terms = ({}, {}, {})
+    pairs = _kernel_classes(spec, n)
+    if pairs:
+
+        def s1_pivot(pair):  # the column of the class's first leading 1
+            (i, j0, _i2), entry = pair
+            return basis_pos(i, j0, m1) + d * int(entry[0][0])
+
+        (i, j0, i2), (_pivots, rows, parts, exps, values) = min(pairs, key=s1_pivot)
+        first = rows == 0
+        for part, k, c in zip(parts[first].tolist(), exps[first].tolist(), values[first].tolist()):
+            if part == 0:  # s1 at X^i Y^(j0 + alpha d)
+                x, j = i, j0 + d * k
+            else:  # the product at X^i2 Y^(j0 + gamma d), over Y^a2 in s2 or Z^a3 in s3
+                x, j = i2, j0 + d * k - (a2 if part == 1 else 0)
+            terms[part][Monomial(x, j, degrees[part] - x - j)] = c
+    elif m2 >= a3:  # Koszul row 0: g = Z^(n - a2 - a3), the first basis monomial
+        terms[1][Monomial(0, 0, m2)] = 1
+        terms[2][Monomial(0, a2, m3 - a2)] = field.p - 1
+    else:
         raise ValueError(f"twist {n} has no section")
-    first = rows == 0
-    row = _KernelRows(spec, n, (1, rows[first], cols[first], values[first]))
-    return SectionVector(spec, n, row.components(0))
+    return SectionVector(
+        spec, n, tuple(GradedPoly._trusted(field, m, s) for m, s in zip(degrees, terms))
+    )
 
 
 def section_space_dim(spec: SyzygySpec, n: int, method: str = "structured") -> int:

@@ -152,9 +152,9 @@ class FermatRing:
         count.
 
         The check shares no code with the kernel's construction in
-        ``bundle`` (``_classes``, ``_band``, ``_binom_row``,
-        ``_block_kernel``, ``_block_entry``, ``_build_block`` and the block
-        cache ``_cached``): its binomials come from
+        ``bundle`` (``_classes``, ``_kernel_classes``, ``_band``,
+        ``_binom_row``, ``_block_kernel``, ``_block_entry``, ``_build_block``
+        and the block cache ``_cached``): its binomials come from
         ``poly.lucas_terms``, its monomials from ``_basis_exponents``, and it
         multiplies term by term instead of by the blocks' outer products.
         """

@@ -1,20 +1,22 @@
 """Test-side conversions between sparse kernel triples and dense matrices,
 coordinates of a polynomial in the basis of its degree, the dense
 reference elimination of a section space, the term-by-term reference
-normal form, a certificate whose normal form is too large to expand, and
-a deadline for checks that must answer at once."""
+normal form, a certificate whose normal form is too large to expand, a
+deadline for checks that must answer at once, and the twists of the
+sections benchmark and of the grid search's certificates."""
 
+import itertools
 import signal
 from fractions import Fraction
 
 import numpy as np
 
 from fermatsyz import _kernels
-from fermatsyz.bundle import SectionVector, syzygy_matrix
+from fermatsyz.bundle import SectionVector, SyzygySpec, syzygy_matrix
 from fermatsyz.linalg import kernel_from_rref
 from fermatsyz.poly import GradedPoly, Monomial, lucas_terms
 from fermatsyz.ring import basis_pos
-from fermatsyz.stability import format_fraction
+from fermatsyz.stability import format_fraction, search_destabilization
 
 
 def coords(ring, f):
@@ -169,3 +171,34 @@ def crafted_certificate(e: int) -> dict:
         "normalized_gap": format_fraction(Fraction(-degree, q)), "smooth": True,
         "section": ["1*X^1*Y^0*Z^0", "1*X^0*Y^1*Z^0", "1*X^0*Y^0*Z^1"],
     }
+
+
+# the sections benchmark's shapes (p, d, a, e); each runs at the quarter
+# points of six equal slices of its twists aq + 1 .. 3aq, and at 3aq
+SECTION_SHAPES = [
+    (2, 5, 1, 3), (2, 7, 3, 2), (2, 9, 3, 3), (3, 4, 2, 2), (3, 5, 1, 3), (3, 7, 2, 2),
+    (3, 8, 1, 3), (5, 4, 2, 2), (5, 6, 1, 2), (5, 7, 3, 1), (7, 4, 1, 2), (7, 5, 1, 2),
+    (7, 6, 1, 1),
+]
+
+
+def section_ops():
+    """The (spec, n) of the sections benchmark's 169 ops."""
+    for p, d, a, e in SECTION_SHAPES:
+        aq = a * p**e
+        ns = range(aq + 1, 3 * aq + 1)
+        twists = [ns[int((i + f) * len(ns) / 6)] for i in range(6) for f in (0.25, 0.75)]
+        for n in twists + [ns[-1]]:
+            yield SyzygySpec(p, d, (aq, aq, aq)), n
+
+
+def certificate_ops():
+    """The (spec, n) of the search's 51 certificates over the acceptance grid."""
+    ops = []
+    for p, d, a in itertools.product((2, 3, 5, 7), range(4, 13), (1, 2, 3)):
+        if d % p:
+            cert = search_destabilization(p, d, a, 3)
+            if cert is not None:
+                aq = a * cert.q
+                ops.append((SyzygySpec(p, d, (aq, aq, aq)), cert.twist))
+    return ops

@@ -1,44 +1,13 @@
 """The block cache: kept residue blocks change no output, stay read-only and
 bounded, and never let a block past the band guard."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from fermatsyz import bundle
 from fermatsyz.bundle import SyzygySpec, _binom_row, _block_entry, first_section, section_space
 from fermatsyz.errors import BlockTooLargeError
-from fermatsyz.stability import search_destabilization
-
-# the sections benchmark's shapes (p, d, a, e); each runs at the quarter
-# points of six equal slices of its twists aq + 1 .. 3aq, and at 3aq
-SECTION_SHAPES = [
-    (2, 5, 1, 3), (2, 7, 3, 2), (2, 9, 3, 3), (3, 4, 2, 2), (3, 5, 1, 3), (3, 7, 2, 2),
-    (3, 8, 1, 3), (5, 4, 2, 2), (5, 6, 1, 2), (5, 7, 3, 1), (7, 4, 1, 2), (7, 5, 1, 2),
-    (7, 6, 1, 1),
-]
-
-
-def section_ops():
-    for p, d, a, e in SECTION_SHAPES:
-        aq = a * p**e
-        ns = range(aq + 1, 3 * aq + 1)
-        twists = [ns[int((i + f) * len(ns) / 6)] for i in range(6) for f in (0.25, 0.75)]
-        for n in twists + [ns[-1]]:
-            yield SyzygySpec(p, d, (aq, aq, aq)), n
-
-
-def certificate_ops():
-    # the search's certificate twists over the acceptance grid
-    ops = []
-    for p, d, a in itertools.product((2, 3, 5, 7), range(4, 13), (1, 2, 3)):
-        if d % p:
-            cert = search_destabilization(p, d, a, 3)
-            if cert is not None:
-                aq = a * cert.q
-                ops.append((SyzygySpec(p, d, (aq, aq, aq)), cert.twist))
-    return ops
+from kernel_helpers import certificate_ops, section_ops
 
 
 def _cold_then_warm(ops, build):

@@ -30,9 +30,11 @@ from fermatsyz.poly import EXP_LIMIT, GradedPoly, frobenius_power, parse_poly
 from fermatsyz.ring import FermatRing
 from fermatsyz.stability import search_destabilization
 from kernel_helpers import (
+    certificate_ops,
     coords,
     dense_kernel,
     reference_block_entry,
+    section_ops,
     to_dense,
     to_triples,
     within,
@@ -626,16 +628,24 @@ def _band_bytes(t, A, B, N):
 
 
 def test_first_section_is_row_0_of_the_basis():
+    # first_section builds row 0 alone; (3, 4, (9, 1, 1)) has twists 2..8
+    # whose basis is Koszul rows only, so no class there has a kernel
+    ops = [(SyzygySpec(3, 4, (9, 1, 1)), n) for n in range(14)]
     for p, d, exps in ((3, 4, (9, 9, 9)), (2, 5, (3, 4, 5)), (5, 0, (2, 3, 3))):
         spec = SyzygySpec(p, d, exps)
-        for n in range(min(spec.exponents), sum(spec.exponents) + 2):
-            basis = section_space(spec, n)
-            if not basis:
-                with pytest.raises(ValueError, match=f"twist {n} has no section"):
-                    first_section(spec, n)
-                continue
-            first = first_section(spec, n)
-            assert first == basis[0] and first.serialize() == basis[0].serialize(), (spec, n)
+        ops += [(spec, n) for n in range(min(exps), sum(exps) + 2)]
+    koszul_only = []  # twists of the no-family branch
+    for spec, n in ops + certificate_ops() + list(section_ops()):
+        basis = section_space(spec, n)
+        if not basis:
+            with pytest.raises(ValueError, match=f"twist {n} has no section"):
+                first_section(spec, n)
+            continue
+        first = first_section(spec, n)
+        assert first == basis[0] and first.serialize() == basis[0].serialize(), (spec, n)
+        if first.components[0].is_zero():
+            koszul_only.append((spec.exponents, n))
+    assert [n for exps, n in koszul_only if exps == (9, 1, 1)] == list(range(2, 9))
 
 
 def test_band_guard_on_deep_certificates():

@@ -624,3 +624,22 @@ def test_verify_names_first_failing_check():
         ("smooth", 1, "smooth flag inconsistent with p | d"),
     ):
         assert verify_certificate(dict(cert, **{field: value}))[0] == message, field
+
+
+@pytest.mark.parametrize(
+    "cell, twist, digest",
+    [
+        ((5, 11, 1, 4), 935, "942c9379394cd9ff80506eb7ff40cedb582d919119bf3718dddc6868395e793d"),
+        ((7, 11, 3, 4), 10802, "7b448089aeedc3d382bcb0ef869b9c0b63e1aab651a91e9651eccc615340ff04"),
+        ((13, 29, 1, 4), 42833, "ea867c73fb67b7276c2bcb441812a16f1faef3f43314ade54f95433f9bb4cdd1"),
+    ],
+    ids=["5-11-1-4", "7-11-3-4", "13-29-1-4"],
+)
+def test_deep_search_certificates_are_pinned(cell, twist, digest):
+    # each certificate's section is the kernel of one banded block of
+    # nullity 1: (t, A, B, N) = (57, 57, 57, 28), (655, 655, 655, 327) and
+    # (985, 985, 985, 492)
+    cert = search_destabilization(*cell)
+    assert cert.twist == twist
+    text = json.dumps(cert.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
