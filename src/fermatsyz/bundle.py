@@ -99,45 +99,49 @@ columns, values): the nonzero entries only, sorted by (row, column), with
 values in [1, p); it never forms a dense matrix.  Each distinct block's
 s1 pivots and block-local nonzeros (``_block_entry``) are built and
 checked once and then kept across calls, in one least-recently-used cache
-keyed by (p, t, A, B, N); the binomial row of each (p, t), from which the
-blocks of that t are built, is kept there too, keyed by (p, t).  The
-cache holds at most ``BLOCK_CACHE_BYTES`` of arrays in total; an entry
-larger than that is returned but not kept.  Its arrays are read-only, so
-no caller can change what a later call reads.  A banded block's product
-with the binomial row is one sparse outer product of its kernel's
-nonzeros, summed per (row, gamma).  Each class places the block's
-nonzeros at its own column offsets, ranking the s1 pivots gives the rows
-their canonical order, and one sort puts the triples in (row, column)
-order.  ``_band_rows`` is the one account of a block's band rows:
-``_block_entry`` sizes the band from it on every lookup, before the
-cache, and refuses a block whose band would pass ``BAND_LIMIT_BYTES``
-with ``BlockTooLargeError`` before it builds the block's binomial row of
-t + 1 entries, whatever the cache holds.  ``_band`` is a strided window on
-that row, zero-padded, so the one band-sized array is the copy that
+of blocks keyed by (p, t, A, B, N), which ``_block_entry`` alone reads and
+fills.  The cache holds at most ``BLOCK_CACHE_BYTES`` of arrays in total;
+an entry larger than that is returned but not kept.  Its arrays are
+read-only, so no caller can change what a later call reads.  A block is
+built from the binomial row of its (p, t), which is made for that build
+and not kept: a warm call builds no row.  A banded block's product with
+the binomial row is one sparse outer product of its kernel's nonzeros,
+summed per (row, gamma).  Each class places the block's nonzeros at its
+own column offsets, ranking the s1 pivots gives the rows their canonical
+order, and one sort puts the triples in (row, column) order.
+``_band_rows`` is the one account of a block's band rows: ``_block_entry``
+sizes the band from it on every lookup, before the cache, and refuses a
+block whose band would pass ``BAND_LIMIT_BYTES`` with
+``BlockTooLargeError`` before it builds the block's binomial row of t + 1
+entries, whatever the cache holds.  ``_band`` is a strided window on that
+row, zero-padded, so the one band-sized array is the copy that
 ``_block_kernel`` eliminates.  The cache saves construction only:
-``section_space`` verifies each call's triples with one batch
-check, ``FermatRing.check_syzygies``, which shares no code with the
-kernel's construction (``_classes``, ``_kernel_classes``, ``_band``,
-``_binom_row``, ``_block_kernel``, ``_block_entry``, ``_build_block``,
-``_cached``): it multiplies every row out term by term with the
-normal-form rewrite of ``poly`` and sums the result per monomial of R_n.  A change to any
-single entry of a row, an added entry, and triples out of shape, out of
-order, repeated or outside [1, p), and a row without entries, all make
-it raise.  Each vector is then a view on
-one row of the verified triples, without a check of its own.  It builds
-its polynomials only when its ``components`` are read, naming each
-monomial from its basis position in closed form.  The first
-``serialize`` of a call writes every row's strings in one pass over the
-triples, in the bytes ``GradedPoly.to_string`` would write, and each
-``serialize`` then copies one row's strings.  The public
-``SectionVector`` constructor checks its vector by ``normal_form``, and
-so does ``first_section``, which builds only row 0 of a twist's basis,
-never the rest: the one section the search certifies.  It ranks the
-classes with a kernel by their first s1 pivot, as ``_structured_kernel``
-ranks rows, and writes down local row 0 of the least one's block, or the
-first Koszul row when no class has a kernel.  ``normal_form`` bounds its own
-work: a vector whose check would pass ``poly.NORMAL_FORM_BUDGET`` steps
-is refused with ``BlockTooLargeError`` before anything is multiplied.
+``section_space`` verifies each call's triples with one batch check,
+``FermatRing.check_syzygies``, which shares no code with the kernel's
+construction (``_classes``, ``_kernel_classes``, ``_band``,
+``_binom_row``, ``_block_kernel``, ``_block_entry``, ``_build_block``):
+it multiplies every row out term by term with the normal-form rewrite of
+``poly`` and sums the result per monomial of R_n.  A change to any single
+entry of a row, an added entry, and triples out of shape, out of order,
+repeated or outside [1, p), and a row without entries, all make it
+raise.  Each vector is then a view on one row of the verified triples,
+without a check of its own.  It builds its polynomials only when its
+``components`` are read, naming each monomial from its basis position in
+closed form.  The first ``serialize`` of a call writes every row's
+strings in one pass over the triples, in the bytes ``GradedPoly.to_string``
+would write, and each ``serialize`` then copies one row's strings.
+
+The public ``SectionVector`` constructor checks its vector by
+``normal_form``: multiplying by X^a1, Y^a2 or Z^a3 only shifts exponents,
+so it adds the shifted terms of s1, s2 and s3 mod p into one polynomial
+and reduces that once.  ``first_section`` goes through it: it builds only
+row 0 of a twist's basis, never the rest, the one section the search
+certifies.  It ranks the classes with a kernel by their first s1 pivot,
+as ``_structured_kernel`` ranks rows, and writes down local row 0 of the
+least one's block, or the first Koszul row when no class has a kernel.
+``normal_form`` bounds its own work: a vector whose check would pass
+``poly.NORMAL_FORM_BUDGET`` steps is refused with ``BlockTooLargeError``
+before anything is multiplied.
 
 The plane (d = 0) runs through the same code.  In degrees below d the
 Fermat ring equals F_p[X, Y, Z], so the degree-n syzygies on P^2 are
@@ -164,10 +168,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
-from .errors import BlockTooLargeError, InternalCheckError
+from .errors import BlockTooLargeError, ExponentOverflowError, InternalCheckError
 from .field import PrimeField, binom_uint
 from .linalg import MatrixModP, kernel_from_rref
-from .poly import GradedPoly, Monomial, join_rows, scaled_power, term_texts
+from .poly import EXP_LIMIT, GradedPoly, Monomial, join_rows, scaled_power, term_texts
 from .ring import FermatRing, basis_pos
 
 @lru_cache(maxsize=None)
@@ -223,7 +227,10 @@ class SectionVector:
 
     Components are normal-form polynomials with deg s_i = twist - a_i
     (zero components allowed, including in negative degrees).  The
-    constructor checks the relation by ``normal_form``, which raises
+    constructor checks each component's field and degree, and that the
+    twist is below ``poly.EXP_LIMIT``, then adds the exponent-shifted terms
+    of s1 X^a1, s2 Y^a2 and s3 Z^a3 mod p into one polynomial and checks
+    that its ``normal_form`` is zero.  ``normal_form`` raises
     ``BlockTooLargeError`` instead for a vector whose check would take
     more than ``poly.NORMAL_FORM_BUDGET`` steps.  ``section_space``
     returns views instead: ``_rows`` is its call's batch-checked
@@ -235,10 +242,10 @@ class SectionVector:
 
     def __init__(self, spec: SyzygySpec, twist: int, components):
         s1, s2, s3 = components
-        ring = spec.ring
-        acc = None
+        ring, p = spec.ring, spec.p
+        total = {}  # s1 X^a1 + s2 Y^a2 + s3 Z^a3; each product is an exponent shift
         for var, (s, a) in enumerate(zip((s1, s2, s3), spec.exponents)):
-            if s.field.p != spec.p:
+            if s.field.p != p:
                 raise ValueError("component over the wrong field")
             if s.is_zero():
                 continue
@@ -246,12 +253,17 @@ class SectionVector:
                 raise ValueError(
                     f"component degree {s.degree} != twist - exponent = {twist - a}"
                 )
-            exps = [0, 0, 0]
-            exps[var] = a
-            term = s * GradedPoly.monomial(s.field, 1, tuple(exps))
-            acc = term if acc is None else acc + term
-        if acc is not None and not ring.normal_form(acc).is_zero():
-            raise ValueError("components do not satisfy the syzygy relation")
+            if twist >= EXP_LIMIT:
+                raise ExponentOverflowError(f"monomial degree {twist} exceeds 2^62")
+            di, dj, dl = (a if k == var else 0 for k in range(3))
+            for (i, j, l), c in s.terms.items():
+                mono = Monomial(i + di, j + dj, l + dl)
+                total[mono] = (total.get(mono, 0) + c) % p
+        # a vector with a nonzero component is reduced, even when its sum cancels
+        if not all(s.is_zero() for s in (s1, s2, s3)):
+            total = GradedPoly._trusted(ring.field, twist, {m: c for m, c in total.items() if c})
+            if not ring.normal_form(total).is_zero():
+                raise ValueError("components do not satisfy the syzygy relation")
         self.spec = spec
         self.twist = twist
         self._rows = None
@@ -362,50 +374,24 @@ def syzygy_matrix(spec: SyzygySpec, n: int) -> MatrixModP:
 # is the reduction against the Koszul pivots; see the module docstring).
 
 
-BLOCK_CACHE_BYTES = 2**24  # the most bytes of block entries and binomial rows kept
+BLOCK_CACHE_BYTES = 2**24  # the most bytes of block entries kept
 BAND_LIMIT_BYTES = 2**29  # the largest band _block_kernel copies
 
-_cache: OrderedDict = OrderedDict()  # key -> (value, bytes), least recently used first
+_cache: OrderedDict = OrderedDict()  # (p, t, A, B, N) -> (entry, bytes), least recently used first
 _cache_bytes = 0
 
 
-def _cached(key: tuple, build, *args):
-    """The value kept under ``key``, or ``build(*args)`` made read-only and kept.
-
-    A value is an array or a tuple of arrays.  Keeping one evicts the least
-    recently used values until at most ``BLOCK_CACHE_BYTES`` are kept; a
-    value larger than that is returned without being kept.
-    """
-    global _cache_bytes
-    hit = _cache.get(key)
-    if hit is not None:
-        _cache.move_to_end(key)
-        return hit[0]
-    value = build(*args)
-    size = 0
-    for a in value if isinstance(value, tuple) else (value,):
-        a.setflags(write=False)
-        size += a.nbytes
-    if size <= BLOCK_CACHE_BYTES:
-        _cache[key] = value, size
-        _cache_bytes += size
-        while _cache_bytes > BLOCK_CACHE_BYTES:
-            _cache_bytes -= _cache.popitem(last=False)[1][1]
-    return value
-
-
 def clear_block_cache():
-    """Forget every kept block entry and binomial row."""
+    """Forget every kept block entry."""
     global _cache_bytes
     _cache.clear()
     _cache_bytes = 0
 
 
 def _binom_row(t: int, p: int) -> np.ndarray:
-    """[C(t, v) mod p for v = 0..t], read-only, kept in the cache under (p, t)."""
-    return _cached(
-        (p, t), lambda: np.array([binom_uint(t, v, p) for v in range(t + 1)], dtype=np.int64)
-    )
+    """[C(t, v) mod p for v = 0..t], made afresh on each call: the block
+    cache keeps the blocks built from it, not the row."""
+    return np.array([binom_uint(t, v, p) for v in range(t + 1)], dtype=np.int64)
 
 
 def _band_rows(t: int, A: int, B: int, N: int) -> tuple:
@@ -529,12 +515,16 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
     Returns (pivots, rows, parts, exps, values): the s1 exponent alpha of
     each kernel row's leading 1, then per nonzero its row, its component
     (0, 1, 2 for s1, s2, s3), its exponent (alpha for s1, gamma for s2 and
-    s3) and its value, in no particular order.  The arrays are read-only:
-    ``_build_block`` builds and checks them once, and the block cache keeps
-    them under (p, t, A, B, N).  Raises ``BlockTooLargeError`` for a band of
-    more than ``BAND_LIMIT_BYTES`` on every call, before the cache is read
-    and before the binomial row or the band is built.
+    s3) and its value, in no particular order.  On every call the band
+    guard runs first: a band of more than ``BAND_LIMIT_BYTES`` raises
+    ``BlockTooLargeError`` before the cache is read and before the
+    binomial row or the band is built.  Then the block cache is read, and
+    only on a miss does ``_build_block`` build and check the arrays.  They
+    are made read-only and kept under (p, t, A, B, N), least recently used
+    first out, so that at most ``BLOCK_CACHE_BYTES`` are kept; an entry
+    larger than that is returned without being kept.
     """
+    global _cache_bytes
     nullity = _nullity(p, t, A, B, N)
     if nullity == 0:
         return None
@@ -549,7 +539,21 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
             f"block (t, A, B, N) = {(t, A, B, N)} needs a band of {size:,} bytes, "
             f"above the limit of {BAND_LIMIT_BYTES:,}"
         )
-    return _cached((p, t, A, B, N), _build_block, p, t, A, B, N)
+    key = (p, t, A, B, N)
+    if key in _cache:
+        _cache.move_to_end(key)
+        return _cache[key][0]
+    entry = _build_block(p, t, A, B, N)
+    kept = 0
+    for x in entry:
+        x.setflags(write=False)
+        kept += x.nbytes
+    if kept <= BLOCK_CACHE_BYTES:
+        _cache[key] = entry, kept
+        _cache_bytes += kept
+        while _cache_bytes > BLOCK_CACHE_BYTES:
+            _cache_bytes -= _cache.popitem(last=False)[1][1]
+    return entry
 
 
 def _build_block(p: int, t: int, A: int, B: int, N: int) -> tuple:
@@ -806,9 +810,10 @@ def first_section_twist(spec: SyzygySpec, lo: int, hi: int) -> int | None:
     if a2 + a3 <= hi:
         best = max(lo, a2 + a3)
     # A = (a2 - 1 - j0) // d + 1 = (a2 + d - 1 - j0) // d, and B likewise
-    for t, i_lo, i_hi in _runs(a1, 1, d):
-        for A, j_lo, j_hi in _runs(a2 + d - 1, -1, d):
-            for B, l_lo, l_hi in _runs(a3 + d - 1, -1, d):
+    t_runs, A_runs, B_runs = _runs(a1, 1, d), _runs(a2 + d - 1, -1, d), _runs(a3 + d - 1, -1, d)
+    for t, i_lo, i_hi in t_runs:
+        for A, j_lo, j_hi in A_runs:
+            for B, l_lo, l_hi in B_runs:
                 s_lo, s_hi = a1 + i_lo + j_lo + l_lo, a1 + i_hi + j_hi + l_hi
                 N = _threshold(p, t, A, B)
                 best = min(best, _least_twist(s_lo, s_hi, d, N, lo))

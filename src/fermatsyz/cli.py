@@ -179,6 +179,9 @@ def cmd_verify(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 1
+    if not text.strip():  # a scan cut before its first record verifies nothing
+        print(f"error: {args.path} holds no JSON record", file=sys.stderr)
+        return 1
     try:
         data = json.loads(text)
         is_single = isinstance(data, dict)

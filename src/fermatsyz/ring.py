@@ -9,11 +9,11 @@ monomial is a basis monomial, and the Hilbert function is the full
 binomial count.  That keeps one code path for the curve and for P^2.
 
 The kernel and its batch check index R_m by ``basis_pos`` in closed form
-and never build a basis.  Its two inverses name the monomials at given
-positions: ``basis_monomials`` by one walk up the X-exponents, and
-``_basis_exponents`` as arrays.  ``basis(m)`` is that walk over every
-position, built afresh at each call; in production only ``term_text(m)``
-calls it, once per degree, and keeps the texts.  ``from_coords`` and
+and never build a basis.  Its one inverse, ``_basis_exponents``, gives
+the exponents at given positions as arrays, and ``basis_monomials``
+names those monomials.  ``basis(m)`` names every position, built afresh
+at each call; in production only ``term_text(m)`` calls it, once per
+degree, and keeps the texts.  ``from_coords`` and
 ``multiplication_matrix`` serve the dense reference path.
 """
 
@@ -80,10 +80,9 @@ class FermatRing:
     def basis(self, n: int) -> tuple:
         """Monomial basis of R_n: X-exponent < d, ascending lex on (i, j, l).
 
-        It is the walk of ``basis_monomials`` over every position of R_n
-        (none for n < 0).
+        It is ``basis_monomials`` of every position of R_n (none for n < 0).
         """
-        return tuple(self.basis_monomials(range(self.hilbert(n)), n))
+        return tuple(self.basis_monomials(np.arange(self.hilbert(n)), n))
 
     def term_text(self, n: int) -> tuple:
         """``poly.monomial_text`` of each monomial of ``basis(n)``."""
@@ -108,20 +107,10 @@ class FermatRing:
         return GradedPoly(self.field, n, terms)
 
     def basis_monomials(self, positions, m: int) -> list:
-        """The monomials of ``basis(m)`` at the increasing ``positions``,
-        without building the basis.
-
-        Degree m has m - i + 1 basis monomials with X-exponent i, so one
-        walk up the X-exponents inverts ``basis_pos`` for all of them.
-        """
-        out = []
-        i = start = 0
-        for k in positions:
-            while k - start > m - i:
-                start += m - i + 1
-                i += 1
-            out.append(Monomial(i, k - start, m - i - k + start))
-        return out
+        """The monomials of ``basis(m)`` at ``positions``, without building
+        the basis: ``_basis_exponents`` names them."""
+        i, j = self._basis_exponents(np.asarray(positions, dtype=np.int64), m)
+        return [Monomial(x, y, m - x - y) for x, y in zip(i.tolist(), j.tolist())]
 
     def _basis_exponents(self, pos: np.ndarray, m: int) -> tuple:
         """(i, j) arrays of the basis monomials of R_m at positions ``pos``."""
@@ -153,8 +142,8 @@ class FermatRing:
 
         The check shares no code with the kernel's construction in
         ``bundle`` (``_classes``, ``_kernel_classes``, ``_band``,
-        ``_binom_row``, ``_block_kernel``, ``_block_entry``, ``_build_block``
-        and the block cache ``_cached``): its binomials come from
+        ``_binom_row``, ``_block_kernel``, ``_block_entry`` with its block
+        cache, and ``_build_block``): its binomials come from
         ``poly.lucas_terms``, its monomials from ``_basis_exponents``, and it
         multiplies term by term instead of by the blocks' outer products.
         """

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fermatsyz import bundle
-from fermatsyz.bundle import SyzygySpec, _binom_row, _block_entry, first_section, section_space
+from fermatsyz.bundle import SyzygySpec, _block_entry, first_section, section_space
 from fermatsyz.errors import BlockTooLargeError
 from kernel_helpers import certificate_ops, section_ops
 
@@ -41,7 +41,7 @@ BANDED, FREE = (5, 1, 1, 3, 1), (5, 0, 0, 0, 2)
 @pytest.mark.parametrize("block", [BANDED, FREE])
 def test_cached_arrays_are_read_only(block):
     for _ in range(2):  # as built, then as read from the cache
-        for a in [*_block_entry(*block), _binom_row(block[1], block[0])]:
+        for a in _block_entry(*block):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
 
@@ -69,19 +69,21 @@ def test_cache_keeps_at_most_its_byte_bound(monkeypatch):
 def test_entry_above_the_bound_is_returned_but_not_kept(monkeypatch):
     entry = _block_entry(*BANDED)
     size = sum(a.nbytes for a in entry)
-    row_bytes = _binom_row(BANDED[1], BANDED[0]).nbytes
-    assert BANDED in bundle._cache and row_bytes < size
+    assert BANDED in bundle._cache
     monkeypatch.setattr(bundle, "BLOCK_CACHE_BYTES", size - 1)
     bundle.clear_block_cache()
+    small = (5, 0, 0, 0, 0)  # a free block that fits under the lowered bound
+    _block_entry(*small)
+    kept = _kept_bytes()
     again = _block_entry(*BANDED)
     assert all(np.array_equal(a, b) for a, b in zip(again, entry))
-    assert BANDED not in bundle._cache
-    assert list(bundle._cache) == [BANDED[:2]]  # the binomial row fits
-    assert _kept_bytes() == row_bytes
+    # keeping the large entry would evict every other one, and then itself
+    assert list(bundle._cache) == [small]
+    assert _kept_bytes() == kept < size
 
 
 def test_cache_evicts_the_least_recently_used(monkeypatch):
-    # three free blocks of t = 0, which share one binomial row
+    # three free blocks of t = 0
     a, b, c = [(5, 0, 0, 0, N) for N in (2, 3, 4)]
     size_c = sum(x.nbytes for x in _block_entry(*c))
     bundle.clear_block_cache()
@@ -91,7 +93,7 @@ def test_cache_evicts_the_least_recently_used(monkeypatch):
     monkeypatch.setattr(bundle, "BLOCK_CACHE_BYTES", _kept_bytes() + size_c - 1)
     _block_entry(*a)
     _block_entry(*c)
-    assert a in bundle._cache and c in bundle._cache and (5, 0) in bundle._cache
+    assert a in bundle._cache and c in bundle._cache
     assert b not in bundle._cache
     assert _kept_bytes() <= bundle.BLOCK_CACHE_BYTES
 

@@ -198,6 +198,24 @@ def test_section_vector_verified_on_construction():
         )
 
 
+def test_section_vector_adds_products_that_meet():
+    # the Koszul row (Y, 4X, 0): s1 X and s2 Y meet at XY, where 1 + 4 = 0 mod 5
+    s1 = GradedPoly.monomial(F5, 1, (0, 1, 0))
+    s2 = GradedPoly.monomial(F5, 4, (1, 0, 0))
+    koszul = SectionVector(SyzygySpec(5, 4, (1, 1, 1)), 2, (s1, s2, GradedPoly.zero(F5, 1)))
+    assert koszul.serialize() == ["1*X^0*Y^1*Z^0", "4*X^1*Y^0*Z^0", "0"]
+
+
+def test_section_vector_refuses_a_twist_past_the_exponent_range():
+    twist = 2**62 + 1
+    field = PrimeField(2)
+    s1 = GradedPoly.monomial(field, 1, (2**61 + 1, 0, 0))
+    zero = GradedPoly.zero(field, 2**61 + 1)
+    message = r"^monomial degree 4611686018427387905 exceeds 2\^62$"
+    with pytest.raises(ExponentOverflowError, match=message):
+        SectionVector(SyzygySpec(2, 3, (2**61,) * 3), twist, (s1, zero, zero))
+
+
 def quartic_section(s1):
     """(s1, 0, 0) in twist 2 of Syz(X, Y, Z) on the quartic over F_5."""
     zero = GradedPoly.zero(F5, 1)

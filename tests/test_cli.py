@@ -198,6 +198,18 @@ def test_verify_jsonl_ends_lines_at_newlines_only(tmp_path, capsys):
     assert stdout.splitlines() == [f"OK {path}:2", "verified 1 certificate(s)"]
 
 
+@pytest.mark.parametrize("text", ["", " \n\r\n\t\n"], ids=["empty", "whitespace"])
+def test_verify_of_a_file_without_a_record_fails(tmp_path, capsys, text):
+    # a scan cut before its first record has verified nothing
+    path = tmp_path / "scan.jsonl"
+    path.write_text(text)
+    assert run_cli(capsys, "verify", str(path)) == (
+        1,
+        "",
+        f"error: {path} holds no JSON record\n",
+    )
+
+
 def test_verify_jsonl_skips_blank_lines(tmp_path, capsys):
     _, cert, _ = run_cli(capsys, "certify", "--p", "5", "--a", "2", "--d0", "8")
     line = json.dumps(json.loads(cert))
