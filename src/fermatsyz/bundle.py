@@ -76,11 +76,11 @@ s3 whenever its Z-exponent allows, else on s2.  A block whose
 bad-projection band is empty is free: every f qualifies, its kernel is
 the identity, and its rows are written down without an elimination, the
 unit vector at alpha in s1 and the signed binomial row shifted by alpha
-in s2 and s3.  Only a banded block is eliminated, and its rank is checked
-against the closed form.  The rows -- the block kernels in reduced
-echelon form, ordered by their s1 pivots, then the Koszul rows
-g (0, Z^a3, -Y^a2) in basis order -- are then already the reduced echelon
-form of the whole kernel:
+in s2 and s3.  Only a banded block is eliminated, and every block's
+nullity is checked against the closed form.  The rows -- the block
+kernels in reduced echelon form, ordered by their s1 pivots, then the
+Koszul rows g (0, Z^a3, -Y^a2) in basis order -- are then already the
+reduced echelon form of the whole kernel:
 
 - every family row has its leading 1 in s1, and the classes have disjoint
   s1 supports whose basis order follows alpha, so the s1 parts are in
@@ -115,11 +115,12 @@ block whose band would pass ``BAND_LIMIT_BYTES`` with
 ``BlockTooLargeError`` before it builds the block's binomial row of t + 1
 entries, whatever the cache holds.  ``_band`` is a strided window on that
 row, zero-padded, so the one band-sized array is the copy that
-``_block_kernel`` eliminates.  The cache saves construction only:
+``_block_kernel`` eliminates; it reads the kernel's nonzeros straight off
+the RREF and builds no kernel matrix.  The cache saves construction only:
 ``section_space`` verifies each call's triples with one batch check,
 ``FermatRing.check_syzygies``, which shares no code with the kernel's
 construction (``_classes``, ``_kernel_classes``, ``_band``,
-``_binom_row``, ``_block_kernel``, ``_block_entry``, ``_build_block``):
+``_binom_row``, ``_block_kernel``, ``_block_entry``):
 it multiplies every row out term by term with the normal-form rewrite of
 ``poly`` and sums the result per monomial of R_n.  A change to any single
 entry of a row, an added entry, and triples out of shape, out of order,
@@ -170,6 +171,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import _kernels
 from .errors import BlockTooLargeError, ExponentOverflowError, InternalCheckError
 from .field import PrimeField, binom_uint
+# kernel_from_rref is not called here; perfbench/probes.py wraps bundle.kernel_from_rref
 from .linalg import MatrixModP, kernel_from_rref
 from .poly import EXP_LIMIT, GradedPoly, Monomial, join_rows, scaled_power, term_texts
 from .ring import FermatRing, basis_pos
@@ -473,11 +475,6 @@ def _syzygy_degrees(p: int, t: int, A: int, B: int) -> tuple:
     return m1, A + B + t - m1
 
 
-def _threshold(p: int, t: int, A: int, B: int) -> int:
-    """Least level N at which the family (t, A, B) has a block kernel."""
-    return max(0, _syzygy_degrees(p, t, A, B)[0] - t)
-
-
 def _nullity(p: int, t: int, A: int, B: int, N: int) -> int:
     """Kernel dimension of the family (t, A, B) block at level N."""
     m1, m2 = _syzygy_degrees(p, t, A, B)
@@ -494,19 +491,32 @@ def _structured_dim(spec: SyzygySpec, n: int) -> int:
     return dim
 
 
-def _block_kernel(t: int, A: int, B: int, N: int, row: np.ndarray, p: int) -> np.ndarray:
+def _block_kernel(t: int, A: int, B: int, N: int, row: np.ndarray, p: int) -> tuple:
     """Kernel of the family (t, A, B) block at level N, in reduced echelon form.
 
-    The block is eliminated with its columns reversed.  Each kernel vector
-    that ``kernel_from_rref`` reads off then has a 1 at its free column f
-    and other entries only at pivot columns, which all lie right of f in
-    the original order, and zeros at the other free columns: reversed
-    back, the vectors are already the kernel's RREF.  ``np.array`` takes
-    the one writable copy of the band that the elimination works in.
+    Returned as (pivots, rows, alphas, values): the alpha of each kernel
+    row's leading 1, then per nonzero its row, its alpha and its value.  The
+    block is eliminated with its columns reversed, column c holding
+    alpha = N - c.  Taking the free columns f_k in decreasing order, kernel
+    row k has its 1 at alpha = N - f_k and -work[r, f_k] at
+    alpha = N - pivots[r] for each pivot row r.  Those entries vanish unless
+    pivots[r] < f_k, so reversed back every other entry lies right of the
+    leading 1, and the rows are already the kernel's RREF.  They are read
+    straight off the RREF: ``np.array``'s one writable copy of the band,
+    which the elimination works in, is the largest array made.
     """
     work = np.array(_band(t, A, B, N, row)[:, ::-1])
     rank, pivots = _kernels.rref_mod_p(work, p)
-    return kernel_from_rref(work, rank, pivots, p)[::-1, ::-1]
+    free = np.setdiff1d(np.arange(N + 1), pivots)[::-1]
+    entries = (-work[:rank, free].T) % p  # row k, pivot r: the entry at N - pivots[r]
+    k, r = np.nonzero(entries)
+    lead = N - free
+    return (
+        lead,
+        np.concatenate([np.arange(len(free)), k]),
+        np.concatenate([lead, N - np.array(pivots, dtype=np.int64)[r]]),
+        np.concatenate([np.ones(len(free), dtype=np.int64), entries[k, r]]),
+    )
 
 
 def _block_entry(p: int, t: int, A: int, B: int, N: int):
@@ -519,10 +529,12 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
     guard runs first: a band of more than ``BAND_LIMIT_BYTES`` raises
     ``BlockTooLargeError`` before the cache is read and before the
     binomial row or the band is built.  Then the block cache is read, and
-    only on a miss does ``_build_block`` build and check the arrays.  They
-    are made read-only and kept under (p, t, A, B, N), least recently used
-    first out, so that at most ``BLOCK_CACHE_BYTES`` are kept; an entry
-    larger than that is returned without being kept.
+    only on a miss is the block built from the binomial row of (p, t) and
+    checked: its nullity against ``_nullity`` and, for a banded block, that
+    its bad-projection vanishes.  The arrays are made read-only and kept
+    under (p, t, A, B, N), least recently used first out, so that at most
+    ``BLOCK_CACHE_BYTES`` are kept; an entry larger than that is returned
+    without being kept.
     """
     global _cache_bytes
     nullity = _nullity(p, t, A, B, N)
@@ -543,7 +555,43 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
     if key in _cache:
         _cache.move_to_end(key)
         return _cache[key][0]
-    entry = _build_block(p, t, A, B, N)
+    row = _binom_row(t, p)
+    v = row.nonzero()[0]
+    c = row[v] if t % 2 else p - row[v]  # (-1)^(t + 1) C(t, v), in [1, p)
+    top = N + t + 1
+    if g2 == g3:  # free: the kernel is the identity, and no sum is needed
+        k_rows = alphas = pivots = np.arange(N + 1)
+        k_vals = np.ones(N + 1, dtype=np.int64)
+        r = np.repeat(pivots, len(v))
+        gamma = (pivots[:, None] + v).ravel()
+        w = np.broadcast_to(c, (N + 1, len(v))).ravel()
+    else:
+        pivots, k_rows, alphas, k_vals = _block_kernel(t, A, B, N, row, p)
+        cell = ((k_rows * top + alphas)[:, None] + v).ravel()
+        w = (k_vals[:, None] * c % p).ravel()
+        # each sum has at most t + 1 terms below p: far inside int64
+        order = np.argsort(cell)
+        cell = cell[order]
+        firsts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+        w = np.add.reduceat(w[order], firsts) % p
+        nz = w != 0
+        r, gamma = np.divmod(cell[firsts][nz], top)
+        w = w[nz]
+        if np.any((gamma >= g3) & (gamma < g2)):
+            raise InternalCheckError("bad-projection of a kernel element is nonzero")
+    if len(pivots) != nullity:
+        raise InternalCheckError(
+            f"block (t, A, B, N) = {(t, A, B, N)} has nullity {len(pivots)}, "
+            f"closed form {nullity}"
+        )
+    parts = np.concatenate([np.zeros(len(k_rows), dtype=np.int64), np.where(gamma < g3, 2, 1)])
+    entry = (
+        pivots,
+        np.concatenate([k_rows, r]),
+        parts,
+        np.concatenate([alphas, gamma]),
+        np.concatenate([k_vals, w]),
+    )
     kept = 0
     for x in entry:
         x.setflags(write=False)
@@ -554,59 +602,6 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
         while _cache_bytes > BLOCK_CACHE_BYTES:
             _cache_bytes -= _cache.popitem(last=False)[1][1]
     return entry
-
-
-def _build_block(p: int, t: int, A: int, B: int, N: int) -> tuple:
-    """``_block_entry``'s arrays for a block with a kernel, from the binomial
-    row of (p, t).  Checks the block's nullity against ``_nullity`` and, for
-    a banded block, that its bad-projection vanishes."""
-    nullity = _nullity(p, t, A, B, N)
-    g3, g2 = _band_rows(t, A, B, N)
-    row = _binom_row(t, p)
-    v = row.nonzero()[0]
-    c = row[v] if t % 2 else p - row[v]  # (-1)^(t + 1) C(t, v), in [1, p)
-    top = N + t + 1
-    if g2 == g3:
-        if nullity != N + 1:
-            raise InternalCheckError(
-                f"free block (t, A, B, N) = {(t, A, B, N)} has nullity {N + 1}, "
-                f"closed form {nullity}"
-            )
-        k_rows = alphas = pivots = np.arange(N + 1)
-        k_vals = np.ones(N + 1, dtype=np.int64)
-        r = np.repeat(pivots, len(v))
-        gamma = (pivots[:, None] + v).ravel()
-        w = np.broadcast_to(c, (N + 1, len(v))).ravel()
-    else:
-        K = _block_kernel(t, A, B, N, row, p)
-        if len(K) != nullity:
-            raise InternalCheckError(
-                f"block (t, A, B, N) = {(t, A, B, N)} has nullity {len(K)}, "
-                f"closed form {nullity}"
-            )
-        k_rows, alphas = np.nonzero(K)
-        k_vals = K[k_rows, alphas]
-        pivots = alphas[np.searchsorted(k_rows, np.arange(len(K)))]
-        key = ((k_rows * top + alphas)[:, None] + v).ravel()
-        w = (k_vals[:, None] * c % p).ravel()
-        # each sum has at most t + 1 terms below p: far inside int64
-        order = np.argsort(key)
-        key = key[order]
-        firsts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        w = np.add.reduceat(w[order], firsts) % p
-        nz = w != 0
-        r, gamma = np.divmod(key[firsts][nz], top)
-        w = w[nz]
-        if np.any((gamma >= g3) & (gamma < g2)):
-            raise InternalCheckError("bad-projection of a kernel element is nonzero")
-    parts = np.concatenate([np.zeros(len(k_rows), dtype=np.int64), np.where(gamma < g3, 2, 1)])
-    return (
-        pivots,
-        np.concatenate([k_rows, r]),
-        parts,
-        np.concatenate([alphas, gamma]),
-        np.concatenate([k_vals, w]),
-    )
 
 
 def _kernel_classes(spec: SyzygySpec, n: int) -> list:
@@ -815,6 +810,6 @@ def first_section_twist(spec: SyzygySpec, lo: int, hi: int) -> int | None:
         for A, j_lo, j_hi in A_runs:
             for B, l_lo, l_hi in B_runs:
                 s_lo, s_hi = a1 + i_lo + j_lo + l_lo, a1 + i_hi + j_hi + l_hi
-                N = _threshold(p, t, A, B)
+                N = max(0, _syzygy_degrees(p, t, A, B)[0] - t)
                 best = min(best, _least_twist(s_lo, s_hi, d, N, lo))
     return best if best <= hi else None

@@ -1,7 +1,8 @@
 """Dense exact linear algebra over F_p on int64 numpy arrays.
 
-``kernel_from_rref`` reads a kernel basis off a reduced row echelon form;
-``bundle._block_kernel`` uses it on each banded residue block.
+``kernel_from_rref`` reads a dense kernel basis off a reduced row echelon
+form, for the tests' kernel oracle and the benchmark probes;
+``bundle._block_kernel`` reads its blocks' kernels as nonzeros instead.
 ``MatrixModP`` holds the dense syzygy matrix of the reference path
 (``bundle.syzygy_matrix``), and ``section_space_dim(spec, n, "dense")``
 takes its ``rank``; the tests eliminate it further with their own

@@ -43,9 +43,8 @@ class FermatRing:
 
     __slots__ = ("field", "d", "relation", "_texts")
 
-    def __init__(self, field, d: int):
-        if isinstance(field, int):
-            field = PrimeField(field)
+    def __init__(self, p: int, d: int):
+        field = PrimeField(p)
         if d < 0:
             raise ValueError("degree d must be >= 0 (0 = no relation)")
         self.field = field
@@ -142,8 +141,8 @@ class FermatRing:
 
         The check shares no code with the kernel's construction in
         ``bundle`` (``_classes``, ``_kernel_classes``, ``_band``,
-        ``_binom_row``, ``_block_kernel``, ``_block_entry`` with its block
-        cache, and ``_build_block``): its binomials come from
+        ``_binom_row``, ``_block_kernel``, and ``_block_entry`` with its
+        block cache): its binomials come from
         ``poly.lucas_terms``, its monomials from ``_basis_exponents``, and it
         multiplies term by term instead of by the blocks' outer products.
         """

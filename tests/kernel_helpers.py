@@ -13,7 +13,7 @@ import numpy as np
 
 from fermatsyz import _kernels
 from fermatsyz.bundle import SectionVector, SyzygySpec, syzygy_matrix
-from fermatsyz.linalg import kernel_from_rref
+from fermatsyz.linalg import MatrixModP, kernel_from_rref
 from fermatsyz.poly import GradedPoly, Monomial, lucas_terms
 from fermatsyz.ring import basis_pos
 from fermatsyz.stability import format_fraction, search_destabilization
@@ -121,12 +121,13 @@ def times_band(K, row, p):
 
 
 def reference_block_entry(p, t, A, B, N):
-    """``bundle._block_entry`` by elimination of every block and a dense band
-    product, with its nonzeros in (row, component, exponent) order."""
-    from fermatsyz.bundle import _binom_row, _block_kernel
+    """``bundle._block_entry`` by dense elimination of every block with
+    ``kernel_basis`` and a dense band product, with its nonzeros in
+    (row, component, exponent) order."""
+    from fermatsyz.bundle import _band, _binom_row
 
     row = _binom_row(t, p)
-    K = _block_kernel(t, A, B, N, row, p)
+    K = kernel_basis(MatrixModP(_band(t, A, B, N, row), p))
     if not len(K):
         return None
     w = times_band(K, row, p)

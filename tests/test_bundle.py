@@ -443,9 +443,11 @@ def test_banded_block_nullity_disagreeing_with_the_closed_form_raises(monkeypatc
 
 def test_kernel_row_outside_the_kernel_fails_the_bad_projection_check(monkeypatch):
     real = bundle._block_kernel
-    assert real(*BANDED[1:], _binom_row(1, 5), 5).tolist() == [[0, 1]]
+    # (pivots, rows, alphas, values) of the kernel [[0, 1]]
+    assert [x.tolist() for x in real(*BANDED[1:], _binom_row(1, 5), 5)] == [[1], [0], [1], [1]]
     # the unit row at alpha = 0 meets the band's nonzero column
-    monkeypatch.setattr(bundle, "_block_kernel", lambda *args: np.array([[1, 0]]))
+    unit = tuple(np.array([x]) for x in (0, 0, 0, 1))
+    monkeypatch.setattr(bundle, "_block_kernel", lambda *args: unit)
     with pytest.raises(InternalCheckError, match="bad-projection of a kernel element is nonzero"):
         _block_entry(*BANDED)
 
@@ -723,12 +725,38 @@ def test_band_is_a_window_on_one_padded_row():
     assert not band.flags.writeable
 
 
+def test_thin_band_kernel_builds_no_kernel_matrix():
+    # twist 8,001 of (1, 1, 30000) over F_2 has the block (1, 1, 30000, 8000):
+    # one band row of 8,001 entries (64 KB) and nullity 8,000.  A dense
+    # 8,000 x 8,001 kernel matrix would hold 488 MiB; the nonzeros it has are
+    # read off the RREF, so each call peaks at a few MiB
+    spec, n = SyzygySpec(2, 1, (1, 1, 30000)), 8001
+    assert bundle._band_rows(1, 1, 30000, 8000) == (0, 1)
+    assert bundle._nullity(2, 1, 1, 30000, 8000) == 8000
+    sections = []
+    for call in (section_space, first_section):
+        bundle.clear_block_cache()
+        tracemalloc.start()
+        try:
+            sections.append(call(spec, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (call.__name__, peak)
+    basis, first = sections
+    assert basis[0].serialize() == first.serialize()
+
+
 def test_block_kernel_eliminates_a_copy_of_the_band():
     # N = 0: the one-column window is contiguous as it stands, yet it is
     # read-only, so the elimination must work on a copy.  C(2, 1) is 0 mod 2
-    # (nullity 1) and 2 mod 3, which the elimination scales in place
-    assert bundle._block_kernel(2, 2, 2, 0, _binom_row(2, 2), 2).tolist() == [[1]]
-    assert bundle._block_kernel(2, 2, 2, 0, _binom_row(2, 3), 3).shape == (0, 1)
+    # (nullity 1: the rank-0 band's one kernel row [1], read off without a
+    # pivot) and 2 mod 3 (no kernel), which the elimination scales in place
+    one = bundle._block_kernel(2, 2, 2, 0, _binom_row(2, 2), 2)
+    assert [x.tolist() for x in one] == [[0], [0], [0], [1]]
+    none = bundle._block_kernel(2, 2, 2, 0, _binom_row(2, 3), 3)
+    assert [x.tolist() for x in none] == [[], [], [], []]
+    assert all(x.dtype == np.int64 for x in one + none)
 
 
 def test_check_syzygies_rejects_malformed_triples():

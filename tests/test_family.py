@@ -21,7 +21,6 @@ from fermatsyz.bundle import (
     _nullity,
     _structured_kernel,
     _syzygy_degrees,
-    _threshold,
     first_section_twist,
     section_space_dim,
 )
@@ -109,7 +108,7 @@ def test_closed_form_gap_matches_band_elimination(p):
             nullities.append(_band_nullity(t, A, B, N, p))
             assert _nullity(p, t, A, B, N) == nullities[-1], (p, t, A, B, N)
         n_star = next(N for N, v in enumerate(nullities) if v)
-        assert _threshold(p, t, A, B) == n_star, (p, t, A, B)
+        assert max(0, _syzygy_degrees(p, t, A, B)[0] - t) == n_star, (p, t, A, B)
 
 
 def _degree(f):
@@ -167,8 +166,8 @@ def test_han_gap_matches_the_euclid_oracle():
     for p, t, A, B in cases:
         m1 = _euclid_m1(p, t, A, B)
         assert m1 == _syzygy_degrees(p, t, A, B)[0], (p, t, A, B)
-        assert max(0, m1 - t) == _threshold(p, t, A, B), (p, t, A, B)
-    assert _threshold(13, 5355, 5355, 5355) == 2677
+        assert max(0, m1 - t) == max(0, _syzygy_degrees(p, t, A, B)[0] - t), (p, t, A, B)
+    assert max(0, _syzygy_degrees(13, 5355, 5355, 5355)[0] - 5355) == 2677
 
 
 def test_han_gap_takes_the_largest_level():
@@ -176,7 +175,7 @@ def test_han_gap_takes_the_largest_level():
     # 3; taking the first qualifying level instead of the largest value
     # would give 1 and move the threshold from 1 to 2
     assert _han_gap(2, 3, 4, 4) == 3
-    assert _threshold(2, 3, 4, 4) == 1
+    assert max(0, _syzygy_degrees(2, 3, 4, 4)[0] - 3) == 1
     assert [_band_nullity(3, 4, 4, N, 2) for N in range(3)] == [0, 1, 2]
 
 
@@ -199,7 +198,7 @@ def test_family_kernel_monotone_in_level(p):
                     assert not np.any(prod[bad] % p), (p, t, A, B, N)
         # multiplication by u embeds the level-N kernel into level N + 1
         assert nullities == sorted(nullities), (p, t, A, B, nullities)
-        n_star = _threshold(p, t, A, B)
+        n_star = max(0, _syzygy_degrees(p, t, A, B)[0] - t)
         assert nullities[n_star] > 0 and (n_star == 0 or nullities[n_star - 1] == 0)
 
 
