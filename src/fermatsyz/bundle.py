@@ -97,23 +97,30 @@ Sparse triples and verification.  The basis is almost all zeros, so
 ``_structured_kernel`` returns it as sparse triples (row count, rows,
 columns, values): the nonzero entries only, sorted by (row, column), with
 values in [1, p); it never forms a dense matrix.  Each distinct block's
-s1 pivots and block-local nonzeros (``_block_entry``) are built and
-checked once and then kept across calls, in one least-recently-used cache
-of blocks keyed by (p, t, A, B, N), which ``_block_entry`` alone reads and
-fills.  The cache holds at most ``BLOCK_CACHE_BYTES`` of arrays in total;
-an entry larger than that is returned but not kept.  Its arrays are
-read-only, so no caller can change what a later call reads.  A block is
-built from the binomial row of its (p, t), which is made for that build
-and not kept: a warm call builds no row.  A banded block's product with
-the binomial row is one sparse outer product of its kernel's nonzeros,
-summed per (row, gamma).  Each class places the block's nonzeros at its
-own column offsets, ranking the s1 pivots gives the rows their canonical
-order, and one sort puts the triples in (row, column) order.
+entry (``_block_entry``) is built and checked once and then kept across
+calls, in one least-recently-used cache of blocks keyed by
+(p, t, A, B, N), which ``_block_entry`` alone reads and fills.  An entry
+is two arrays: the s1 pivots, and one (4, nnz) array holding each
+block-local nonzero's row, component, exponent and value.  The cache
+holds at most ``BLOCK_CACHE_BYTES`` of arrays in total; an entry larger
+than that is returned but not kept.  Its arrays are read-only, so no
+caller can change what a later call reads.  A block is built from the
+binomial row of its (p, t), which is made for that build and not kept: a
+warm call builds no row.  A banded block's product with the binomial
+row is one sparse outer product of its kernel's nonzeros, summed per
+(row, gamma).  A call concatenates its blocks' two arrays once each,
+every class reads its block's nonzeros at its own column offsets, and
+one sort by (s1 pivot column, column) both ranks the rows in their
+canonical order and puts the triples in (row, column) order.
 ``_band_rows`` is the one account of a block's band rows: ``_block_entry``
 sizes the band from it on every lookup, before the cache, and refuses a
 block whose band would pass ``BAND_LIMIT_BYTES`` with
 ``BlockTooLargeError`` before it builds the block's binomial row of t + 1
-entries, whatever the cache holds.  ``_band`` is a strided window on that
+entries, whatever the cache holds.  On a miss the product is sized
+against the same limit before it is formed: (N + 1) |v| entries for a
+free block, before the row is built (|v| = prod (r + 1) over the base-p
+digits r of t counts the nonzero C(t, v) mod p), and nnz(K) |v| for a
+banded one, once its kernel K is known.  ``_band`` is a strided window on that
 row, zero-padded, so the one band-sized array is the copy that
 ``_block_kernel`` eliminates; it reads the kernel's nonzeros straight off
 the RREF and builds no kernel matrix.  The cache saves construction only:
@@ -122,7 +129,8 @@ the RREF and builds no kernel matrix.  The cache saves construction only:
 construction (``_classes``, ``_kernel_classes``, ``_band``,
 ``_binom_row``, ``_block_kernel``, ``_block_entry``):
 it multiplies every row out term by term with the normal-form rewrite of
-``poly`` and sums the result per monomial of R_n.  A change to any single
+``poly``, in one flat pass over all entries, and sums the result per
+monomial of R_n.  A change to any single
 entry of a row, an added entry, and triples out of shape, out of order,
 repeated or outside [1, p), and a row without entries, all make it
 raise.  Each vector is then a view on one row of the verified triples,
@@ -302,47 +310,46 @@ class _KernelRows:
     """One call's verified kernel triples, read row by row.
 
     ``kernel`` is sparse triples (row count, rows, columns, values) sorted
-    by (row, column).  Per component, ``parts`` holds its degree, the row
-    cuts (row r owns entries cuts[r]:cuts[r + 1]), and the local basis
-    positions and values as lists.  ``components(r)`` gives row r as
-    polynomials and ``strings(r)`` as ``GradedPoly.to_string`` writes them.
+    by (row, column), so each row's entries run through s1, s2 and s3 in
+    turn.  One split by component gives ``cuts``: the entries of row r in
+    component k are cuts[3 r + k]:cuts[3 r + k + 1] of the columns and
+    values, kept as lists.  ``components(r)`` gives row r as polynomials
+    and ``strings(r)`` as ``GradedPoly.to_string`` writes them.
     """
 
-    __slots__ = ("ring", "parts", "_strings")
+    __slots__ = ("ring", "degrees", "starts", "cuts", "cols", "vals", "_strings")
 
     def __init__(self, spec: SyzygySpec, n: int, kernel: tuple):
         count, rows, cols, values = kernel
-        bounds = np.arange(count + 1)
         ring = self.ring = spec.ring
-        self.parts = []
+        self.degrees = [n - a for a in spec.exponents]
+        w1, w2, _w3 = (ring.hilbert(m) for m in self.degrees)
+        self.starts = (0, w1, w1 + w2)  # each component's first column
+        parts = np.array(self.starts[1:]).searchsorted(cols, "right")
+        self.cuts = (3 * rows + parts).searchsorted(np.arange(3 * count + 1)).tolist()
+        self.cols = cols.tolist()
+        self.vals = values.tolist()
         self._strings = None
-        start = 0
-        for a in spec.exponents:
-            m = n - a
-            width = ring.hilbert(m)
-            mask = (cols >= start) & (cols < start + width)
-            cuts = np.searchsorted(rows[mask], bounds).tolist()
-            self.parts.append((m, cuts, (cols[mask] - start).tolist(), values[mask].tolist()))
-            start += width
 
     def components(self, r: int) -> tuple:
-        field = self.ring.field
+        field, cuts = self.ring.field, self.cuts
         out = []
-        for m, cuts, pos, vals in self.parts:
-            lo, hi = cuts[r], cuts[r + 1]
-            terms = dict(zip(self.ring.basis_monomials(pos[lo:hi], m), vals[lo:hi]))
+        for k, (m, start) in enumerate(zip(self.degrees, self.starts)):
+            lo, hi = cuts[3 * r + k], cuts[3 * r + k + 1]
+            pos = [c - start for c in self.cols[lo:hi]]
+            terms = dict(zip(self.ring.basis_monomials(pos, m), self.vals[lo:hi]))
             out.append(GradedPoly._trusted(field, m, terms))
         return tuple(out)
 
     def strings(self, r: int) -> list:
         """Row r's components as ``GradedPoly.to_string`` writes them."""
         if self._strings is None:
-            texts = []
-            for m, cuts, pos, vals in self.parts:
-                terms = term_texts(zip(vals, map(self.ring.term_text(m).__getitem__, pos)))
-                texts.append(join_rows(terms, cuts))
-            self._strings = list(zip(*texts))
-        return list(self._strings[r])
+            # the three bases' texts one after the other, indexed by column
+            s1, s2, s3 = (self.ring.term_text(m) for m in self.degrees)
+            texts = s1 + s2 + s3
+            terms = term_texts(zip(self.vals, map(texts.__getitem__, self.cols)))
+            self._strings = join_rows(terms, self.cuts)
+        return self._strings[3 * r : 3 * r + 3]
 
 
 # -- dense reference path -----------------------------------------------------
@@ -424,9 +431,11 @@ def _band(t: int, A: int, B: int, N: int, row: np.ndarray) -> np.ndarray:
     return sliding_window_view(ext, N + 1)[lo:hi, ::-1]
 
 
-def _classes(spec: SyzygySpec, n: int):
-    """Yield (i, j0, l0, N, t, A, B) per nonempty residue class in twist n.
+def _classes(spec: SyzygySpec, n: int) -> tuple:
+    """The nonempty residue classes in twist n, grouped by their block.
 
+    Returns (classes, blocks): (i, j0, k) per class, where k indexes
+    ``blocks``, the distinct (t, A, B, N) in order of first appearance.
     The class consists of the source monomials X^i Y^(j0 + alpha d)
     Z^(l0 + beta d) with alpha + beta = N.  The plane uses the effective
     degree d = n + 1 (see the module docstring).
@@ -434,14 +443,15 @@ def _classes(spec: SyzygySpec, n: int):
     a1, a2, a3 = spec.exponents
     d = spec.d or n + 1
     src_deg = n - a1
+    index: dict = {}  # (t, A, B, N) -> k
+    classes = []
     for i in range(min(d, src_deg + 1)):
         t = (i + a1) // d
         for j0 in range(min(d, src_deg - i + 1)):
-            l0 = (src_deg - i - j0) % d
-            rem = src_deg - i - j0 - l0
-            A = (a2 - 1 - j0) // d + 1
-            B = (a3 - 1 - l0) // d + 1
-            yield i, j0, l0, rem // d, t, A, B
+            N, l0 = divmod(src_deg - i - j0, d)
+            key = (t, (a2 - 1 - j0) // d + 1, (a3 - 1 - l0) // d + 1, N)
+            classes.append((i, j0, index.setdefault(key, len(index))))
+    return classes, list(index)
 
 
 def _han_gap(p: int, t: int, A: int, B: int) -> int:
@@ -485,10 +495,9 @@ def _nullity(p: int, t: int, A: int, B: int, N: int) -> int:
 def _structured_dim(spec: SyzygySpec, n: int) -> int:
     """Kernel dimension: the Koszul family plus the closed-form family nullities."""
     _a1, a2, a3 = spec.exponents
-    dim = spec.ring.hilbert(n - a2 - a3)
-    for *_cls, N, t, A, B in _classes(spec, n):
-        dim += _nullity(spec.p, t, A, B, N)
-    return dim
+    classes, blocks = _classes(spec, n)
+    nullity = [_nullity(spec.p, *key) for key in blocks]
+    return spec.ring.hilbert(n - a2 - a3) + sum(nullity[k] for _i, _j0, k in classes)
 
 
 def _block_kernel(t: int, A: int, B: int, N: int, row: np.ndarray, p: int) -> tuple:
@@ -522,19 +531,23 @@ def _block_kernel(t: int, A: int, B: int, N: int, row: np.ndarray, p: int) -> tu
 def _block_entry(p: int, t: int, A: int, B: int, N: int):
     """Block-local nonzeros of the family (t, A, B) kernel at level N, or None.
 
-    Returns (pivots, rows, parts, exps, values): the s1 exponent alpha of
-    each kernel row's leading 1, then per nonzero its row, its component
-    (0, 1, 2 for s1, s2, s3), its exponent (alpha for s1, gamma for s2 and
-    s3) and its value, in no particular order.  On every call the band
-    guard runs first: a band of more than ``BAND_LIMIT_BYTES`` raises
-    ``BlockTooLargeError`` before the cache is read and before the
-    binomial row or the band is built.  Then the block cache is read, and
-    only on a miss is the block built from the binomial row of (p, t) and
-    checked: its nullity against ``_nullity`` and, for a banded block, that
-    its bad-projection vanishes.  The arrays are made read-only and kept
-    under (p, t, A, B, N), least recently used first out, so that at most
-    ``BLOCK_CACHE_BYTES`` are kept; an entry larger than that is returned
-    without being kept.
+    Returns (pivots, nonzeros): the s1 exponent alpha of each kernel row's
+    leading 1, and one (4, nnz) array whose columns are the nonzeros, in no
+    particular order, and whose rows are each one's row, component (0, 1,
+    2 for s1, s2, s3), exponent (alpha for s1, gamma for s2 and s3) and
+    value.  On every call the band guard runs first: a band of more than
+    ``BAND_LIMIT_BYTES`` raises ``BlockTooLargeError`` before the cache is
+    read and before the binomial row or the band is built.  Then the
+    block cache is read, and only on a miss is the block built from the
+    binomial row of (p, t) and checked: its nullity against ``_nullity``
+    and, for a banded block, that its bad-projection vanishes.  The
+    product of the kernel with the row's nonzeros is sized against the
+    same limit before it is formed: (N + 1) |v| entries for a free block,
+    sized before the row is built, and nnz(K) |v| for a banded one, sized
+    once ``_block_kernel`` has returned.  The arrays are made read-only and
+    kept under (p, t, A, B, N), least recently used first out, so that at
+    most ``BLOCK_CACHE_BYTES`` are kept; an entry larger than that is
+    returned without being kept.
     """
     global _cache_bytes
     nullity = _nullity(p, t, A, B, N)
@@ -547,14 +560,19 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
     g3, g2 = _band_rows(t, A, B, N)
     size = (g2 - g3) * (N + 1) * 8
     if size > BAND_LIMIT_BYTES:
-        raise BlockTooLargeError(
-            f"block (t, A, B, N) = {(t, A, B, N)} needs a band of {size:,} bytes, "
-            f"above the limit of {BAND_LIMIT_BYTES:,}"
-        )
+        raise _too_large("band", size, (t, A, B, N))
     key = (p, t, A, B, N)
     if key in _cache:
         _cache.move_to_end(key)
         return _cache[key][0]
+    nonzeros = 1  # |v|, the nonzero binomials C(t, v) mod p: prod (r + 1) over t's digits
+    digits = t
+    while digits:
+        digits, r = divmod(digits, p)
+        nonzeros *= r + 1
+    size = (N + 1) * nonzeros * 8  # a free block's product, sized before its row
+    if g2 == g3 and size > BAND_LIMIT_BYTES:
+        raise _too_large("product", size, (t, A, B, N))
     row = _binom_row(t, p)
     v = row.nonzero()[0]
     c = row[v] if t % 2 else p - row[v]  # (-1)^(t + 1) C(t, v), in [1, p)
@@ -567,6 +585,9 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
         w = np.broadcast_to(c, (N + 1, len(v))).ravel()
     else:
         pivots, k_rows, alphas, k_vals = _block_kernel(t, A, B, N, row, p)
+        size = len(k_rows) * nonzeros * 8
+        if size > BAND_LIMIT_BYTES:
+            raise _too_large("product", size, (t, A, B, N))
         cell = ((k_rows * top + alphas)[:, None] + v).ravel()
         w = (k_vals[:, None] * c % p).ravel()
         # each sum has at most t + 1 terms below p: far inside int64
@@ -584,13 +605,12 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
             f"block (t, A, B, N) = {(t, A, B, N)} has nullity {len(pivots)}, "
             f"closed form {nullity}"
         )
-    parts = np.concatenate([np.zeros(len(k_rows), dtype=np.int64), np.where(gamma < g3, 2, 1)])
-    entry = (
-        pivots,
-        np.concatenate([k_rows, r]),
-        parts,
-        np.concatenate([alphas, gamma]),
-        np.concatenate([k_vals, w]),
+    entry = pivots, np.concatenate(
+        [
+            [k_rows, np.zeros(len(k_rows), dtype=np.int64), alphas, k_vals],
+            [r, np.where(gamma < g3, 2, 1), gamma, w],
+        ],
+        axis=1,
     )
     kept = 0
     for x in entry:
@@ -604,26 +624,33 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
     return entry
 
 
-def _kernel_classes(spec: SyzygySpec, n: int) -> list:
-    """[((i, j0, i2), entry)] per residue class in twist n whose block has a kernel.
+def _too_large(what: str, size: int, block: tuple) -> BlockTooLargeError:
+    """The refusal of a block whose band or product needs ``size`` bytes."""
+    return BlockTooLargeError(
+        f"block (t, A, B, N) = {block} needs a {what} of {size:,} bytes, "
+        f"above the limit of {BAND_LIMIT_BYTES:,}"
+    )
 
-    i2 = i + a1 - t d is the X-exponent of the class's products with X^a1,
-    and entry is its block's ``_block_entry``.  The classes are grouped by
-    their block (t, A, B, N), and each block is read once per call from
-    ``_block_entry``, which runs the band guard and builds and checks only a
-    block the cache does not hold.
+
+def _kernel_classes(spec: SyzygySpec, n: int) -> tuple:
+    """The residue classes in twist n whose block has a kernel, and those blocks.
+
+    Returns (classes, entries): (i, j0, i2, k) per class, where i2 =
+    i + a1 - t d is the X-exponent of its products with X^a1 and
+    entries[k] is its block's ``_block_entry``.  Each block of ``_classes``
+    is read once per call from ``_block_entry``, which runs the band guard
+    and builds and checks only a block the cache does not hold.
     """
     a1 = spec.exponents[0]
     d = spec.d or n + 1
-    blocks: dict = {}  # (t, A, B, N) -> its classes (i, j0, i2)
-    for i, j0, _l0, N, t, A, B in _classes(spec, n):
-        blocks.setdefault((t, A, B, N), []).append((i, j0, i + a1 - t * d))
-    out = []
-    for key, members in blocks.items():
+    classes, blocks = _classes(spec, n)
+    entries, index = [], []
+    for key in blocks:
         entry = _block_entry(spec.p, *key)
+        index.append(-1 if entry is None else len(entries))
         if entry is not None:
-            out += [(cls, entry) for cls in members]
-    return out
+            entries.append(entry)
+    return [(i, j0, (i + a1) % d, index[k]) for i, j0, k in classes if index[k] >= 0], entries
 
 
 def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
@@ -640,47 +667,56 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     p = spec.p
     m1, m2, m3 = n - a1, n - a2, n - a3
     d1, d2 = ring.hilbert(m1), ring.hilbert(m2)
+    width = d1 + d2 + ring.hilbert(m3)
     d = spec.d or n + 1
-    pairs = _kernel_classes(spec, n)
-    classes = [cls for cls, _entry in pairs]
-    entries = [entry for _cls, entry in pairs]
+    classes, entries = _kernel_classes(spec, n)
 
     empty = np.zeros(0, dtype=np.int64)
     n_family, family = 0, (empty, empty, empty)
     if entries:
-        pivots, r, parts, exps, values = (np.concatenate(x) for x in zip(*entries))
-        sizes = np.array([[len(e[0]), len(e[4])] for e in entries])
-        n_family = len(pivots)
-        i, j0, i2 = np.array(classes, dtype=np.int64).T
-        offsets = np.column_stack(
+        i, j0, i2, block = np.array(classes, dtype=np.int64).T
+        # each block's pivots and nonzeros once, side by side; each class
+        # reads a copy of its block's nonzeros where they start in ``nonzeros``
+        pivots = np.concatenate([e[0] for e in entries])
+        nonzeros = np.concatenate([e[1] for e in entries], axis=1)
+        k_sizes = np.array([len(e[0]) for e in entries])  # per block
+        nz_sizes = np.array([e[1].shape[1] for e in entries])
+        sizes = nz_sizes[block]  # per class
+        owner = np.repeat(np.arange(len(block)), sizes)  # nonzero -> class
+        skip = (nz_sizes.cumsum() - nz_sizes)[block] - sizes.cumsum() + sizes
+        r, parts, exps, values = nonzeros[:, np.arange(len(owner)) + np.repeat(skip, sizes)]
+        # per class the columns of its alpha = 0 in s1 and gamma = 0 in s2, s3
+        offsets = np.concatenate(
             [
                 basis_pos(i, j0, m1),
                 d1 + basis_pos(i2, j0 - a2, m2),
                 d1 + d2 + basis_pos(i2, j0, m3),
             ]
         )
-        owner = np.repeat(np.arange(len(entries)), sizes[:, 1])  # nonzero -> class
-        cols = offsets[owner, parts] + d * exps
-        # a family row's rank among the s1 pivots is its row in the basis;
-        # one sort by (row, column) then orders the triples
-        rank = np.empty(n_family, dtype=np.int64)
-        rank[np.argsort(np.repeat(offsets[:, 0], sizes[:, 0]) + d * pivots)] = np.arange(n_family)
-        row_base = np.cumsum(sizes[:, 0]) - sizes[:, 0]
-        r = rank[r + np.repeat(row_base, sizes[:, 1])]
-        order = np.argsort(r * (d1 + d2 + ring.hilbert(m3)) + cols)
-        family = (r[order], cols[order], values[order])
+        cols = offsets[parts * len(block) + owner] + d * exps
+        # a family row's s1 pivot column ranks it: one sort by (pivot, column)
+        # orders the rows and the triples, and numbers the rows
+        lead = offsets[owner] + d * pivots[(k_sizes.cumsum() - k_sizes)[block][owner] + r]
+        order = (lead * width + cols).argsort()
+        lead = lead[order]
+        r = np.concatenate(([0], lead[1:] != lead[:-1])).cumsum()
+        n_family = int(r[-1]) + 1
+        family = (r, cols[order], values[order])
 
-    # Koszul family g * (0, Z^a3, -Y^a2), g in the basis of R_{n - a2 - a3}
+    # Koszul family g * (0, Z^a3, -Y^a2), g in the basis of R_{n - a2 - a3}.
+    # basis_pos(gi, gj, m) grows by gi with m and by 1 with gj, so the g at
+    # position q of R_mk puts g Z^a3 at q + a3 gi of R_m2 and g Y^a2 at
+    # q + a2 (gi + 1) of R_m3
     mk = n - a2 - a3
     n_koszul, koszul = 0, (empty, empty, empty)
     if mk >= 0:  # every certificate twist has mk < 0: skip the empty arrays
-        gi, gj = ring._basis_exponents(np.arange(ring.hilbert(mk)), mk)
+        top = min(mk + 1, d)  # the X-exponents gi, each with mk - gi + 1 monomials
+        gi = np.repeat(np.arange(top), np.arange(mk + 1, mk + 1 - top, -1))
+        q = np.arange(len(gi))
         n_koszul = len(gi)
         koszul = (
-            n_family + np.repeat(np.arange(n_koszul), 2),
-            np.column_stack(
-                [d1 + basis_pos(gi, gj, m2), d1 + d2 + basis_pos(gi, gj + a2, m3)]
-            ).ravel(),
+            n_family + np.repeat(q, 2),
+            np.column_stack([d1 + q + a3 * gi, d1 + d2 + q + a2 * (gi + 1)]).ravel(),
             np.tile(np.array([1, p - 1], dtype=np.int64), n_koszul),
         )
     return n_family + n_koszul, *(np.concatenate(x) for x in zip(family, koszul))
@@ -726,16 +762,12 @@ def first_section(spec: SyzygySpec, n: int) -> SectionVector:
     degrees = m1, m2, m3 = n - a1, n - a2, n - a3
     d = spec.d or n + 1
     terms = ({}, {}, {})
-    pairs = _kernel_classes(spec, n)
-    if pairs:
-
-        def s1_pivot(pair):  # the column of the class's first leading 1
-            (i, j0, _i2), entry = pair
-            return basis_pos(i, j0, m1) + d * int(entry[0][0])
-
-        (i, j0, i2), (_pivots, rows, parts, exps, values) = min(pairs, key=s1_pivot)
-        first = rows == 0
-        for part, k, c in zip(parts[first].tolist(), exps[first].tolist(), values[first].tolist()):
+    classes, entries = _kernel_classes(spec, n)
+    if classes:
+        leads = [int(e[0][0]) for e in entries]  # each block's first s1 pivot
+        i, j0, i2, b = min(classes, key=lambda c: basis_pos(c[0], c[1], m1) + d * leads[c[3]])
+        nonzeros = entries[b][1]
+        for part, k, c in zip(*nonzeros[1:].compress(nonzeros[0] == 0, axis=1).tolist()):
             if part == 0:  # s1 at X^i Y^(j0 + alpha d)
                 x, j = i, j0 + d * k
             else:  # the product at X^i2 Y^(j0 + gamma d), over Y^a2 in s2 or Z^a3 in s3

@@ -9,15 +9,21 @@ monomial is a basis monomial, and the Hilbert function is the full
 binomial count.  That keeps one code path for the curve and for P^2.
 
 The kernel and its batch check index R_m by ``basis_pos`` in closed form
-and never build a basis.  Its one inverse, ``_basis_exponents``, gives
-the exponents at given positions as arrays, and ``basis_monomials``
-names those monomials.  ``basis(m)`` names every position, built afresh
-at each call; in production only ``term_text(m)`` calls it, once per
-degree, and keeps the texts.  ``from_coords`` and
-``multiplication_matrix`` serve the dense reference path.
+and never build a basis.  ``basis_monomials`` inverts it at given
+positions and names those monomials.  ``check_syzygies`` is one flat
+pass over all three components: one ``searchsorted`` over a run table of
+their X-exponent starts, one ``basis_pos`` for every target, and one
+broadcast per distinct t against the signed Lucas table of (t, p), which
+``_lucas_table`` keeps as read-only arrays in a small LRU cache.
+``basis(m)`` names every position, built afresh at each call; in
+production only ``term_text(m)`` calls it, once per degree, and keeps
+the texts.  ``from_coords`` and ``multiplication_matrix`` serve the
+dense reference path.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +34,17 @@ from .poly import FermatRelation, GradedPoly, Monomial, lucas_terms, monomial_te
 
 def _choose2(m: int) -> int:
     return m * (m - 1) // 2 if m >= 2 else 0
+
+
+@lru_cache(maxsize=64)
+def _lucas_table(t: int, p: int) -> tuple:
+    """(v, (-1)^t C(t, v) mod p) over the v of ``poly.lucas_terms(t, p)``, as
+    two read-only int64 arrays: the terms of X^(t d) = (-1)^t (Y^d + Z^d)^t."""
+    table = np.array(list(lucas_terms(t, p)), dtype=np.int64).T.copy()
+    if t % 2:
+        table[1] = p - table[1]
+    table.setflags(write=False)
+    return table[0], table[1]
 
 
 def basis_pos(i, j, m):
@@ -107,16 +124,13 @@ class FermatRing:
 
     def basis_monomials(self, positions, m: int) -> list:
         """The monomials of ``basis(m)`` at ``positions``, without building
-        the basis: ``_basis_exponents`` names them."""
-        i, j = self._basis_exponents(np.asarray(positions, dtype=np.int64), m)
-        return [Monomial(x, y, m - x - y) for x, y in zip(i.tolist(), j.tolist())]
-
-    def _basis_exponents(self, pos: np.ndarray, m: int) -> tuple:
-        """(i, j) arrays of the basis monomials of R_m at positions ``pos``."""
+        the basis: a search over the first position of each X-exponent."""
+        pos = np.asarray(positions, dtype=np.int64)
         top = m if self.d == 0 else min(m, self.d - 1)
         starts = basis_pos(np.arange(top + 1), 0, m)
         i = np.searchsorted(starts, pos, side="right") - 1
-        return i, pos - starts[i]
+        j = pos - starts[i]
+        return [Monomial(x, y, m - x - y) for x, y in zip(i.tolist(), j.tolist())]
 
     def check_syzygies(self, kernel, n: int, exponents) -> None:
         """Raise ValueError unless every row of ``kernel`` is a degree-n syzygy.
@@ -126,7 +140,7 @@ class FermatRing:
         R_(n - a_i), one after the other, sorted by (row, column) with no
         pair twice and values in [1, p), and every row has an entry: a
         zero row is a syzygy but no basis vector.  Input that breaks any of
-        this is rejected, never summed.  One vectorized pass checks
+        this is rejected, never summed.  One flat pass then checks
         s1 X^a1 + s2 Y^a2 + s3 Z^a3 = 0 in R_n for all rows.  Y^a2 and Z^a3
         move a basis monomial to a basis monomial; X^a1 does too once its
         X-exponent i + a1 = i' + t d is rewritten by X^d = -(Y^d + Z^d),
@@ -134,17 +148,24 @@ class FermatRing:
             (-1)^t sum_v C(t, v) X^i' Y^(j + v d) Z^(l + (t - v) d),
 
         summed over the v of ``poly.lucas_terms(t, p)`` only, the v with
-        C(t, v) != 0 mod p; one table of them serves every s1 entry of its t.
-        Each contribution is reduced mod p, and a coordinate of R_n gets at
-        most one per expansion term, so no int64 sum passes p times their
-        count.
+        C(t, v) != 0 mod p.  One ``searchsorted`` over a run table, the
+        first column of each (component, X-exponent) run, splits every
+        entry into its component, i and j, and one ``basis_pos`` over all
+        entries gives every target.  basis_pos is linear in j, so the term v
+        of an s1 entry lands v d past its target: s1 is expanded by one
+        broadcast per distinct t, at most two since i < d (one on the
+        plane), against the (t, p) table of ``_lucas_table``, which keeps
+        the signed binomials as read-only arrays.  Each contribution is
+        reduced mod p, so the running sum over the sorted terms, which
+        must vanish mod p at the end of each coordinate's terms, stays
+        below p times their count.
 
         The check shares no code with the kernel's construction in
         ``bundle`` (``_classes``, ``_kernel_classes``, ``_band``,
         ``_binom_row``, ``_block_kernel``, and ``_block_entry`` with its
-        block cache): its binomials come from
-        ``poly.lucas_terms``, its monomials from ``_basis_exponents``, and it
-        multiplies term by term instead of by the blocks' outer products.
+        block cache): its binomials come from ``poly.lucas_terms``, its
+        monomials from its own run table, and it multiplies term by term
+        instead of by the blocks' outer products.
         """
         p = self.p
         d = self.d or n + 1  # the plane: no rewrite below degree n + 1
@@ -160,41 +181,54 @@ class FermatRing:
             raise ValueError(f"an index lies outside the shape ({count}, {sum(widths)})")
         if len(values) and (values.min() < 1 or values.max() >= p):
             raise ValueError(f"row entries must be nonzero residues in [1, {p})")
-        step_r, step_c = np.diff(rows), np.diff(cols)
-        if np.any((step_r < 0) | ((step_r == 0) & (step_c <= 0))):
+        step_r, step_c = rows[1:] - rows[:-1], cols[1:] - cols[:-1]
+        if ((step_r < 0) | ((step_r == 0) & (step_c <= 0))).any():
             raise ValueError("(row, column) pairs must be sorted and unique")
         # sorted rows in [0, count) are all present iff they step count - 1 times
         present = np.count_nonzero(step_r) + 1 if len(rows) else 0
         if present != count:
             raise ValueError(f"{count - present} of {count} rows are empty (zero vectors)")
-        rs, targets, terms = [], [], []
-        start = 0
-        for var, (a, m, width) in enumerate(zip(exponents, degrees, widths)):
-            mask = (cols >= start) & (cols < start + width)
-            r, pos, c = rows[mask], cols[mask] - start, values[mask]
-            start += width
-            i, j = self._basis_exponents(pos, m)
-            if var == 0:
-                t, i2 = np.divmod(i + a, d)
-                k, v, b = np.zeros((3, 0), dtype=np.int64)
-                for tt in np.unique(t).tolist():  # one Lucas table per distinct t
-                    at = np.flatnonzero(t == tt)
-                    vt, bt = np.array(list(lucas_terms(tt, p)), dtype=np.int64).T
-                    k = np.concatenate([k, np.repeat(at, len(vt))])  # term -> its entry
-                    v = np.concatenate([v, np.tile(vt, len(at))])
-                    b = np.concatenate([b, np.tile(p - bt if tt % 2 else bt, len(at))])  # (-1)^t
-                r, c = r[k], c[k] * b % p
-                pos = basis_pos(i2[k], j[k] + v * d, n)
-            else:
-                pos = basis_pos(i, j + a if var == 1 else j, n)
-            rs.append(r)
-            targets.append(pos)
+        if not count:
+            return
+        # the run table: the first column of each (component, X-exponent)
+        # run in column order.  Run r = first + i of a component has
+        # m - i + 1 = (m + 1 + first) - r columns, so the lengths are -r
+        # shifted per component, summed in place
+        a1, a2, _a3 = exponents
+        c1, c2, c3 = (max(0, min(m + 1, d)) for m in degrees)
+        starts = np.arange(1, -(c1 + c2 + c3), -1)  # starts[1 + r] = -r
+        starts[0] = 0
+        for m, first, c in zip(degrees, (0, c1, c1 + c2), (c1, c2, c3)):
+            starts[1 + first : 1 + first + c] += m + 1 + first
+        starts = starts.cumsum(out=starts)[:-1]
+        # each entry's run gives its component, i and j; Y^a2 shifts j, and
+        # X^a1 makes i + a1 = i2 + t d, where only s1 has t > 0
+        run = starts.searchsorted(cols, "right") - 1
+        # per component: its first run less a1 (s1), and -a2 (s2)
+        first, shift = np.array([[-a1, c1, c1 + c2], [0, -a2, 0]])[
+            :, np.array([c1, c1 + c2]).searchsorted(run, "right")
+        ]
+        t, i2 = np.divmod(run - first, d)
+        key = rows * self.hilbert(n) + basis_pos(i2, cols - starts[run] - shift, n)
+        ts = {0} if c2 or c3 else set()
+        if c1:
+            ts |= {a1 // d, (a1 + c1 - 1) // d}
+        keys, terms = [], []
+        for tt in ts:
+            at = t == tt if len(ts) > 1 else slice(None)
+            k, c = key[at], values[at]
+            if tt and len(k):  # the Lucas terms of X^(i2 + t d), a row per entry
+                v, b = _lucas_table(tt, p)
+                k = (k[:, None] + v * d).ravel()
+                c = (c[:, None] * b % p).ravel()
+            keys.append(k)
             terms.append(c)
-        key = np.concatenate(rs) * self.hilbert(n) + np.concatenate(targets)
-        order = np.argsort(key)
-        key, value = key[order], np.concatenate(terms)[order]
-        firsts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        if len(key) and np.any(np.add.reduceat(value, firsts) % p):
+        # the sums per (row, target) all vanish mod p iff the running sum
+        # over the sorted terms does at the end of each key
+        key = np.concatenate(keys)
+        order = key.argsort()
+        key, total = key[order], np.concatenate(terms)[order].cumsum()
+        if total[-1] % p or (total[:-1][key[1:] != key[:-1]] % p).any():
             raise ValueError("components do not satisfy the syzygy relation")
 
     def multiplication_matrix(self, g: GradedPoly, n: int) -> MatrixModP:

@@ -109,3 +109,25 @@ def test_band_guard_refuses_a_cached_block(monkeypatch):
         _block_entry(*BANDED)
     monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", band_bytes)
     assert _block_entry(*BANDED) is entry
+
+
+# (t, A, B, N) = (2, 2, 3, 1) over F_5 has a band of 2 entries and a product
+# of 3 x 2; (3, 0, 2, 4) is free, with a product of 5 x 4 and no band
+@pytest.mark.parametrize("block", [(5, 2, 2, 3, 1), (5, 3, 0, 2, 4)], ids=["banded", "free"])
+def test_block_whose_band_fits_but_whose_product_does_not_is_refused(monkeypatch, block):
+    p, t, A, B, N = block
+    lo, hi = bundle._band_rows(t, A, B, N)
+    entry = _block_entry(*block)
+    kernel_nonzeros = np.count_nonzero(entry[1][1] == 0)  # the s1 entries
+    product = kernel_nonzeros * np.count_nonzero(bundle._binom_row(t, p)) * 8
+    assert (hi - lo) * (N + 1) * 8 < product
+    bundle.clear_block_cache()
+    monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", product - 1)
+    if lo == hi:  # a free block is refused before its binomial row is built
+        monkeypatch.setattr(bundle, "_binom_row", lambda *_: pytest.fail("row built"))
+    with pytest.raises(BlockTooLargeError, match=f"needs a product of {product:,} bytes"):
+        _block_entry(*block)
+    assert block not in bundle._cache
+    monkeypatch.undo()
+    monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", product)
+    assert all(np.array_equal(a, b) for a, b in zip(_block_entry(*block), entry))

@@ -548,11 +548,8 @@ def test_one_block_elimination_per_distinct_block(monkeypatch):
         (SyzygySpec(3, 4, (9, 9, 9)), 13),
         (SyzygySpec(5, 0, (2, 3, 4)), 7),
     ]:
-        keys = [
-            (t, A, B, N)
-            for *_cls, N, t, A, B in bundle._classes(spec, n)
-            if bundle._nullity(spec.p, t, A, B, N) > 0
-        ]
+        classes, blocks = bundle._classes(spec, n)
+        keys = [blocks[k] for *_ij, k in classes if bundle._nullity(spec.p, *blocks[k]) > 0]
         banded = [key for key in keys if _is_banded(*key)]
         repeats += len(banded) - len(set(banded))
         free += len(keys) - len(banded)
@@ -579,11 +576,12 @@ def _block_oracle(p, banded, count):
         assert (got is None) == (want is None), (p, t, A, B, N)
         if got is None:
             continue
-        assert np.array_equal(got[0], want[0]), (p, t, A, B, N)
+        pivots, nonzeros = got
+        assert np.array_equal(pivots, want[0]), (p, t, A, B, N)
         # _block_entry leaves its nonzeros unordered; the reference sorts them
         # by (row, component, exponent)
-        order = np.lexsort((got[3], got[2], got[1]))
-        for mine, theirs in zip(got[1:], want[1:]):
+        order = np.lexsort(nonzeros[2::-1])
+        for mine, theirs in zip(nonzeros, want[1:]):
             assert np.array_equal(mine[order], theirs), (p, t, A, B, N)
 
 
@@ -681,11 +679,8 @@ def test_band_guard_on_deep_certificates():
         aq = a * p**e
         spec = SyzygySpec(p, d, (aq, aq, aq))
         n = first_section_twist(spec, aq + 1, (3 * aq + 1) // 2 - 1)
-        largest = max(
-            _band_bytes(t, A, B, N)
-            for *_cls, N, t, A, B in bundle._classes(spec, n)
-            if bundle._nullity(p, t, A, B, N)
-        )
+        _classes, blocks = bundle._classes(spec, n)
+        largest = max(_band_bytes(*key) for key in blocks if bundle._nullity(p, *key))
         assert (largest > bundle.BAND_LIMIT_BYTES) == refused, (p, d, a, e)
         if refused:
             with pytest.raises(BlockTooLargeError):
@@ -791,6 +786,64 @@ def test_check_syzygies_rejects_malformed_triples():
     ]:
         with pytest.raises(ValueError, match=match):
             check(bad, n, spec.exponents)
+
+
+def _one_value_changed(kernel, k, p):
+    """A copy of the triples with entry k's value moved to another residue."""
+    count, rows, cols, values = kernel
+    values = values.copy()
+    values[k] = values[k] % (p - 1) + 1
+    return count, rows, cols, values
+
+
+def _one_nonzero_dropped(kernel, k):
+    """A copy of the triples without entry k."""
+    count, rows, cols, values = kernel
+    keep = np.arange(len(rows)) != k
+    return count, rows[keep], cols[keep], values[keep]
+
+
+def test_check_syzygies_rejects_a_single_corruption_of_every_sections_op():
+    # the sections benchmark's 169 kernels: each intact one passes, and a
+    # copy with one value changed (p > 2) or one nonzero dropped does not.
+    # Either changes the relation by c m g for a monomial m, a generator g
+    # and c != 0, which is nonzero in R_n: no such curve has p | d
+    rng = random.Random(2029)
+    rejected = 0
+    for spec, n in section_ops():
+        kernel = _structured_kernel(spec, n)
+        check = spec.ring.check_syzygies
+        check(kernel, n, spec.exponents)
+        nnz = len(kernel[1])
+        if not nnz:
+            continue
+        bad = [_one_nonzero_dropped(kernel, rng.randrange(nnz))]
+        if spec.p > 2:
+            bad.append(_one_value_changed(kernel, rng.randrange(nnz), spec.p))
+        for corrupted in bad:
+            with pytest.raises(ValueError, match="syzygy relation"):
+                check(corrupted, n, spec.exponents)
+            rejected += 1
+    assert rejected == 251  # 143 ops have a section, 108 of them over p > 2
+
+
+def test_check_syzygies_runs_without_the_block_construction(monkeypatch):
+    # the triples are built first; then every step of the construction
+    # raises, and the check still accepts them and rejects a corrupted copy
+    kernels = [(spec, n, _structured_kernel(spec, n)) for spec, n in section_ops()]
+
+    def refuse(*_args):
+        raise AssertionError("the check reached the kernel's construction")
+
+    for name in ("_block_entry", "_block_kernel", "_band", "_binom_row"):
+        monkeypatch.setattr(bundle, name, refuse)
+    for spec, n, kernel in kernels:
+        spec.ring.check_syzygies(kernel, n, spec.exponents)
+        if len(kernel[1]):
+            with pytest.raises(ValueError, match="syzygy relation"):
+                spec.ring.check_syzygies(_one_nonzero_dropped(kernel, 0), n, spec.exponents)
+    with pytest.raises(AssertionError, match="construction"):
+        _structured_kernel(*kernels[0][:2])
 
 
 def test_all_returned_sections_satisfy_relation():

@@ -193,3 +193,21 @@ def test_check_syzygies_expands_only_the_lucas_terms():
     # s3 = Y instead of Z leaves Y Z^a + Z^(a + 1) over
     with pytest.raises(ValueError, match="syzygy relation"):
         ring.check_syzygies((1, [0, 0, 0], [x, width + y, 2 * width + y], [1, 1, 1]), n, (a, a, a))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_plane_check_stays_fast_at_high_degree(p):
+    # (Y^a, -X^a, 0) is a syzygy of (X^a, Y^a, Z^a) on P^2 in degree 2a.
+    # Each component of degree a has a + 1 X-exponents, so the check's run
+    # table has about 3a runs, and at a = 2^22 it still answers at once
+    a = 2**22
+    ring, n = FermatRing(p, 0), 2 * a
+    cols = [basis_pos(0, a, a), ring.hilbert(a) + basis_pos(a, 0, a)]
+    started = time.perf_counter()
+    ring.check_syzygies((1, [0, 0], cols, [1, p - 1]), n, (a, a, a))
+    assert time.perf_counter() - started < 0.5
+    # over F_3 a wrong coefficient (X^a for -X^a); over F_2, where 1 is the
+    # only nonzero coefficient, a wrong monomial (Y^(a - 1) Z for Y^a)
+    bad = (1, [0, 0], cols, [1, 1]) if p == 3 else (1, [0, 0], [cols[0] - 1, cols[1]], [1, 1])
+    with pytest.raises(ValueError, match="syzygy relation"):
+        ring.check_syzygies(bad, n, (a, a, a))
