@@ -16,6 +16,14 @@ Output is byte-deterministic for identical inputs: keys are sorted, the
 scan runs its cells serially and writes records in grid order, and
 timings are opt-in (--timings) because they would break reproducibility.
 ``scan --threads`` is accepted and has no effect.
+
+Imports: this module loads ``stability``, ``tightclosure``, ``syzygy``,
+``ring``, ``poly``, ``field`` and ``errors``, none of which imports numpy,
+so ``verify``, ``certify``, ``tc`` and ``deviation`` run without it.
+``scan`` loads the construction (``bundle``, ``linalg``, ``_kernels`` and
+numpy) at its first search.  Each command looks its engine function up
+on this module at call time, so replacing ``cli.search_destabilization``
+replaces the search of every scan cell.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ import sys
 import time
 
 from . import __version__
-from .bundle import SyzygySpec
 from .errors import ExponentOverflowError, FermatSyzError, InapplicableError, SmoothnessError
 from .field import check_prime
 from .poly import scaled_power
@@ -40,6 +47,7 @@ from .stability import (
     search_destabilization,
     verify_certificate,
 )
+from .syzygy import SyzygySpec
 from .tightclosure import tc_counterexample
 
 

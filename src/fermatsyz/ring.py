@@ -19,17 +19,23 @@ broadcast per distinct t against the signed Lucas table of (t, p), which
 production only ``term_text(m)`` calls it, once per degree, and keeps
 the texts.  ``from_coords`` and ``multiplication_matrix`` serve the
 dense reference path.
+
+The check path uses ``hilbert`` and ``normal_form`` alone, so numpy is
+imported only inside the array methods (``basis``, ``basis_monomials``,
+``from_coords``, ``check_syzygies``, ``multiplication_matrix`` and
+``_lucas_table``), at a fraction of a microsecond per call once loaded.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .field import PrimeField
-from .linalg import MatrixModP
 from .poly import FermatRelation, GradedPoly, Monomial, lucas_terms, monomial_text, normal_form
+
+if TYPE_CHECKING:
+    from .linalg import MatrixModP
 
 
 def _choose2(m: int) -> int:
@@ -40,6 +46,8 @@ def _choose2(m: int) -> int:
 def _lucas_table(t: int, p: int) -> tuple:
     """(v, (-1)^t C(t, v) mod p) over the v of ``poly.lucas_terms(t, p)``, as
     two read-only int64 arrays: the terms of X^(t d) = (-1)^t (Y^d + Z^d)^t."""
+    import numpy as np
+
     table = np.array(list(lucas_terms(t, p)), dtype=np.int64).T.copy()
     if t % 2:
         table[1] = p - table[1]
@@ -98,6 +106,8 @@ class FermatRing:
 
         It is ``basis_monomials`` of every position of R_n (none for n < 0).
         """
+        import numpy as np
+
         return tuple(self.basis_monomials(np.arange(self.hilbert(n)), n))
 
     def term_text(self, n: int) -> tuple:
@@ -116,6 +126,8 @@ class FermatRing:
         return normal_form(f, self.relation)
 
     def from_coords(self, v, n: int) -> GradedPoly:
+        import numpy as np
+
         basis = self.basis(n)
         v = np.asarray(v)
         nz = np.flatnonzero(v)
@@ -125,6 +137,8 @@ class FermatRing:
     def basis_monomials(self, positions, m: int) -> list:
         """The monomials of ``basis(m)`` at ``positions``, without building
         the basis: a search over the first position of each X-exponent."""
+        import numpy as np
+
         pos = np.asarray(positions, dtype=np.int64)
         top = m if self.d == 0 else min(m, self.d - 1)
         starts = basis_pos(np.arange(top + 1), 0, m)
@@ -167,6 +181,8 @@ class FermatRing:
         monomials from its own run table, and it multiplies term by term
         instead of by the blocks' outer products.
         """
+        import numpy as np
+
         p = self.p
         d = self.d or n + 1  # the plane: no rewrite below degree n + 1
         degrees = [n - a for a in exponents]
@@ -233,6 +249,10 @@ class FermatRing:
 
     def multiplication_matrix(self, g: GradedPoly, n: int) -> MatrixModP:
         """Matrix of (.g): R_n -> R_{n+deg g} in the monomial bases."""
+        import numpy as np
+
+        from .linalg import MatrixModP
+
         if g.field != self.field:
             raise ValueError("polynomial lives over a different field")
         top = n + g.degree

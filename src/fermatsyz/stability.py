@@ -30,6 +30,14 @@ and every level's a p^e is formed by ``poly.scaled_power``, which raises
 ``ExponentOverflowError`` unless it is below ``EXP_LIMIT`` = 2^62.
 ``verify_certificate`` reports an out-of-range certificate as a failure
 before it builds the bundle.
+
+Imports: ``certify_destabilization``, ``verify_certificate``,
+``find_parameters`` and ``deviation_lower_bound`` need only ``syzygy``,
+``ring``, ``poly`` and ``field``, and never load numpy.
+The first ``search_destabilization`` binds ``bundle``'s
+``first_section_twist`` and ``first_section`` here, which loads numpy.
+``has_section`` and ``section_space`` resolve from ``bundle`` on first
+access through the module ``__getattr__``.
 """
 
 from __future__ import annotations
@@ -38,14 +46,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundle import (
-    SectionVector,
-    SyzygySpec,
-    first_section,
-    first_section_twist,
-    has_section,  # not called here; perfbench/probes.py wraps stability.has_section
-    section_space,  # likewise: the search builds only the row it certifies
-)
 from .errors import (
     BlockTooLargeError,
     ExponentOverflowError,
@@ -55,8 +55,22 @@ from .errors import (
 )
 from .field import MAX_PRIME, PrimeField, check_prime, is_prime
 from .poly import EXP_LIMIT, GradedPoly, parse_poly, scaled_power
+from .syzygy import SectionVector, SyzygySpec
 
 SCHEMA_VERSION = 1
+
+first_section = first_section_twist = None  # from bundle, bound by the first search
+
+
+def __getattr__(name):
+    """``has_section`` and ``section_space`` of ``bundle``, imported on first
+    access.  Neither is called here (the search builds only the row it
+    certifies), but perfbench/probes.py wraps both on this module."""
+    if name in ("has_section", "section_space"):
+        from . import bundle
+
+        return getattr(bundle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def destabilizing_twists(aq: int) -> range:
@@ -268,12 +282,15 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
     exponent a p^e is not below ``EXP_LIMIT``: ``frobenius_pullback``
     range-checks every level.
     """
+    global first_section, first_section_twist
     check_prime(p)
     if a < 1 or e_max < 0 or d < 0:
         raise InapplicableError("need a >= 1, d >= 0, e_max >= 0")
     base = SyzygySpec(p, d, (a, a, a))
     if not base.smooth:
         raise SmoothnessError(f"p = {p} divides d = {d}: curve not smooth")
+    if first_section is None:  # the construction, and numpy with it
+        from .bundle import first_section, first_section_twist
     for e in range(e_max + 1):
         spec = base.frobenius_pullback(e)
         window = destabilizing_twists(spec.exponents[0])  # the exponents are (aq, aq, aq)

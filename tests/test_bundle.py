@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fermatsyz import bundle
+from fermatsyz import bundle, syzygy
 from fermatsyz.bundle import (
     SectionVector,
     SyzygySpec,
@@ -606,7 +606,7 @@ def test_view_components_name_monomials_without_the_basis(monkeypatch):
     for spec, twists in cases:
         named = FermatRing(spec.p, spec.d)
         for n in twists:
-            bundle._ring.cache_clear()
+            syzygy._ring.cache_clear()
             with monkeypatch.context() as patched:
                 patched.setattr(FermatRing, "basis", no_basis)
                 components = [s.components for s in section_space(spec, n)]

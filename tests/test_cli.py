@@ -644,6 +644,29 @@ def test_scan_crash_keeps_finished_records(tmp_path, capsys, monkeypatch, thread
     assert on_disk_at_crash[0].splitlines() == expected[:3]
 
 
+def test_scan_searches_through_the_cli_attribute_once_per_smooth_cell(
+    tmp_path, capsys, monkeypatch
+):
+    # perfbench times each scan-grid cell by replacing cli.search_destabilization,
+    # so the scan must reach the search through that attribute, once per smooth cell
+    real_search = cli.search_destabilization
+    cells = []
+
+    def search(p, d, a, e_max):
+        cells.append((p, d, a))
+        return real_search(p, d, a, e_max)
+
+    monkeypatch.setattr(cli, "search_destabilization", search)
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", "--p", "2,3", "--d", "4..7", "--a", "1,2", "--e-max", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    smooth = [(p, d, a) for p in (2, 3) for d in (4, 5, 6, 7) for a in (1, 2) if d % p]
+    assert cells == smooth and len(smooth) == 10
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert sum(r["outcome"] != "skipped" for r in records) == len(smooth)
+
+
 def test_scan_refusing_a_large_band_keeps_finished_records(tmp_path, capsys, monkeypatch):
     # (5, 8, 3) certifies through a 4,416-byte band, the cells before it
     # through smaller ones or none; under a 1,000-byte limit the scan
