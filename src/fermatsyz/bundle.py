@@ -116,12 +116,12 @@ every class reads its block's nonzeros at its own column offsets, and
 one sort by (s1 pivot column, column) both ranks the rows in their
 canonical order and puts the triples in (row, column) order.
 ``_band_rows`` is the one account of a block's band rows: ``_block_entry``
-sizes the band from it on every lookup, before the cache, and refuses a
-block whose band would pass ``BAND_LIMIT_BYTES`` with
-``BlockTooLargeError`` before it builds the block's binomial row of t + 1
-entries, whatever the cache holds.  On a miss the product is sized
-against the same limit before it is formed: (N + 1) |v| entries for a
-free block, before the row is built (|v| = prod (r + 1) over the base-p
+sizes the band from it on every lookup, before the cache, through
+``_band_guard``, and refuses a block whose band would pass
+``BAND_LIMIT_BYTES`` with ``BlockTooLargeError`` before it builds the
+block's binomial row of t + 1 entries, whatever the cache holds.  On a
+miss the product is sized against the same limit before it is formed:
+(N + 1) |v| entries for a free block, before the row is built (|v| = prod (r + 1) over the base-p
 digits r of t counts the nonzero C(t, v) mod p), and nnz(K) |v| for a
 banded one, once its kernel K is known.  ``_band`` is a strided window on that
 row, zero-padded, so the one band-sized array is the copy that
@@ -129,7 +129,7 @@ row, zero-padded, so the one band-sized array is the copy that
 the RREF and builds no kernel matrix.  The cache saves construction only:
 ``section_space`` verifies each call's triples with one batch check,
 ``FermatRing.check_syzygies``, which shares no code with the kernel's
-construction (``_classes``, ``_kernel_classes``, ``_band``,
+construction (``_classes``, ``_band_guard``, ``_band``,
 ``_binom_row``, ``_block_kernel``, ``_block_entry``):
 it multiplies every row out term by term with the normal-form rewrite of
 ``poly``, in one flat pass over all entries, and sums the result per
@@ -148,12 +148,21 @@ The public ``SectionVector`` constructor checks its vector by
 so it adds the shifted terms of s1, s2 and s3 mod p into one polynomial
 and reduces that once.  ``first_section`` goes through it: it builds only
 row 0 of a twist's basis, never the rest, the one section the search
-certifies.  It ranks the classes with a kernel by their first s1 pivot,
-as ``_structured_kernel`` ranks rows, and writes down local row 0 of the
+certifies.  Row 0 is the family row with the least s1 pivot, the key
+``_structured_kernel`` ranks rows by, and the pivot of the class (i, j0)
+is basis_pos(i, j0, m1) + d lead, lead the first pivot of its block.  The
+positions with X-exponent i form one run of R_m1, wholly before the run
+of i + 1, so row 0 lies at the least X-exponent i with a kernel class.
+``first_section`` reads only that i's blocks, through ``_block_entry``,
+ranks its classes by j0 + d lead, and writes down local row 0 of the
 least one's block, or the first Koszul row when no class has a kernel.
-``normal_form`` bounds its own work: a vector whose check would pass
-``poly.NORMAL_FORM_BUDGET`` steps is refused with ``BlockTooLargeError``
-before anything is multiplied.
+The band guard (``_band_guard``) still runs on every block with a kernel
+at the twist, in closed form and before anything is built, so a twist is
+refused for a band past ``BAND_LIMIT_BYTES`` at any X-exponent; the
+product guard of a banded block needs its kernel, so it runs on the
+blocks that are built.  ``normal_form`` bounds its own work: a vector
+whose check would pass ``poly.NORMAL_FORM_BUDGET`` steps is refused
+with ``BlockTooLargeError`` before anything is multiplied.
 
 The plane (d = 0) runs through the same code.  In degrees below d the
 Fermat ring equals F_p[X, Y, Z], so the degree-n syzygies on P^2 are
@@ -435,13 +444,8 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
     if nullity == 0:
         return None
     # the band product w goes to s3 below g3, to s2 from g2 on; between
-    # them lies the bad-projection, and a block without one is free.  The
-    # band is sized first: a refused block's t can pass 10^8, and its row
-    # would take minutes and gigabytes
-    g3, g2 = _band_rows(t, A, B, N)
-    size = (g2 - g3) * (N + 1) * 8
-    if size > BAND_LIMIT_BYTES:
-        raise _too_large("band", size, (t, A, B, N))
+    # them lies the bad-projection, and a block without one is free
+    g3, g2 = _band_guard(t, A, B, N)
     key = (p, t, A, B, N)
     if key in _cache:
         _cache.move_to_end(key)
@@ -505,6 +509,21 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
     return entry
 
 
+def _band_guard(t: int, A: int, B: int, N: int) -> tuple:
+    """``_band_rows`` of the block (t, A, B, N), after refusing a band of more
+    than ``BAND_LIMIT_BYTES`` with ``BlockTooLargeError``.
+
+    Closed form: it runs before anything of the block is built, since a
+    refused block's t can pass 10^8, and its binomial row would take
+    minutes and gigabytes.
+    """
+    g3, g2 = _band_rows(t, A, B, N)
+    size = (g2 - g3) * (N + 1) * 8
+    if size > BAND_LIMIT_BYTES:
+        raise _too_large("band", size, (t, A, B, N))
+    return g3, g2
+
+
 def _too_large(what: str, size: int, block: tuple) -> BlockTooLargeError:
     """The refusal of a block whose band or product needs ``size`` bytes."""
     return BlockTooLargeError(
@@ -513,35 +532,16 @@ def _too_large(what: str, size: int, block: tuple) -> BlockTooLargeError:
     )
 
 
-def _kernel_classes(spec: SyzygySpec, n: int) -> tuple:
-    """The residue classes in twist n whose block has a kernel, and those blocks.
-
-    Returns (classes, entries): (i, j0, i2, k) per class, where i2 =
-    i + a1 - t d is the X-exponent of its products with X^a1 and
-    entries[k] is its block's ``_block_entry``.  Each block of ``_classes``
-    is read once per call from ``_block_entry``, which runs the band guard
-    and builds and checks only a block the cache does not hold.
-    """
-    a1 = spec.exponents[0]
-    d = spec.d or n + 1
-    classes, blocks = _classes(spec, n)
-    entries, index = [], []
-    for key in blocks:
-        entry = _block_entry(spec.p, *key)
-        index.append(-1 if entry is None else len(entries))
-        if entry is not None:
-            entries.append(entry)
-    return [(i, j0, (i + a1) % d, index[k]) for i, j0, k in classes if index[k] >= 0], entries
-
-
 def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     """Canonical (reduced echelon) kernel basis in twist n, from the residue blocks.
 
     Returned as sparse triples (row count, rows, columns, values): only the
     nonzero entries, sorted by (row, column), with values in [1, p).  The
     rows are the family rows ranked by s1 pivot, then the Koszul rows (see
-    the module docstring).  The blocks come from ``_kernel_classes``.  The
-    returned arrays are new on every call.
+    the module docstring).  Each block of ``_classes`` is read once per call
+    from ``_block_entry``, which runs the band guard and builds and checks
+    only a block the cache does not hold.  The returned arrays are new on
+    every call.
     """
     ring = spec.ring
     a1, a2, a3 = spec.exponents
@@ -550,7 +550,16 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     d1, d2 = ring.hilbert(m1), ring.hilbert(m2)
     width = d1 + d2 + ring.hilbert(m3)
     d = spec.d or n + 1
-    classes, entries = _kernel_classes(spec, n)
+    classes, blocks = _classes(spec, n)
+    entries, index = [], []  # the blocks with a kernel; per block its place there, or -1
+    for key in blocks:
+        entry = _block_entry(p, *key)
+        index.append(-1 if entry is None else len(entries))
+        if entry is not None:
+            entries.append(entry)
+    # per class with a kernel: i, j0, i2 = i + a1 - t d (the X-exponent of
+    # its products with X^a1) and its block's place in ``entries``
+    classes = [(i, j0, (i + a1) % d, index[k]) for i, j0, k in classes if index[k] >= 0]
 
     empty = np.zeros(0, dtype=np.int64)
     n_family, family = 0, (empty, empty, empty)
@@ -634,20 +643,40 @@ def first_section(spec: SyzygySpec, n: int) -> SectionVector:
 
     Only that row is built, never the rest of the basis.  It is the family
     row with the least s1 pivot, the key ``_structured_kernel`` ranks rows
-    by: local row 0 of the block of the class with the least
-    basis_pos(i, j0, m1) + d * pivots[0].  Without a family row it is the
-    first Koszul row (0, Z^a3 g, -Y^a2 g), g = Z^(n - a2 - a3).
+    by; the pivot of the class (i, j0) is basis_pos(i, j0, m1) + d * lead,
+    where lead is the first pivot of its block.  The positions with
+    X-exponent i form one run of R_m1, wholly before the run of i + 1, so
+    row 0 belongs to the least i that has a class with a kernel.  Only that
+    i's blocks are read through ``_block_entry``, ranked by j0 + d * lead,
+    and row 0 is local row 0 of the least one's block.  The band guard
+    still runs on every block with a kernel at the twist, in closed form
+    and before anything is built, so a block past ``BAND_LIMIT_BYTES`` at
+    any X-exponent refuses the twist.  Without a family row it is the first
+    Koszul row (0, Z^a3 g, -Y^a2 g), g = Z^(n - a2 - a3).
     """
     field = spec.ring.field
+    p = spec.p
     a1, a2, a3 = spec.exponents
     degrees = m1, m2, m3 = n - a1, n - a2, n - a3
     d = spec.d or n + 1
     terms = ({}, {}, {})
-    classes, entries = _kernel_classes(spec, n)
-    if classes:
-        leads = [int(e[0][0]) for e in entries]  # each block's first s1 pivot
-        i, j0, i2, b = min(classes, key=lambda c: basis_pos(c[0], c[1], m1) + d * leads[c[3]])
-        nonzeros = entries[b][1]
+    classes, blocks = _classes(spec, n)
+    kernel = [_nullity(p, *key) > 0 for key in blocks]  # per block: has it a kernel
+    for key, has in zip(blocks, kernel):
+        if has:  # read or not: every band refusal stays
+            _band_guard(*key)
+    least = None  # (rank, i, j0, entry) of the least class at the least i
+    for i, j0, k in classes:  # in order of i, then j0
+        if kernel[k]:
+            if least is not None and i != least[1]:
+                break
+            entry = _block_entry(p, *blocks[k])
+            rank = j0 + d * int(entry[0][0])
+            if least is None or rank < least[0]:
+                least = rank, i, j0, entry
+    if least is not None:
+        _rank, i, j0, (_pivots, nonzeros) = least
+        i2 = (i + a1) % d
         for part, k, c in zip(*nonzeros[1:].compress(nonzeros[0] == 0, axis=1).tolist()):
             if part == 0:  # s1 at X^i Y^(j0 + alpha d)
                 x, j = i, j0 + d * k
@@ -691,14 +720,6 @@ def _runs(c: int, step: int, d: int) -> list:
     return [run for run in runs if run[1] <= run[2]]
 
 
-def _least_twist(s_lo: int, s_hi: int, d: int, N: int, lo: int) -> int:
-    """Least n >= lo of the form s + d M with s in [s_lo, s_hi] and M >= N."""
-    if lo <= s_lo + d * N:
-        return s_lo + d * N
-    k = (lo - s_lo) // d  # lo lies in [s_lo + d k, s_lo + d (k + 1)), and k >= N
-    return lo if lo <= s_hi + d * k else s_lo + d * (k + 1)
-
-
 def first_section_twist(spec: SyzygySpec, lo: int, hi: int) -> int | None:
     """Least n in [lo, hi] with a nonzero degree-n module syzygy, or None.
 
@@ -709,8 +730,11 @@ def first_section_twist(spec: SyzygySpec, lo: int, hi: int) -> int | None:
     a level N at or above its closed-form threshold N*(t, A, B).  The
     families sharing (t, A, B) form a box of residues (i, j0, l0) -- t, A
     and B each take at most two values, each on an interval of residues --
-    whose base twists a1 + i + j0 + l0 fill an interval, so one threshold
-    per box, at most eight per call, decides them all.
+    whose base twists a1 + i + j0 + l0 fill an interval [s_lo, s_hi], so
+    one threshold per box, at most eight per call, decides them all: the
+    box's least twist at or above lo is s + d M with s in [s_lo, s_hi] and
+    M >= N*, worked out in place.  Each run list is built once, and the A
+    runs serve as the B runs when a2 == a3, as at every search level.
     """
     a1, a2, a3 = spec.exponents
     d, p = spec.d or max(hi, 0) + 1, spec.p
@@ -718,11 +742,18 @@ def first_section_twist(spec: SyzygySpec, lo: int, hi: int) -> int | None:
     if a2 + a3 <= hi:
         best = max(lo, a2 + a3)
     # A = (a2 - 1 - j0) // d + 1 = (a2 + d - 1 - j0) // d, and B likewise
-    t_runs, A_runs, B_runs = _runs(a1, 1, d), _runs(a2 + d - 1, -1, d), _runs(a3 + d - 1, -1, d)
-    for t, i_lo, i_hi in t_runs:
+    A_runs = _runs(a2 + d - 1, -1, d)
+    B_runs = A_runs if a3 == a2 else _runs(a3 + d - 1, -1, d)
+    for t, i_lo, i_hi in _runs(a1, 1, d):
         for A, j_lo, j_hi in A_runs:
             for B, l_lo, l_hi in B_runs:
-                s_lo, s_hi = a1 + i_lo + j_lo + l_lo, a1 + i_hi + j_hi + l_hi
-                N = max(0, _syzygy_degrees(p, t, A, B)[0] - t)
-                best = min(best, _least_twist(s_lo, s_hi, d, N, lo))
+                s_lo = a1 + i_lo + j_lo + l_lo
+                m1 = _syzygy_degrees(p, t, A, B)[0]
+                n = s_lo + d * (m1 - t) if m1 > t else s_lo  # level N*, at s_lo
+                if n < lo:
+                    # lo lies in [s_lo + d k, s_lo + d (k + 1)), and k >= N*
+                    k = (lo - s_lo) // d
+                    n = lo if lo <= a1 + i_hi + j_hi + l_hi + d * k else s_lo + d * (k + 1)
+                if n < best:
+                    best = n
     return best if best <= hi else None

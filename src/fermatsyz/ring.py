@@ -175,7 +175,7 @@ class FermatRing:
         below p times their count.
 
         The check shares no code with the kernel's construction in
-        ``bundle`` (``_classes``, ``_kernel_classes``, ``_band``,
+        ``bundle`` (``_classes``, ``_band_guard``, ``_band``,
         ``_binom_row``, ``_block_kernel``, and ``_block_entry`` with its
         block cache): its binomials come from ``poly.lucas_terms``, its
         monomials from its own run table, and it multiplies term by term

@@ -272,9 +272,9 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
     module docstring and ``bundle.first_section_twist``).  No level is
     eliminated; the only elimination is the certificate's section,
     ``bundle.first_section`` at the twist found: the first vector of
-    ``section_space``, the only row built (from the one block that holds
-    it, without the rest of the basis), checked by the ``SectionVector``
-    constructor.  The plane
+    ``section_space``, the only row built (from the blocks of the least
+    X-exponent that has a kernel, without the rest of the basis), checked
+    by the ``SectionVector`` constructor.  The plane
     (d = 0) runs the same search; a section found there would give a
     certificate of degree 0, which ``DestabCertificate`` rejects.
 

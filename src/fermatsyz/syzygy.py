@@ -57,9 +57,19 @@ class SyzygySpec:
 
     def frobenius_pullback(self, e: int) -> "SyzygySpec":
         """Pull back along the e-th Frobenius: each exponent a becomes a p^e,
-        range-checked by ``poly.scaled_power``."""
-        exponents = tuple(scaled_power(self.p, e, a) for a in self.exponents)
-        return SyzygySpec(self.p, self.d, exponents)
+        formed and range-checked by ``poly.scaled_power``.
+
+        The level's spec takes p and d over from this one, whose
+        ``__post_init__`` has checked them, and a p^e >= a >= 1 keeps the
+        exponents valid, so it is made without running those checks again.
+        ``pullback(0)`` equals the spec itself.
+        """
+        p = self.p
+        spec = object.__new__(SyzygySpec)
+        spec.__dict__.update(
+            p=p, d=self.d, exponents=tuple([scaled_power(p, e, a) for a in self.exponents])
+        )
+        return spec
 
     def degree_and_slope(self, n: int):
         """(degree, slope) of the twist Syz(n); on the curve degrees carry a factor d."""

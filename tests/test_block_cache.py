@@ -131,3 +131,20 @@ def test_block_whose_band_fits_but_whose_product_does_not_is_refused(monkeypatch
     monkeypatch.undo()
     monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", product)
     assert all(np.array_equal(a, b) for a, b in zip(_block_entry(*block), entry))
+
+
+def test_first_section_reads_the_least_x_exponent_and_guards_every_block(monkeypatch):
+    # twist 45 of (27, 27, 27) over F_3 on the quintic has classes with a
+    # kernel at X-exponents 0..4.  Row 0 lies at X-exponent 0, whose three
+    # blocks have bands of at most 64 bytes; the block (5, 6, 6, 3), first
+    # met at X-exponent 1, has one of 96
+    spec, n = SyzygySpec(3, 5, (27, 27, 27)), 45
+    row0 = section_space(spec, n)[0].serialize()
+    bundle.clear_block_cache()
+    assert first_section(spec, n).serialize() == row0
+    assert sorted(bundle._cache) == [(3, 5, 5, 5, 2), (3, 5, 5, 6, 3), (3, 5, 6, 5, 3)]
+    # the blocks that are read are cached and fit under 80 bytes; the guard
+    # still refuses the twist for the block that is not read
+    monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", 80)
+    with pytest.raises(BlockTooLargeError, match=r"\(5, 6, 6, 3\) needs a band of 96 bytes"):
+        first_section(spec, n)

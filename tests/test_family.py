@@ -41,9 +41,11 @@ def _first(spec, lo, hi, method):
     return next((n for n in range(lo, hi + 1) if section_space_dim(spec, n, method)), None)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_first_section_twist_matches_dense_scan(p):
-    for d, exps in itertools.product(range(1, 9), EQUAL + UNEQUAL):
+    # the dense half for p <= 7; the structured half also at p = 11 and 13,
+    # the primes of the deep cells, with d up to 30 and p not dividing d
+    for d, exps in itertools.product(range(1, 9) if p <= 7 else (), EQUAL + UNEQUAL):
         koszul = exps[1] + exps[2]
         spec = SyzygySpec(p, d, exps)
         windows = [
@@ -56,7 +58,8 @@ def test_first_section_twist_matches_dense_scan(p):
         for lo, hi in windows:
             expected = _first(spec, lo, hi, "dense")
             assert first_section_twist(spec, lo, hi) == expected, (p, d, exps, lo, hi)
-    for d, exps in itertools.product(range(1, 13), LARGE):
+    degrees = range(1, 13) if p <= 7 else [d for d in range(1, 31) if d % p]
+    for d, exps in itertools.product(degrees, LARGE):
         spec = SyzygySpec(p, d, exps)
         m = max(exps)
         for lo, hi in ((m + 1, (3 * m + 1) // 2 - 1), (min(exps), exps[1] + exps[2] + 1)):
