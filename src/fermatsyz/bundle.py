@@ -66,7 +66,17 @@ nothing, there and on boxes far past elimination.
 
 ``first_section_twist`` and ``section_space_dim`` run on these closed
 forms and eliminate nothing.  Families sharing (t, A, B) share the
-threshold, and there are at most eight such groups per spec.
+threshold, and there are at most eight such groups per spec.  The twists
+with a section form a ray: Z is a non-zero-divisor on R, because R is a
+hypersurface ring whose associated primes are the (f) for the irreducible
+factors f of F = X^d + Y^d + Z^d, and none divides Z, since
+F(X, Y, 0) = X^d + Y^d is not zero (p dividing d included); on the plane
+S = F_p[X, Y, Z] is a domain.  So
+(s1, s2, s3) -> Z (s1, s2, s3) embeds the degree-n syzygies in the
+degree-(n + 1) ones, and the least twist n0 with a section (the Koszul
+twist a2 + a3, or a group's least base twist plus d N*) decides
+every window: its first twist with a section is max(lo, n0) when that is
+at most hi.  ``has_section(spec, n)`` is that window for lo = hi = n.
 
 The basis without a global elimination.  ``section_space`` builds only
 the blocks whose closed-form nullity is positive, each distinct
@@ -382,14 +392,6 @@ def _nullity(p: int, t: int, A: int, B: int, N: int) -> int:
     return max(0, D - m1 + 1) + max(0, D - m2 + 1) - max(0, D - A - B + 1)
 
 
-def _structured_dim(spec: SyzygySpec, n: int) -> int:
-    """Kernel dimension: the Koszul family plus the closed-form family nullities."""
-    _a1, a2, a3 = spec.exponents
-    classes, blocks = _classes(spec, n)
-    nullity = [_nullity(spec.p, *key) for key in blocks]
-    return spec.ring.hilbert(n - a2 - a3) + sum(nullity[k] for _i, _j0, k in classes)
-
-
 def _block_kernel(t: int, A: int, B: int, N: int, row: np.ndarray, p: int) -> tuple:
     """Kernel of the family (t, A, B) block at level N, in reduced echelon form.
 
@@ -696,64 +698,65 @@ def first_section(spec: SyzygySpec, n: int) -> SectionVector:
 def section_space_dim(spec: SyzygySpec, n: int, method: str = "structured") -> int:
     """Dimension of the degree-n syzygy space, which is h^0 of the twist-n bundle.
 
-    ``method="dense"`` takes it from the rank of ``syzygy_matrix`` instead.
+    The structured count is the Koszul family plus the closed-form family
+    nullities; ``method="dense"`` takes it from the rank of ``syzygy_matrix``
+    instead.
     """
     if method == "dense":
         m = syzygy_matrix(spec, n)
         return m.cols - m.rank()
     if method != "structured":
         raise ValueError(f"unknown method {method!r}")
-    return _structured_dim(spec, n)
+    classes, blocks = _classes(spec, n)
+    nullity = [_nullity(spec.p, *key) for key in blocks]
+    koszul = spec.ring.hilbert(n - spec.exponents[1] - spec.exponents[2])
+    return koszul + sum(nullity[k] for _i, _j0, k in classes)
 
 
 def has_section(spec: SyzygySpec, n: int) -> bool:
-    return _structured_dim(spec, n) > 0
+    """Whether twist n has a nonzero section: ``first_section_twist(spec, n, n)``."""
+    return first_section_twist(spec, n, n) is not None
 
 
 def _runs(c: int, step: int, d: int) -> list:
-    """[value, first, last] for each run of (c + step x) // d over x in [0, d).
+    """(value, first) for each run of (c + step x) // d over x in [0, d).
 
     ``step`` is 1 or -1, so the value changes at most once: one or two runs.
     """
     split = d - c % d if step > 0 else c % d + 1  # first x of the second run
-    runs = [(c // d, 0, split - 1), (c // d + step, split, d - 1)]
-    return [run for run in runs if run[1] <= run[2]]
+    return [run for run in [(c // d, 0), (c // d + step, split)] if run[1] < d]
 
 
 def first_section_twist(spec: SyzygySpec, lo: int, hi: int) -> int | None:
     """Least n in [lo, hi] with a nonzero degree-n module syzygy, or None.
 
-    Agrees with the first n for which ``has_section`` holds, and eliminates
-    nothing.  The plane uses the effective degree hi + 1, so only its
-    level-0 families reach the window.  The Koszul family gives sections
-    from n = a2 + a3 on; every other section comes from a residue family at
-    a level N at or above its closed-form threshold N*(t, A, B).  The
-    families sharing (t, A, B) form a box of residues (i, j0, l0) -- t, A
-    and B each take at most two values, each on an interval of residues --
-    whose base twists a1 + i + j0 + l0 fill an interval [s_lo, s_hi], so
-    one threshold per box, at most eight per call, decides them all: the
-    box's least twist at or above lo is s + d M with s in [s_lo, s_hi] and
-    M >= N*, worked out in place.  Each run list is built once, and the A
-    runs serve as the B runs when a2 == a3, as at every search level.
+    Eliminates nothing.  The twists with a section form a ray [n0, oo):
+    Z is a non-zero-divisor on R = F_p[X, Y, Z]/(F), since no irreducible
+    factor of F = X^d + Y^d + Z^d divides Z (F(X, Y, 0) = X^d + Y^d is not
+    zero, also when p divides d), so multiplying by Z embeds the degree-n
+    syzygies in the degree-(n + 1) ones.  The plane's S is a domain, and
+    its effective degree hi + 1 agrees with S in every twist up to hi.  So
+    the answer is max(lo, n0) when n0 <= hi, and n0 is the least twist of
+    the Koszul family, a2 + a3, or of a residue family.  The families
+    sharing (t, A, B) form a box of residues (i, j0, l0) -- t, A and B each
+    take at most two values, each on an interval of residues -- and the
+    box's least twist is its least base twist a1 + i + j0 + l0 plus d times
+    its closed-form threshold N*(t, A, B) = max(0, m1 - t): at most eight
+    boxes per call.  The A runs serve as the B runs when a2 == a3, as at
+    every search level.
     """
     a1, a2, a3 = spec.exponents
     d, p = spec.d or max(hi, 0) + 1, spec.p
-    best = hi + 1  # least twist with a section found so far
-    if a2 + a3 <= hi:
-        best = max(lo, a2 + a3)
+    n0 = a2 + a3  # least twist with a section found so far
     # A = (a2 - 1 - j0) // d + 1 = (a2 + d - 1 - j0) // d, and B likewise
     A_runs = _runs(a2 + d - 1, -1, d)
     B_runs = A_runs if a3 == a2 else _runs(a3 + d - 1, -1, d)
-    for t, i_lo, i_hi in _runs(a1, 1, d):
-        for A, j_lo, j_hi in A_runs:
-            for B, l_lo, l_hi in B_runs:
-                s_lo = a1 + i_lo + j_lo + l_lo
+    for t, i in _runs(a1, 1, d):
+        for A, j in A_runs:
+            for B, l in B_runs:
                 m1 = _syzygy_degrees(p, t, A, B)[0]
-                n = s_lo + d * (m1 - t) if m1 > t else s_lo  # level N*, at s_lo
-                if n < lo:
-                    # lo lies in [s_lo + d k, s_lo + d (k + 1)), and k >= N*
-                    k = (lo - s_lo) // d
-                    n = lo if lo <= a1 + i_hi + j_hi + l_hi + d * k else s_lo + d * (k + 1)
-                if n < best:
-                    best = n
-    return best if best <= hi else None
+                n = a1 + i + j + l + d * (m1 - t) if m1 > t else a1 + i + j + l
+                if n < n0:
+                    n0 = n
+    n = max(lo, n0)
+    return n if n <= hi else None

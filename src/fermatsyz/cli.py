@@ -65,12 +65,12 @@ def _parse_int_list(text: str) -> list:
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            values.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, chunk.split("..", 1))
+            if lo > hi:
+                raise ValueError(f"empty range {chunk!r}")
+            values.extend(range(lo, hi + 1))
         else:
             values.append(int(chunk))
-    if not values:
-        raise ValueError("empty integer list")
     return values
 
 
@@ -201,6 +201,9 @@ def cmd_verify(args) -> int:
         return 1
 
     if is_single:
+        if data.get("outcome") in ("none", "skipped"):  # as in a JSONL scan
+            print("verified 0 certificate(s)")
+            return 0
         return _verify_one(data, args.path)
 
     # JSONL: verify every certificate record and report each failing line;

@@ -265,11 +265,14 @@ def search_destabilization(p: int, d: int, a: int, e_max: int) -> DestabCertific
     family's block kernel at level N is the degree-N part of
     {f : f (u + w)^t in (u^A, w^B)} with u = Y^d, w = Z^d, and since u f
     stays in that set, a family that has a kernel at N has one at every
-    larger N.  The least twist with a section is therefore the least
-    in-window family twist at or above the family's threshold N*(t, A, B),
-    which Han's syzygy gap delta_p(t, A, B) gives in closed form, once per
-    distinct (t, A, B), at most eight times per level (see the ``bundle``
-    module docstring and ``bundle.first_section_twist``).  No level is
+    larger N, from its threshold N*(t, A, B) on, which Han's syzygy gap
+    delta_p(t, A, B) gives in closed form, once per distinct (t, A, B), at
+    most eight times per level.  The twists with a section form a ray,
+    since multiplying by Z, a non-zero-divisor on the Fermat ring, embeds
+    each twist's syzygies in the next one's: the first in-window twist
+    with a section is max(lo, n0), n0 the least twist of the Koszul
+    family or of any family at its threshold (see the ``bundle`` module
+    docstring and ``bundle.first_section_twist``).  No level is
     eliminated; the only elimination is the certificate's section,
     ``bundle.first_section`` at the twist found: the first vector of
     ``section_space``, the only row built (from the blocks of the least

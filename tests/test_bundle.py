@@ -15,7 +15,6 @@ from fermatsyz.bundle import (
     SyzygySpec,
     _binom_row,
     _block_entry,
-    _structured_dim,
     _structured_kernel,
     first_section,
     first_section_twist,
@@ -406,7 +405,7 @@ def test_structured_rows_match_the_closed_form_dimension():
         a = max(spec.exponents)
         for n in range(a + 1, 3 * a + 2, max(1, a // 6)):
             rows = to_dense(spec, n, _structured_kernel(spec, n))
-            assert rows.shape[0] == _structured_dim(spec, n), (spec, n)
+            assert rows.shape[0] == section_space_dim(spec, n), (spec, n)
             leads = np.argmax(rows != 0, axis=1)
             assert np.all(rows[np.arange(len(rows)), leads] == 1), (spec, n)
             assert np.all(np.diff(leads) > 0), (spec, n)

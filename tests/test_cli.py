@@ -26,6 +26,8 @@ def test_parse_int_list():
     assert _parse_int_list("2,3,5,7") == [2, 3, 5, 7]
     assert _parse_int_list("4..7") == [4, 5, 6, 7]
     assert _parse_int_list("2,5..7") == [2, 5, 6, 7]
+    with pytest.raises(ValueError, match="empty range '12..4'"):
+        _parse_int_list("12..4,5")
 
 
 def test_certify_with_d0(capsys):
@@ -196,6 +198,16 @@ def test_verify_jsonl_ends_lines_at_newlines_only(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "verify", str(path))
     assert code == 0
     assert stdout.splitlines() == [f"OK {path}:2", "verified 1 certificate(s)"]
+
+
+@pytest.mark.parametrize("p, d, outcome", [("2", "6", "skipped"), ("3", "5", "none")])
+def test_verify_of_a_scan_whose_one_record_has_no_certificate(tmp_path, capsys, p, d, outcome):
+    # p = 2 divides d = 6, so the curve is skipped; (3, 5, 1) finds nothing
+    # up to e_max: the one record verifies nothing, as inside a longer scan
+    path = tmp_path / "one.jsonl"
+    assert run_cli(capsys, "scan", "--p", p, "--d", d, "--a", "1", "--out", str(path))[0] == 0
+    assert json.loads(path.read_text())["outcome"] == outcome
+    assert run_cli(capsys, "verify", str(path)) == (0, "verified 0 certificate(s)\n", "")
 
 
 @pytest.mark.parametrize("text", ["", " \n\r\n\t\n"], ids=["empty", "whitespace"])
@@ -489,7 +501,7 @@ def test_scan_rejects_an_empty_range_before_writing(tmp_path, capsys):
     out = tmp_path / "x.jsonl"
     code, stdout, err = run_cli(capsys, "scan", "--p", "3", "--d", "5..4", "--out", str(out))
     assert code == 1
-    assert stdout == "" and err == "error: empty integer list\n"
+    assert stdout == "" and err == "error: empty range '5..4'\n"
     assert not out.exists()
 
 

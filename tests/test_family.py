@@ -37,6 +37,52 @@ UNEQUAL = [(2, 3, 4), (4, 1, 3), (1, 5, 2), (6, 2, 5)]
 LARGE = [(22, 28, 17), (18, 6, 30), (13, 9, 11), (31, 24, 39), (27, 27, 27)]
 
 
+# per (d, exponents) of the dense half, the lo in [a1, a1 + 3 d] that fall,
+# for some p in {2, 3, 5, 7}, in a gap between the base twists of a box at
+# a level at or above its threshold: the box has no twist at lo, and only
+# the ray says that another one has
+GAP_WINDOWS = {
+    (2, (1, 1, 1)): [3, 4, 5, 6, 7],
+    (2, (3, 3, 3)): [5, 6, 7, 8, 9],
+    (2, (5, 5, 5)): [7, 8, 9, 10, 11],
+    (3, (1, 1, 1)): [4, 5, 6, 7, 8, 9, 10],
+    (3, (1, 5, 2)): [7, 8, 9, 10],
+    (3, (2, 2, 2)): [6, 7, 8, 9, 10, 11],
+    (3, (5, 5, 5)): [10, 11, 12, 13, 14],
+    (4, (1, 1, 1)): [5, 6, 7, 8, 9, 10, 11, 12, 13],
+    (4, (1, 5, 2)): [8, 9, 10, 11, 12, 13],
+    (4, (3, 3, 3)): [9, 10, 11, 12, 13, 14, 15],
+    (4, (5, 5, 5)): [9, 10, 11, 12, 13, 14, 15, 16, 17],
+    (4, (6, 2, 5)): [11, 13, 15, 17],
+    (5, (1, 1, 1)): [6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
+    (5, (2, 2, 2)): [9, 14],
+    (5, (2, 3, 4)): [13, 15, 16],
+    (5, (3, 3, 3)): [13, 18],
+    (5, (4, 1, 3)): [9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19],
+    (6, (1, 1, 1)): [7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19],
+    (6, (1, 5, 2)): [13, 14, 15, 16, 17, 18, 19],
+    (6, (2, 2, 2)): [10, 11, 16, 17],
+    (6, (2, 3, 4)): [15, 18],
+    (6, (4, 1, 3)): [11, 12, 14, 15, 17, 18, 20, 21],
+    (6, (5, 5, 5)): [15, 16, 17, 18, 19, 20, 21, 22, 23],
+    (7, (1, 1, 1)): [8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22],
+    (7, (1, 5, 2)): [13, 15, 16, 17, 18, 20, 22],
+    (7, (2, 2, 2)): [11, 12, 13, 18, 19, 20],
+    (7, (2, 3, 4)): [17],
+    (7, (4, 1, 3)): [13, 16, 17, 20, 23, 24],
+    (7, (5, 5, 5)): [19, 20, 21, 26],
+    (7, (6, 2, 5)): [14, 15, 16, 17, 19, 21, 22, 23, 24, 26],
+    (8, (1, 1, 1)): [9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25],
+    (8, (1, 5, 2)): [14, 15, 17, 18, 19, 20, 22, 23, 25],
+    (8, (2, 2, 2)): [12, 13, 14, 15, 20, 21, 22, 23],
+    (8, (2, 3, 4)): [15, 19, 23],
+    (8, (3, 3, 3)): [15, 23],
+    (8, (4, 1, 3)): [14, 15, 18, 19, 22, 23, 26, 27],
+    (8, (5, 5, 5)): [22],
+    (8, (6, 2, 5)): [16, 17, 18, 21, 24, 25, 26, 29],
+}
+
+
 def _first(spec, lo, hi, method):
     return next((n for n in range(lo, hi + 1) if section_space_dim(spec, n, method)), None)
 
@@ -55,6 +101,7 @@ def test_first_section_twist_matches_dense_scan(p):
             (koszul, koszul + 2),  # starts at it
             (koszul + 1, koszul + d + 1),  # above it
         ]
+        windows += [(lo, lo + d) for lo in GAP_WINDOWS.get((d, exps), ())]
         for lo, hi in windows:
             expected = _first(spec, lo, hi, "dense")
             assert first_section_twist(spec, lo, hi) == expected, (p, d, exps, lo, hi)
@@ -65,6 +112,29 @@ def test_first_section_twist_matches_dense_scan(p):
         for lo, hi in ((m + 1, (3 * m + 1) // 2 - 1), (min(exps), exps[1] + exps[2] + 1)):
             expected = _first(spec, lo, hi, "structured")
             assert first_section_twist(spec, lo, hi) == expected, (p, d, exps, lo, hi)
+
+
+def _assert_ray(spec, dims):
+    # dims[n] for n = 0, 1, ...: once a twist has a section, so has every larger one
+    first = next((n for n, v in enumerate(dims) if v), len(dims))
+    assert all(dims[first:]), (spec, dims)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_twists_with_a_section_form_a_ray(p):
+    # Z is a non-zero-divisor on the Fermat ring, also when p divides d,
+    # and F_p[X, Y, Z] is a domain: multiplying by Z embeds the degree-n
+    # syzygies in the degree-(n + 1) ones.  first_section_twist relies on it
+    for d, exps in itertools.product(sorted({0, 3, 4, p, 2 * p}), EQUAL + UNEQUAL):
+        spec = SyzygySpec(p, d, exps)
+        top = exps[1] + exps[2] + 1  # the Koszul family has a section from a2 + a3 on
+        _assert_ray(spec, [section_space_dim(spec, n, "dense") for n in range(top)])
+    rng = random.Random(p)
+    for _ in range(80):
+        d = rng.choice([0, p * rng.randint(1, 24 // p), rng.randint(1, 24)])
+        exps = tuple(rng.randint(1, 60) for _ in range(3))
+        spec = SyzygySpec(p, d, exps)
+        _assert_ray(spec, [section_space_dim(spec, n) for n in range(exps[1] + exps[2] + 2)])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
