@@ -86,11 +86,11 @@ s2 Y^a2 + s3 Z^a3 = -s1 X^a1 is f times the band (-1)^(t + 1) C(t, v)
 (see the structured-path comment).  Each of
 its monomials has Y-exponent >= a2 or Z-exponent >= a3, and it is put on
 s3 whenever its Z-exponent allows, else on s2.  A block whose
-bad-projection band is empty is free: every f qualifies, its kernel is
-the identity, and its rows are written down without an elimination, the
-unit vector at alpha in s1 and the signed binomial row shifted by alpha
-in s2 and s3.  Only a banded block is eliminated, and every block's
-nullity is checked against the closed form.  The rows -- the block
+bad-projection band is empty is free: every f qualifies, and its kernel
+is the identity, written down without an elimination.  Only a banded
+block is eliminated.  Either kernel then goes through the same product,
+sum and bad-projection check, and every block's nullity is checked
+against the closed form.  The rows -- the block
 kernels in reduced echelon form, ordered by their s1 pivots, then the
 Koszul rows g (0, Z^a3, -Y^a2) in basis order -- are then already the
 reduced echelon form of the whole kernel:
@@ -119,24 +119,26 @@ holds at most ``BLOCK_CACHE_BYTES`` of arrays in total; an entry larger
 than that is returned but not kept.  Its arrays are read-only, so no
 caller can change what a later call reads.  A block is built from the
 binomial row of its (p, t), which is made for that build and not kept: a
-warm call builds no row.  A banded block's product with the binomial
-row is one sparse outer product of its kernel's nonzeros, summed per
-(row, gamma).  A call concatenates its blocks' two arrays once each,
-every class reads its block's nonzeros at its own column offsets, and
-one sort by (s1 pivot column, column) both ranks the rows in their
-canonical order and puts the triples in (row, column) order.
+warm call builds no row.  Every block's product with the binomial row
+is one sparse outer product of its kernel's nonzeros with the row's,
+summed per (row, gamma); its bad-projection must vanish.  A call
+concatenates its blocks' two arrays once each, a block without a kernel
+reading as an entry with no pivots and no nonzeros, every class reads
+its block's nonzeros at its own column offsets, and one sort by
+(s1 pivot column, column) both ranks the rows in their canonical order
+and puts the triples in (row, column) order.
 ``_band_rows`` is the one account of a block's band rows: ``_block_entry``
 sizes the band from it on every lookup, before the cache, through
 ``_band_guard``, and refuses a block whose band would pass
 ``BAND_LIMIT_BYTES`` with ``BlockTooLargeError`` before it builds the
 block's binomial row of t + 1 entries, whatever the cache holds.  On a
 miss the product is sized against the same limit before it is formed:
-(N + 1) |v| entries for a free block, before the row is built (|v| = prod (r + 1) over the base-p
-digits r of t counts the nonzero C(t, v) mod p), and nnz(K) |v| for a
-banded one, once its kernel K is known.  ``_band`` is a strided window on that
-row, zero-padded, so the one band-sized array is the copy that
-``_block_kernel`` eliminates; it reads the kernel's nonzeros straight off
-the RREF and builds no kernel matrix.  The cache saves construction only:
+nnz(K) |v| entries for the kernel K (|v| = prod (r + 1) over the base-p
+digits r of t counts the nonzero C(t, v) mod p), so a free block, whose
+identity kernel has N + 1 nonzeros, is sized before its row is built.
+``_band`` is a strided window on that row, zero-padded, so the one
+band-sized array is the copy that ``_block_kernel`` eliminates; it reads
+the kernel's nonzeros straight off the RREF and builds no kernel matrix.  The cache saves construction only:
 ``section_space`` verifies each call's triples with one batch check,
 ``FermatRing.check_syzygies``, which shares no code with the kernel's
 construction (``_classes``, ``_band_guard``, ``_band``,
@@ -430,16 +432,17 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
     value.  On every call the band guard runs first: a band of more than
     ``BAND_LIMIT_BYTES`` raises ``BlockTooLargeError`` before the cache is
     read and before the binomial row or the band is built.  Then the
-    block cache is read, and only on a miss is the block built from the
-    binomial row of (p, t) and checked: its nullity against ``_nullity``
-    and, for a banded block, that its bad-projection vanishes.  The
-    product of the kernel with the row's nonzeros is sized against the
-    same limit before it is formed: (N + 1) |v| entries for a free block,
-    sized before the row is built, and nnz(K) |v| for a banded one, sized
-    once ``_block_kernel`` has returned.  The arrays are made read-only and
-    kept under (p, t, A, B, N), least recently used first out, so that at
-    most ``BLOCK_CACHE_BYTES`` are kept; an entry larger than that is
-    returned without being kept.
+    block cache is read, and only on a miss is the block built.  Its
+    kernel K is the identity for a free block (an empty band), without an
+    elimination, and ``_block_kernel``'s for a banded one.  Either goes
+    through the same steps: the product with the nonzeros of the binomial
+    row of (p, t), sized at nnz(K) |v| entries against the same limit
+    before it is formed (for a free block before its row is built), one
+    sum per (row, gamma), the check that its bad-projection vanishes, and
+    the check of its nullity against ``_nullity``.  The arrays are made
+    read-only and kept under (p, t, A, B, N), least recently used first
+    out, so that at most ``BLOCK_CACHE_BYTES`` are kept; an entry larger
+    than that is returned without being kept.
     """
     global _cache_bytes
     nullity = _nullity(p, t, A, B, N)
@@ -457,36 +460,33 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
     while digits:
         digits, r = divmod(digits, p)
         nonzeros *= r + 1
-    size = (N + 1) * nonzeros * 8  # a free block's product, sized before its row
-    if g2 == g3 and size > BAND_LIMIT_BYTES:
+    if g2 == g3:  # free: every f qualifies, so the kernel is the identity
+        pivots = k_rows = alphas = np.arange(N + 1)
+        k_vals = np.ones(N + 1, dtype=np.int64)
+        row = None  # built once its product is known to fit
+    else:
+        row = _binom_row(t, p)
+        pivots, k_rows, alphas, k_vals = _block_kernel(t, A, B, N, row, p)
+    size = len(k_rows) * nonzeros * 8
+    if size > BAND_LIMIT_BYTES:
         raise _too_large("product", size, (t, A, B, N))
-    row = _binom_row(t, p)
+    if row is None:
+        row = _binom_row(t, p)
     v = row.nonzero()[0]
     c = row[v] if t % 2 else p - row[v]  # (-1)^(t + 1) C(t, v), in [1, p)
     top = N + t + 1
-    if g2 == g3:  # free: the kernel is the identity, and no sum is needed
-        k_rows = alphas = pivots = np.arange(N + 1)
-        k_vals = np.ones(N + 1, dtype=np.int64)
-        r = np.repeat(pivots, len(v))
-        gamma = (pivots[:, None] + v).ravel()
-        w = np.broadcast_to(c, (N + 1, len(v))).ravel()
-    else:
-        pivots, k_rows, alphas, k_vals = _block_kernel(t, A, B, N, row, p)
-        size = len(k_rows) * nonzeros * 8
-        if size > BAND_LIMIT_BYTES:
-            raise _too_large("product", size, (t, A, B, N))
-        cell = ((k_rows * top + alphas)[:, None] + v).ravel()
-        w = (k_vals[:, None] * c % p).ravel()
-        # each sum has at most t + 1 terms below p: far inside int64
-        order = np.argsort(cell)
-        cell = cell[order]
-        firsts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
-        w = np.add.reduceat(w[order], firsts) % p
-        nz = w != 0
-        r, gamma = np.divmod(cell[firsts][nz], top)
-        w = w[nz]
-        if np.any((gamma >= g3) & (gamma < g2)):
-            raise InternalCheckError("bad-projection of a kernel element is nonzero")
+    cell = ((k_rows * top + alphas)[:, None] + v).ravel()
+    w = (k_vals[:, None] * c % p).ravel()
+    # each sum has at most t + 1 terms below p: far inside int64
+    order = np.argsort(cell)
+    cell = cell[order]
+    firsts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+    w = np.add.reduceat(w[order], firsts) % p
+    nz = w != 0
+    r, gamma = np.divmod(cell[firsts][nz], top)
+    w = w[nz]
+    if np.any((gamma >= g3) & (gamma < g2)):
+        raise InternalCheckError("bad-projection of a kernel element is nonzero")
     if len(pivots) != nullity:
         raise InternalCheckError(
             f"block (t, A, B, N) = {(t, A, B, N)} has nullity {len(pivots)}, "
@@ -553,23 +553,19 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     width = d1 + d2 + ring.hilbert(m3)
     d = spec.d or n + 1
     classes, blocks = _classes(spec, n)
-    entries, index = [], []  # the blocks with a kernel; per block its place there, or -1
-    for key in blocks:
-        entry = _block_entry(p, *key)
-        index.append(-1 if entry is None else len(entries))
-        if entry is not None:
-            entries.append(entry)
-    # per class with a kernel: i, j0, i2 = i + a1 - t d (the X-exponent of
-    # its products with X^a1) and its block's place in ``entries``
-    classes = [(i, j0, (i + a1) % d, index[k]) for i, j0, k in classes if index[k] >= 0]
-
     empty = np.zeros(0, dtype=np.int64)
+    no_kernel = empty, np.zeros((4, 0), dtype=np.int64)  # no pivots, no nonzeros
+    entries = [_block_entry(p, *key) or no_kernel for key in blocks]
+    # each block's pivots and nonzeros once, side by side
+    pivots = np.concatenate([empty] + [e[0] for e in entries])
+
     n_family, family = 0, (empty, empty, empty)
-    if entries:
-        i, j0, i2, block = np.array(classes, dtype=np.int64).T
-        # each block's pivots and nonzeros once, side by side; each class
-        # reads a copy of its block's nonzeros where they start in ``nonzeros``
-        pivots = np.concatenate([e[0] for e in entries])
+    if len(pivots):
+        # per class: i, j0, its block and i2 = i + a1 - t d, the X-exponent
+        # of its products with X^a1; it reads a copy of its block's
+        # nonzeros where they start in ``nonzeros``
+        i, j0, block = np.array(classes, dtype=np.int64).T
+        i2 = (i + a1) % d
         nonzeros = np.concatenate([e[1] for e in entries], axis=1)
         k_sizes = np.array([len(e[0]) for e in entries])  # per block
         nz_sizes = np.array([e[1].shape[1] for e in entries])
@@ -601,7 +597,10 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     # q + a2 (gi + 1) of R_m3
     mk = n - a2 - a3
     n_koszul, koszul = 0, (empty, empty, empty)
-    if mk >= 0:  # every certificate twist has mk < 0: skip the empty arrays
+    # a twist below a2 + a3 has no Koszul row; skipping its empty arrays
+    # took a warm _structured_kernel pass over the 75 sections-benchmark
+    # twists below 2 a q from 8.0-8.3 ms to 6.1-6.9 ms (2-core x86 VM)
+    if mk >= 0:
         top = min(mk + 1, d)  # the X-exponents gi, each with mk - gi + 1 monomials
         gi = np.repeat(np.arange(top), np.arange(mk + 1, mk + 1 - top, -1))
         q = np.arange(len(gi))

@@ -28,6 +28,7 @@ imported only inside the array methods (``basis``, ``basis_monomials``,
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -70,6 +71,10 @@ class FermatRing:
 
     def __init__(self, p: int, d: int):
         field = PrimeField(p)
+        try:
+            d = operator.index(d)
+        except TypeError:
+            raise ValueError(f"degree d must be an integer, got {d!r}") from None
         if d < 0:
             raise ValueError("degree d must be >= 0 (0 = no relation)")
         self.field = field

@@ -10,6 +10,7 @@ builds views of them from its verified kernel triples.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,7 +42,13 @@ class SyzygySpec:
 
     def __post_init__(self):
         PrimeField(self.p)  # validates primality
-        object.__setattr__(self, "exponents", tuple(int(a) for a in self.exponents))
+        try:  # an integer of any type, never a float that int() would truncate
+            object.__setattr__(self, "d", operator.index(self.d))
+            object.__setattr__(
+                self, "exponents", tuple(operator.index(a) for a in self.exponents)
+            )
+        except TypeError as exc:
+            raise ValueError(f"curve degree and exponents must be integers: {exc}") from None
         if self.d < 0:
             raise ValueError("curve degree must be >= 0 (0 = projective plane)")
         if len(self.exponents) != 3 or min(self.exponents) < 1:

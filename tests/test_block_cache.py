@@ -148,3 +148,25 @@ def test_first_section_reads_the_least_x_exponent_and_guards_every_block(monkeyp
     monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", 80)
     with pytest.raises(BlockTooLargeError, match=r"\(5, 6, 6, 3\) needs a band of 96 bytes"):
         first_section(spec, n)
+
+
+def test_a_warm_pass_builds_no_block(monkeypatch):
+    # the benchmark's steady state: once one pass over the sections twists
+    # and the grid's certificates has filled the cache, a second pass finds
+    # every block there, and the cache stays inside its byte bound
+    sections, certificates = list(section_ops()), certificate_ops()
+
+    def one_pass():
+        for spec, n in sections:
+            section_space(spec, n)
+        for spec, n in certificates:
+            first_section(spec, n)
+
+    bundle.clear_block_cache()
+    one_pass()
+    assert 0 < _kept_bytes() <= bundle.BLOCK_CACHE_BYTES
+    rows = []
+    real = bundle._binom_row
+    monkeypatch.setattr(bundle, "_binom_row", lambda t, p: rows.append((t, p)) or real(t, p))
+    one_pass()
+    assert rows == []

@@ -227,6 +227,9 @@ def quartic_section(s1):
         (lambda: SyzygySpec(5, -1, (2, 2, 2)), "curve degree must be >= 0"),
         (lambda: SyzygySpec(5, 11, (2, 2)), "three generator exponents >= 1"),
         (lambda: SyzygySpec(5, 11, (2, 0, 2)), "three generator exponents >= 1"),
+        # int() would truncate these to (1, 1, 1) and answer for another bundle
+        (lambda: SyzygySpec(5, 4, (1.9, 1.9, 1.9)), "must be integers"),
+        (lambda: SyzygySpec(5, 4.0, (1, 2, 3)), "must be integers"),
         (
             lambda: quartic_section(GradedPoly.monomial(F7, 1, (1, 0, 0))),
             "component over the wrong field",
@@ -236,11 +239,21 @@ def quartic_section(s1):
             "component degree 2 != twist - exponent = 1",
         ),
     ],
-    ids=["negative-d", "two-exponents", "exponent-0", "other-field", "wrong-degree"],
+    ids=[
+        "negative-d", "two-exponents", "exponent-0", "float-exponents", "float-d",
+        "other-field", "wrong-degree",
+    ],
 )
 def test_constructors_reject_malformed_input(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_spec_keeps_numpy_integers_as_ints():
+    spec = SyzygySpec(5, np.int64(4), (np.int32(1), np.int64(2), 3))
+    assert spec == SyzygySpec(5, 4, (1, 2, 3))
+    assert [type(x) for x in (spec.d, *spec.exponents)] == [int] * 4
+    assert type(spec.ring.d) is int and spec.ring.hilbert(5) == 18
 
 
 def test_section_dimensions_near_the_first_section():

@@ -148,6 +148,7 @@ def test_multiplication_matrix_functorial(p, d, n, deg1, deg2, seed):
     "call, message",
     [
         (lambda: FermatRing(5, -1), "degree d must be >= 0"),
+        (lambda: FermatRing(5, 4.0), "degree d must be an integer, got 4.0"),
         (
             lambda: FermatRing(5, 4).check_syzygies((1, [0, 0], [0], [1, 1]), 2, (1, 1, 1)),
             "1-d arrays of one length",
@@ -157,7 +158,7 @@ def test_multiplication_matrix_functorial(p, d, n, deg1, deg2, seed):
             "1-d arrays of one length",
         ),
     ],
-    ids=["negative-d", "short-columns", "long-values"],
+    ids=["negative-d", "float-d", "short-columns", "long-values"],
 )
 def test_ring_rejects_malformed_input(call, message):
     with pytest.raises(ValueError, match=message):
