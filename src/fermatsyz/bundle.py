@@ -168,6 +168,10 @@ of i + 1, so row 0 lies at the least X-exponent i with a kernel class.
 ``first_section`` reads only that i's blocks, through ``_block_entry``,
 ranks its classes by j0 + d lead, and writes down local row 0 of the
 least one's block, or the first Koszul row when no class has a kernel.
+It tells the blocks with a kernel by the threshold test N + t >= m1, that
+is N >= N*(t, A, B): multiplying by u embeds a family's level-N kernel
+in its level-(N + 1) kernel, so a block has a kernel exactly from the
+family threshold on, and no nullity is needed.
 The band guard (``_band_guard``) still runs on every block with a kernel
 at the twist, in closed form and before anything is built, so a twist is
 refused for a band past ``BAND_LIMIT_BYTES`` at any X-exponent; the
@@ -647,7 +651,9 @@ def first_section(spec: SyzygySpec, n: int) -> SectionVector:
     by; the pivot of the class (i, j0) is basis_pos(i, j0, m1) + d * lead,
     where lead is the first pivot of its block.  The positions with
     X-exponent i form one run of R_m1, wholly before the run of i + 1, so
-    row 0 belongs to the least i that has a class with a kernel.  Only that
+    row 0 belongs to the least i that has a class with a kernel.  A block
+    (t, A, B, N) has a kernel exactly when N + t >= m1, N at least its
+    family's threshold N* = max(0, m1 - t).  Only that
     i's blocks are read through ``_block_entry``, ranked by j0 + d * lead,
     and row 0 is local row 0 of the least one's block.  The band guard
     still runs on every block with a kernel at the twist, in closed form
@@ -662,10 +668,12 @@ def first_section(spec: SyzygySpec, n: int) -> SectionVector:
     d = spec.d or n + 1
     terms = ({}, {}, {})
     classes, blocks = _classes(spec, n)
-    kernel = [_nullity(p, *key) > 0 for key in blocks]  # per block: has it a kernel
-    for key, has in zip(blocks, kernel):
+    kernel = []  # per block: has it a kernel, i.e. is N at least the threshold
+    for t, A, B, N in blocks:
+        has = N + t >= _syzygy_degrees(p, t, A, B)[0]
         if has:  # read or not: every band refusal stays
-            _band_guard(*key)
+            _band_guard(t, A, B, N)
+        kernel.append(has)
     least = None  # (rank, i, j0, entry) of the least class at the least i
     for i, j0, k in classes:  # in order of i, then j0
         if kernel[k]:
@@ -678,7 +686,7 @@ def first_section(spec: SyzygySpec, n: int) -> SectionVector:
     if least is not None:
         _rank, i, j0, (_pivots, nonzeros) = least
         i2 = (i + a1) % d
-        for part, k, c in zip(*nonzeros[1:].compress(nonzeros[0] == 0, axis=1).tolist()):
+        for part, k, c in zip(*nonzeros[1:, nonzeros[0] == 0].tolist()):
             if part == 0:  # s1 at X^i Y^(j0 + alpha d)
                 x, j = i, j0 + d * k
             else:  # the product at X^i2 Y^(j0 + gamma d), over Y^a2 in s2 or Z^a3 in s3
@@ -689,8 +697,10 @@ def first_section(spec: SyzygySpec, n: int) -> SectionVector:
         terms[2][Monomial(0, a2, m3 - a2)] = field.p - 1
     else:
         raise ValueError(f"twist {n} has no section")
+    s1, s2, s3 = terms
+    trusted = GradedPoly._trusted
     return SectionVector(
-        spec, n, tuple(GradedPoly._trusted(field, m, s) for m, s in zip(degrees, terms))
+        spec, n, (trusted(field, m1, s1), trusted(field, m2, s2), trusted(field, m3, s3))
     )
 
 

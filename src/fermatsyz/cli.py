@@ -60,7 +60,8 @@ def _print_json(obj):
 
 
 def _parse_int_list(text: str) -> list:
-    """Accept "5", "2,3,5" and "4..12" (inclusive range)."""
+    """Accept "5", "2,3,5" and "4..12" (inclusive range); a value may appear
+    once, or a scan would write its cells twice."""
     values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -71,6 +72,11 @@ def _parse_int_list(text: str) -> list:
             values.extend(range(lo, hi + 1))
         else:
             values.append(int(chunk))
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"repeated value {value} in {text!r}")
+        seen.add(value)
     return values
 
 

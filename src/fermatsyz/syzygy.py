@@ -106,11 +106,12 @@ class SectionVector:
     def __init__(self, spec: SyzygySpec, twist: int, components):
         s1, s2, s3 = components
         ring, p = spec.ring, spec.p
+        a1, a2, a3 = spec.exponents
         total = {}  # s1 X^a1 + s2 Y^a2 + s3 Z^a3; each product is an exponent shift
-        for var, (s, a) in enumerate(zip((s1, s2, s3), spec.exponents)):
+        for s, a, di, dj, dl in ((s1, a1, a1, 0, 0), (s2, a2, 0, a2, 0), (s3, a3, 0, 0, a3)):
             if s.field.p != p:
                 raise ValueError("component over the wrong field")
-            if s.is_zero():
+            if not s.terms:
                 continue
             if s.degree != twist - a:
                 raise ValueError(
@@ -118,12 +119,12 @@ class SectionVector:
                 )
             if twist >= EXP_LIMIT:
                 raise ExponentOverflowError(f"monomial degree {twist} exceeds 2^62")
-            di, dj, dl = (a if k == var else 0 for k in range(3))
             for (i, j, l), c in s.terms.items():
                 mono = Monomial(i + di, j + dj, l + dl)
                 total[mono] = (total.get(mono, 0) + c) % p
-        # a vector with a nonzero component is reduced, even when its sum cancels
-        if not all(s.is_zero() for s in (s1, s2, s3)):
+        # a vector with a nonzero component is reduced, even when its sum
+        # cancels: each of its terms left a key in total, if only with a 0
+        if total:
             total = GradedPoly._trusted(ring.field, twist, {m: c for m, c in total.items() if c})
             if not ring.normal_form(total).is_zero():
                 raise ValueError("components do not satisfy the syzygy relation")

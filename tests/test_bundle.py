@@ -221,6 +221,23 @@ def quartic_section(s1):
     return SectionVector(SyzygySpec(5, 4, (1, 1, 1)), 2, (s1, zero, zero))
 
 
+def test_section_vector_checks_components_in_order():
+    # each component's field, then (unless it is zero) its degree, before
+    # the next component's: verify's messages depend on this order
+    spec = SyzygySpec(5, 4, (1, 1, 1))
+    zero = GradedPoly.zero(F5, 1)
+    wrong_degree = GradedPoly.monomial(F5, 1, (2, 0, 0))
+    wrong_field = GradedPoly.monomial(F7, 1, (1, 0, 0))
+    with pytest.raises(ValueError, match="^component over the wrong field$"):
+        SectionVector(spec, 2, (GradedPoly.zero(F7, 1), zero, zero))
+    # a zero component may carry any degree
+    assert SectionVector(spec, 2, (GradedPoly.zero(F5, 5), zero, zero)).is_zero()
+    with pytest.raises(ValueError, match=r"^component degree 2 != twist - exponent = 1$"):
+        SectionVector(spec, 2, (wrong_degree, wrong_field, zero))
+    with pytest.raises(ValueError, match="^component over the wrong field$"):
+        SectionVector(spec, 2, (wrong_field, wrong_degree, zero))
+
+
 @pytest.mark.parametrize(
     "build, message",
     [

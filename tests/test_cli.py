@@ -28,6 +28,8 @@ def test_parse_int_list():
     assert _parse_int_list("2,5..7") == [2, 5, 6, 7]
     with pytest.raises(ValueError, match="empty range '12..4'"):
         _parse_int_list("12..4,5")
+    with pytest.raises(ValueError, match="^repeated value 5 in '4..6,5'$"):
+        _parse_int_list("4..6,5")
 
 
 def test_certify_with_d0(capsys):
@@ -502,6 +504,22 @@ def test_scan_rejects_an_empty_range_before_writing(tmp_path, capsys):
     code, stdout, err = run_cli(capsys, "scan", "--p", "3", "--d", "5..4", "--out", str(out))
     assert code == 1
     assert stdout == "" and err == "error: empty range '5..4'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "d, a, message",
+    [("5,5", "1,1", "repeated value 5 in '5,5'"), ("4..6,5", "1", "repeated value 5 in '4..6,5'")],
+    ids=["list", "range"],
+)
+def test_scan_rejects_a_repeated_value_before_writing(tmp_path, capsys, d, a, message):
+    # one cell scanned twice would write two records and count two certificates
+    out = tmp_path / "x.jsonl"
+    code, stdout, err = run_cli(
+        capsys, "scan", "--p", "2", "--d", d, "--a", a, "--e-max", "3", "--out", str(out)
+    )
+    assert code == 1
+    assert stdout == "" and err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -184,6 +184,16 @@ def test_closed_form_gap_matches_band_elimination(p):
         assert max(0, _syzygy_degrees(p, t, A, B)[0] - t) == n_star, (p, t, A, B)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a_block_has_a_kernel_exactly_from_its_threshold(p):
+    # first_section picks the blocks with a kernel by N + t >= m1, i.e.
+    # N >= N* = max(0, m1 - t), not by the closed-form nullity
+    for t, A, B in itertools.product(range(13), repeat=3):
+        m1 = _syzygy_degrees(p, t, A, B)[0]
+        for N in range(20):
+            assert (N + t >= m1) == (_nullity(p, t, A, B, N) > 0), (p, t, A, B, N)
+
+
 def _degree(f):
     nz = np.flatnonzero(f)
     return int(nz[-1]) if len(nz) else -math.inf
