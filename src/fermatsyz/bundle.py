@@ -117,11 +117,13 @@ is two arrays: the s1 pivots, and one (4, nnz) array holding each
 block-local nonzero's row, component, exponent and value.  The cache
 holds at most ``BLOCK_CACHE_BYTES`` of arrays in total; an entry larger
 than that is returned but not kept.  Its arrays are read-only, so no
-caller can change what a later call reads.  A block is built from the
-binomial row of its (p, t), which is made for that build and not kept: a
-warm call builds no row.  Every block's product with the binomial row
-is one sparse outer product of its kernel's nonzeros with the row's,
-summed per (row, gamma); its bad-projection must vanish.  A call
+caller can change what a later call reads.  Every block's product, free
+or banded, is taken by ``_times_binomial``: its kernel's nonzeros times
+(1 + x)^t, one base-p digit r of t at a time by Lucas' theorem, each
+step one broadcast with the r + 1 binomials C(r, k) mod p and one sum
+per (row, gamma) with the zeros dropped.  No row of t + 1 binomials is
+made, and a warm call multiplies nothing.  The product's bad-projection
+must vanish.  A call
 concatenates its blocks' two arrays once each, a block without a kernel
 reading as an entry with no pivots and no nonzeros, every class reads
 its block's nonzeros at its own column offsets, and one sort by
@@ -130,19 +132,19 @@ and puts the triples in (row, column) order.
 ``_band_rows`` is the one account of a block's band rows: ``_block_entry``
 sizes the band from it on every lookup, before the cache, through
 ``_band_guard``, and refuses a block whose band would pass
-``BAND_LIMIT_BYTES`` with ``BlockTooLargeError`` before it builds the
-block's binomial row of t + 1 entries, whatever the cache holds.  On a
-miss the product is sized against the same limit before it is formed:
-nnz(K) |v| entries for the kernel K (|v| = prod (r + 1) over the base-p
-digits r of t counts the nonzero C(t, v) mod p), so a free block, whose
-identity kernel has N + 1 nonzeros, is sized before its row is built.
-``_band`` is a strided window on that row, zero-padded, so the one
-band-sized array is the copy that ``_block_kernel`` eliminates; it reads
-the kernel's nonzeros straight off the RREF and builds no kernel matrix.  The cache saves construction only:
+``BAND_LIMIT_BYTES`` with ``BlockTooLargeError`` before it computes a
+binomial of the block, whatever the cache holds.  On a miss every digit
+step of a product is sized against the same limit before it is formed,
+at (its nonzeros) (r + 1) entries, and one past it is refused with its
+size.  ``_band`` reads its C(t, v), v <= g2, off the same product applied
+to the single cell 0 and lays them into a strided window on one
+zero-padded row, so the one band-sized array is the copy that
+``_block_kernel`` eliminates; it reads the kernel's nonzeros straight off
+the RREF and builds no kernel matrix.  The cache saves construction only:
 ``section_space`` verifies each call's triples with one batch check,
 ``FermatRing.check_syzygies``, which shares no code with the kernel's
 construction (``_classes``, ``_band_guard``, ``_band``,
-``_binom_row``, ``_block_kernel``, ``_block_entry``):
+``_times_binomial``, ``_block_kernel``, ``_block_entry``):
 it multiplies every row out term by term with the normal-form rewrite of
 ``poly``, in one flat pass over all entries, and sums the result per
 monomial of R_n.  A change to any single
@@ -175,8 +177,8 @@ family threshold on, and no nullity is needed.
 The band guard (``_band_guard``) still runs on every block with a kernel
 at the twist, in closed form and before anything is built, so a twist is
 refused for a band past ``BAND_LIMIT_BYTES`` at any X-exponent; the
-product guard of a banded block needs its kernel, so it runs on the
-blocks that are built.  ``normal_form`` bounds its own work: a vector
+product's digit steps are sized as they are taken, so that guard runs
+on the blocks that are built.  ``normal_form`` bounds its own work: a vector
 whose check would pass ``poly.NORMAL_FORM_BUDGET`` steps is refused
 with ``BlockTooLargeError`` before anything is multiplied.
 
@@ -303,12 +305,6 @@ def clear_block_cache():
     _cache_bytes = 0
 
 
-def _binom_row(t: int, p: int) -> np.ndarray:
-    """[C(t, v) mod p for v = 0..t], made afresh on each call: the block
-    cache keeps the blocks built from it, not the row."""
-    return np.array([binom_uint(t, v, p) for v in range(t + 1)], dtype=np.int64)
-
-
 def _band_rows(t: int, A: int, B: int, N: int) -> tuple:
     """Rows [g3, g2) of the bad-projection band of the family (t, A, B) at level N.
 
@@ -320,21 +316,55 @@ def _band_rows(t: int, A: int, B: int, N: int) -> tuple:
     return g3, min(N + t + 1, max(A, g3))
 
 
-def _band(t: int, A: int, B: int, N: int, row: np.ndarray) -> np.ndarray:
-    """Bad-projection block of the residue family (t, A, B) at level N.
+def _band(t: int, A: int, B: int, N: int, p: int) -> np.ndarray:
+    """Bad-projection block of the residue family (t, A, B) at level N over F_p.
 
     Columns are alpha = 0..N, rows the target exponents gamma in
-    ``_band_rows``; the entry is C(t, gamma - alpha), read from ``row`` =
-    [C(t, v) mod p for v = 0..t].  The band is a read-only window: row
-    gamma is ext[gamma : gamma + N + 1] reversed, where ext[N + k] = C(t, k)
-    is zero-padded to N + hi + 1 entries, the only ones allocated, so both
-    slices of the copy clip to the same length.  An empty band (lo == hi)
-    is a (0, N + 1) window of the same array.
+    ``_band_rows``; the entry is C(t, gamma - alpha) mod p, read off
+    ``_times_binomial`` applied to the single cell 0.  The band is a
+    read-only window: row gamma is ext[gamma : gamma + N + 1] reversed,
+    where ext[N + v] = C(t, v) for v <= hi, zero-padded to N + hi + 1
+    entries, the only ones allocated.  An empty band (lo == hi) is a
+    (0, N + 1) window of the same array.
     """
     lo, hi = _band_rows(t, A, B, N)
+    v, c = _times_binomial(np.zeros(1, np.int64), np.ones(1, np.int64), t, p, (t, A, B, N))
     ext = np.zeros(N + hi + 1, dtype=np.int64)
-    ext[N : N + t + 1] = row[: hi + 1]
+    ext[N + v[v <= hi]] = c[v <= hi]
     return sliding_window_view(ext, N + 1)[lo:hi, ::-1]
+
+
+def _times_binomial(cells: np.ndarray, values: np.ndarray, t: int, p: int, block: tuple) -> tuple:
+    """The sparse polynomial sum values x^cells times (1 + x)^t mod p.
+
+    ``cells`` are distinct and ``values`` in [1, p).  By Lucas' theorem
+    (1 + x)^t = prod_k (1 + x^(p^k))^(r_k) mod p over the base-p digits r_k
+    of t, so the product is taken one nonzero digit at a time: one
+    broadcast with the r + 1 values C(r, k) mod p, each product reduced mod
+    p before it is summed, then one sort and one sum per cell, and the zero
+    sums are dropped.  A sum has at most r + 1 terms below p, so int64 holds
+    at p = 2^31 - 1.  Each step is sized before it is formed, and one past
+    ``BAND_LIMIT_BYTES`` is refused with ``BlockTooLargeError`` as a product
+    of ``block``.  Returns (cells, values), the cells distinct and, once a
+    digit is applied, sorted.
+    """
+    scale = 1  # p^k
+    while t:
+        t, r = divmod(t, p)
+        if r:
+            size = len(cells) * (r + 1) * 8
+            if size > BAND_LIMIT_BYTES:
+                raise _too_large("product", size, block)
+            row = np.array([binom_uint(r, k, p) for k in range(r + 1)], dtype=np.int64)
+            cells = (cells[:, None] + scale * np.arange(r + 1)).ravel()
+            values = (values[:, None] * row % p).ravel()
+            order = cells.argsort()
+            cells, values = cells[order], values[order]
+            firsts = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
+            values = np.add.reduceat(values, firsts) % p
+            cells, values = cells[firsts][values != 0], values[values != 0]
+        scale *= p
+    return cells, values
 
 
 def _classes(spec: SyzygySpec, n: int) -> tuple:
@@ -398,7 +428,7 @@ def _nullity(p: int, t: int, A: int, B: int, N: int) -> int:
     return max(0, D - m1 + 1) + max(0, D - m2 + 1) - max(0, D - A - B + 1)
 
 
-def _block_kernel(t: int, A: int, B: int, N: int, row: np.ndarray, p: int) -> tuple:
+def _block_kernel(t: int, A: int, B: int, N: int, p: int) -> tuple:
     """Kernel of the family (t, A, B) block at level N, in reduced echelon form.
 
     Returned as (pivots, rows, alphas, values): the alpha of each kernel
@@ -412,7 +442,7 @@ def _block_kernel(t: int, A: int, B: int, N: int, row: np.ndarray, p: int) -> tu
     straight off the RREF: ``np.array``'s one writable copy of the band,
     which the elimination works in, is the largest array made.
     """
-    work = np.array(_band(t, A, B, N, row)[:, ::-1])
+    work = np.array(_band(t, A, B, N, p)[:, ::-1])
     rank, pivots = _kernels.rref_mod_p(work, p)
     free = np.setdiff1d(np.arange(N + 1), pivots)[::-1]
     entries = (-work[:rank, free].T) % p  # row k, pivot r: the entry at N - pivots[r]
@@ -435,15 +465,15 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
     2 for s1, s2, s3), exponent (alpha for s1, gamma for s2 and s3) and
     value.  On every call the band guard runs first: a band of more than
     ``BAND_LIMIT_BYTES`` raises ``BlockTooLargeError`` before the cache is
-    read and before the binomial row or the band is built.  Then the
-    block cache is read, and only on a miss is the block built.  Its
-    kernel K is the identity for a free block (an empty band), without an
-    elimination, and ``_block_kernel``'s for a banded one.  Either goes
-    through the same steps: the product with the nonzeros of the binomial
-    row of (p, t), sized at nnz(K) |v| entries against the same limit
-    before it is formed (for a free block before its row is built), one
-    sum per (row, gamma), the check that its bad-projection vanishes, and
-    the check of its nullity against ``_nullity``.  The arrays are made
+    read and before any binomial or the band is built.  Then the block
+    cache is read, and only on a miss is the block built.  Its kernel K is
+    the identity for a free block (an empty band), without an elimination,
+    and ``_block_kernel``'s for a banded one.  Either goes through the same
+    steps: K's nonzeros, signed by (-1)^(t + 1), times (1 + x)^t by
+    ``_times_binomial``, whose digit steps are each sized against the same
+    limit before they are formed, the check that the product's
+    bad-projection vanishes, and the check of its nullity against
+    ``_nullity``.  The arrays are made
     read-only and kept under (p, t, A, B, N), least recently used first
     out, so that at most ``BLOCK_CACHE_BYTES`` are kept; an entry larger
     than that is returned without being kept.
@@ -459,36 +489,16 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
     if key in _cache:
         _cache.move_to_end(key)
         return _cache[key][0]
-    nonzeros = 1  # |v|, the nonzero binomials C(t, v) mod p: prod (r + 1) over t's digits
-    digits = t
-    while digits:
-        digits, r = divmod(digits, p)
-        nonzeros *= r + 1
     if g2 == g3:  # free: every f qualifies, so the kernel is the identity
         pivots = k_rows = alphas = np.arange(N + 1)
         k_vals = np.ones(N + 1, dtype=np.int64)
-        row = None  # built once its product is known to fit
     else:
-        row = _binom_row(t, p)
-        pivots, k_rows, alphas, k_vals = _block_kernel(t, A, B, N, row, p)
-    size = len(k_rows) * nonzeros * 8
-    if size > BAND_LIMIT_BYTES:
-        raise _too_large("product", size, (t, A, B, N))
-    if row is None:
-        row = _binom_row(t, p)
-    v = row.nonzero()[0]
-    c = row[v] if t % 2 else p - row[v]  # (-1)^(t + 1) C(t, v), in [1, p)
+        pivots, k_rows, alphas, k_vals = _block_kernel(t, A, B, N, p)
     top = N + t + 1
-    cell = ((k_rows * top + alphas)[:, None] + v).ravel()
-    w = (k_vals[:, None] * c % p).ravel()
-    # each sum has at most t + 1 terms below p: far inside int64
-    order = np.argsort(cell)
-    cell = cell[order]
-    firsts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
-    w = np.add.reduceat(w[order], firsts) % p
-    nz = w != 0
-    r, gamma = np.divmod(cell[firsts][nz], top)
-    w = w[nz]
+    # (-1)^(t + 1) K (1 + x)^t, each row's cells top apart
+    signed = k_vals if t % 2 else p - k_vals
+    cell, w = _times_binomial(k_rows * top + alphas, signed, t, p, (t, A, B, N))
+    r, gamma = np.divmod(cell, top)
     if np.any((gamma >= g3) & (gamma < g2)):
         raise InternalCheckError("bad-projection of a kernel element is nonzero")
     if len(pivots) != nullity:
@@ -520,8 +530,8 @@ def _band_guard(t: int, A: int, B: int, N: int) -> tuple:
     than ``BAND_LIMIT_BYTES`` with ``BlockTooLargeError``.
 
     Closed form: it runs before anything of the block is built, since a
-    refused block's t can pass 10^8, and its binomial row would take
-    minutes and gigabytes.
+    refused block's t can pass 10^8, and its band alone would take
+    gigabytes.
     """
     g3, g2 = _band_rows(t, A, B, N)
     size = (g2 - g3) * (N + 1) * 8

@@ -27,6 +27,7 @@ class InternalCheckError(FermatSyzError):
 
 class BlockTooLargeError(FermatSyzError):
     """A computation would pass one of the package's size limits, and is
-    refused before it starts: a residue block's dense band, or its product
-    with the binomial row, above ``bundle.BAND_LIMIT_BYTES``, or a normal
-    form of more than ``poly.NORMAL_FORM_BUDGET`` steps."""
+    refused before it starts: a residue block's dense band, or one base-p
+    digit step of its binomial product, above ``bundle.BAND_LIMIT_BYTES``;
+    a normal form of more than ``poly.NORMAL_FORM_BUDGET`` steps; or a
+    ``tc`` class of more than that many terms."""

@@ -181,10 +181,10 @@ class FermatRing:
 
         The check shares no code with the kernel's construction in
         ``bundle`` (``_classes``, ``_band_guard``, ``_band``,
-        ``_binom_row``, ``_block_kernel``, and ``_block_entry`` with its
-        block cache): its binomials come from ``poly.lucas_terms``, its
+        ``_times_binomial``, ``_block_kernel``, and ``_block_entry`` with
+        its block cache): its binomials come from ``poly.lucas_terms``, its
         monomials from its own run table, and it multiplies term by term
-        instead of by the blocks' outer products.
+        instead of by the blocks' digit-by-digit products.
         """
         import numpy as np
 

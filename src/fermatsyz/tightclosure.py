@@ -30,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InapplicableError, SmoothnessError
-# binom_uint is not called here; perfbench/probes.py wraps tightclosure.binom_uint
+from .errors import BlockTooLargeError, InapplicableError, SmoothnessError
 from .field import binom_uint, check_prime
-from .poly import digit_row, scaled_power
+from .poly import NORMAL_FORM_BUDGET, scaled_power
 from .stability import SCHEMA_VERSION, format_fraction
 
 ASSUMED_IMPLICATION = (
@@ -129,19 +128,29 @@ def cech_class_p1(params: TCParameters) -> CechClassP1:
 
     Z^(ud) = (-1)^u (X^d + Y^d)^u on the curve, so the stored terms are
     C(u, v) X^(vd - bq) Y^((u-v)d - bq), each of degree ud - 2bq; terms
-    with a nonnegative exponent vanish in H^1 and are discarded.  Since
-    u < p, u is one base-p digit and ``poly.digit_row(u, p)`` is every
-    C(u, v) mod p, each from the last, so the work is linear in p.  The
+    with a nonnegative exponent vanish in H^1 and are discarded.  With
+    m = (bq - 1) // d the surviving v form the interval
+    [max(0, u - m), min(u, m)], and every C(u, v) there is nonzero mod p
+    because u < p.  A class of more than ``poly.NORMAL_FORM_BUDGET`` terms
+    is refused with ``BlockTooLargeError`` before any is computed;
+    otherwise the first C(u, v) comes from ``binom_uint`` and each next one
+    from the last, so the work follows the surviving terms.  The
     expansion is computed for any parameters; whether it proves anything
     is decided by the precondition flags of the report.
     """
     p, u, d, bq = params.p, params.u, params.d, params.bq
+    m = (bq - 1) // d
+    lo, hi = max(0, u - m), min(u, m)
+    if hi - lo + 1 > NORMAL_FORM_BUDGET:
+        raise BlockTooLargeError(
+            f"the class has {hi - lo + 1:,} terms, above the budget of {NORMAL_FORM_BUDGET:,}"
+        )
     coeffs = {}
-    for v, c in enumerate(digit_row(u, p)):
-        i = v * d - bq
-        j = (u - v) * d - bq
-        if i <= -1 and j <= -1:
-            coeffs[(i, j)] = c
+    c = binom_uint(u, lo, p)
+    for v in range(lo, hi + 1):
+        coeffs[(v * d - bq, (u - v) * d - bq)] = c
+        if v < hi:  # C(u, v + 1) = C(u, v) (u - v) / (v + 1), v + 1 <= u < p
+            c = c * (u - v) * pow(v + 1, -1, p) % p
     sign = 1 if (u + 1) % 2 == 0 else -1
     return CechClassP1(degree=u * d - 2 * bq, coefficients=coeffs, global_sign=sign)
 

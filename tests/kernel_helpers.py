@@ -13,6 +13,7 @@ import numpy as np
 
 from fermatsyz import _kernels
 from fermatsyz.bundle import SectionVector, SyzygySpec, syzygy_matrix
+from fermatsyz.field import binom_uint
 from fermatsyz.linalg import MatrixModP, kernel_from_rref
 from fermatsyz.poly import GradedPoly, Monomial, lucas_terms
 from fermatsyz.ring import basis_pos
@@ -120,14 +121,27 @@ def times_band(K, row, p):
     return out
 
 
+def binomial_row(t, p):
+    """[C(t, v) mod p for v = 0..t], one ``binom_uint`` per entry."""
+    return np.array([binom_uint(t, v, p) for v in range(t + 1)], dtype=np.int64)
+
+
+def dense_band(t, A, B, N, p):
+    """The bad-projection block of the family (t, A, B) at level N as a dense
+    matrix: a row per gamma with gamma < A and N + t - gamma < B, a column
+    per alpha = 0..N, and C(t, gamma - alpha) mod p, from ``binomial_row``."""
+    row = binomial_row(t, p)
+    gammas = [g for g in range(N + t + 1) if g < A and N + t - g < B]
+    v = np.array(gammas, dtype=np.int64).reshape(-1, 1) - np.arange(N + 1)
+    return np.where((v >= 0) & (v <= t), row[np.clip(v, 0, t)], 0)
+
+
 def reference_block_entry(p, t, A, B, N):
     """``bundle._block_entry`` by dense elimination of every block with
     ``kernel_basis`` and a dense band product, with its nonzeros in
     (row, component, exponent) order."""
-    from fermatsyz.bundle import _band, _binom_row
-
-    row = _binom_row(t, p)
-    K = kernel_basis(MatrixModP(_band(t, A, B, N, row), p))
+    row = binomial_row(t, p)
+    K = kernel_basis(MatrixModP(dense_band(t, A, B, N, p), p))
     if not len(K):
         return None
     w = times_band(K, row, p)

@@ -1,13 +1,16 @@
 """The block cache: kept residue blocks change no output, stay read-only and
 bounded, and never let a block past the band guard."""
 
+import random
+
 import numpy as np
 import pytest
 
 from fermatsyz import bundle
 from fermatsyz.bundle import SyzygySpec, _block_entry, first_section, section_space
 from fermatsyz.errors import BlockTooLargeError
-from kernel_helpers import certificate_ops, section_ops
+from fermatsyz.field import binom_uint
+from kernel_helpers import binomial_row, certificate_ops, reference_block_entry, section_ops, within
 
 
 def _cold_then_warm(ops, build):
@@ -119,18 +122,61 @@ def test_block_whose_band_fits_but_whose_product_does_not_is_refused(monkeypatch
     lo, hi = bundle._band_rows(t, A, B, N)
     entry = _block_entry(*block)
     kernel_nonzeros = np.count_nonzero(entry[1][1] == 0)  # the s1 entries
-    product = kernel_nonzeros * np.count_nonzero(bundle._binom_row(t, p)) * 8
+    # t < p is one base-p digit, so the product is one step of nnz(K) (t + 1)
+    product = kernel_nonzeros * np.count_nonzero(binomial_row(t, p)) * 8
     assert (hi - lo) * (N + 1) * 8 < product
     bundle.clear_block_cache()
     monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", product - 1)
-    if lo == hi:  # a free block is refused before its binomial row is built
-        monkeypatch.setattr(bundle, "_binom_row", lambda *_: pytest.fail("row built"))
+    if lo == hi:  # a free block is refused before any binomial is computed
+        monkeypatch.setattr(bundle, "binom_uint", lambda *_: pytest.fail("binomial computed"))
     with pytest.raises(BlockTooLargeError, match=f"needs a product of {product:,} bytes"):
         _block_entry(*block)
     assert block not in bundle._cache
     monkeypatch.undo()
     monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", product)
     assert all(np.array_equal(a, b) for a, b in zip(_block_entry(*block), entry))
+
+
+def test_multi_digit_product_is_refused_at_the_digit_step_past_the_limit(monkeypatch):
+    # the free block (t, A, B, N) = (5355, 0, 5355, 2) over F_13: t has the
+    # base-13 digits 12, 8, 5, 2, lowest first, and the product takes one
+    # step per digit.  Step k multiplies the nonzeros of K (1 + x)^(t mod
+    # 13^k), K the identity's N + 1 rows, by the r + 1 binomials of its
+    # digit r; the limit below lets steps 0 and 1 through and not step 2
+    block = p, t, A, B, N = 13, 5355, 0, 5355, 2
+    assert bundle._band_rows(t, A, B, N) == (3, 3)  # free
+    sizes, scale = [], 1
+    for r in (12, 8, 5, 2):
+        sizes.append((N + 1) * np.count_nonzero(binomial_row(t % scale, p)) * (r + 1) * 8)
+        scale *= p
+    assert sizes == [312, 2808, 16848, 50544]
+    bundle.clear_block_cache()
+    monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", sizes[2] - 1)
+    with pytest.raises(BlockTooLargeError, match=f"needs a product of {sizes[2]:,} bytes"):
+        _block_entry(*block)
+    assert not bundle._cache
+    monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", sizes[3])
+    pivots, nonzeros = _block_entry(*block)
+    want = reference_block_entry(*block)
+    assert np.array_equal(pivots, want[0])
+    order = np.lexsort(nonzeros[2::-1])
+    assert all(np.array_equal(a[order], b) for a, b in zip(nonzeros, want[1:]))
+
+
+def test_the_deep_binomial_product_is_digit_by_digit():
+    # (1 + x)^t at t = 8,184,589 over F_13 has 61,600 nonzeros, the product
+    # of r + 1 over t's base-13 digits; its t + 1 entries one binom_uint at a
+    # time take about 18 s.  Built by digits it is checked against
+    # binom_uint at 500 seeded v and at 500 seeded nonzeros
+    t, p = 8184589, 13
+    one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    v, c = within(5, bundle._times_binomial, *one, t, p, (t, 0, 0, 0))
+    assert len(v) == 61600
+    assert np.all(np.diff(v) > 0) and np.all((c > 0) & (c < p))
+    rng = random.Random(2029)
+    got = dict(zip(v.tolist(), c.tolist()))
+    for x in rng.sample(range(t + 1), 500) + rng.sample(sorted(got), 500):
+        assert got.get(x, 0) == binom_uint(t, x, p), x
 
 
 def test_first_section_reads_the_least_x_exponent_and_guards_every_block(monkeypatch):
@@ -162,11 +208,16 @@ def test_a_warm_pass_builds_no_block(monkeypatch):
         for spec, n in certificates:
             first_section(spec, n)
 
+    # every block's product, free or banded, goes through _times_binomial
+    products = []
+    real = bundle._times_binomial
+    monkeypatch.setattr(
+        bundle, "_times_binomial", lambda *args: products.append(args[-1]) or real(*args)
+    )
     bundle.clear_block_cache()
     one_pass()
     assert 0 < _kept_bytes() <= bundle.BLOCK_CACHE_BYTES
-    rows = []
-    real = bundle._binom_row
-    monkeypatch.setattr(bundle, "_binom_row", lambda t, p: rows.append((t, p)) or real(t, p))
+    assert {key[1:] for key in bundle._cache} <= set(products)
+    products.clear()
     one_pass()
-    assert rows == []
+    assert products == []

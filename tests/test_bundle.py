@@ -13,7 +13,6 @@ from fermatsyz import bundle, syzygy
 from fermatsyz.bundle import (
     SectionVector,
     SyzygySpec,
-    _binom_row,
     _block_entry,
     _structured_kernel,
     first_section,
@@ -29,6 +28,7 @@ from fermatsyz.poly import EXP_LIMIT, GradedPoly, frobenius_power, parse_poly
 from fermatsyz.ring import FermatRing
 from fermatsyz.stability import search_destabilization
 from kernel_helpers import (
+    binomial_row,
     certificate_ops,
     coords,
     dense_kernel,
@@ -346,7 +346,7 @@ P31_CASES = [
 
 
 def test_dense_structured_equality_at_the_largest_prime():
-    assert max(_binom_row(34, P31)) > P31 // 2
+    assert max(binomial_row(34, P31)) > P31 // 2
     for spec, twists in P31_CASES:
         for n in twists:
             dense = to_dense(spec, n, dense_kernel(spec, n))
@@ -473,7 +473,7 @@ def test_banded_block_nullity_disagreeing_with_the_closed_form_raises(monkeypatc
 def test_kernel_row_outside_the_kernel_fails_the_bad_projection_check(monkeypatch):
     real = bundle._block_kernel
     # (pivots, rows, alphas, values) of the kernel [[0, 1]]
-    assert [x.tolist() for x in real(*BANDED[1:], _binom_row(1, 5), 5)] == [[1], [0], [1], [1]]
+    assert [x.tolist() for x in real(*BANDED[1:], 5)] == [[1], [0], [1], [1]]
     # the unit row at alpha = 0 meets the band's nonzero column
     unit = tuple(np.array([x]) for x in (0, 0, 0, 1))
     monkeypatch.setattr(bundle, "_block_kernel", lambda *args: unit)
@@ -564,9 +564,9 @@ def test_one_block_elimination_per_distinct_block(monkeypatch):
     calls = []
     real = bundle._block_kernel
 
-    def counted(t, A, B, N, row, p):
+    def counted(t, A, B, N, p):
         calls.append((t, A, B, N))
-        return real(t, A, B, N, row, p)
+        return real(t, A, B, N, p)
 
     monkeypatch.setattr(bundle, "_block_kernel", counted)
     repeats = free = 0
@@ -652,8 +652,8 @@ def test_band_guard_refuses_a_band_above_the_limit(monkeypatch):
     sizes = []
     real = bundle._band
 
-    def spy(t, A, B, N, row):
-        band = real(t, A, B, N, row)
+    def spy(*args):
+        band = real(*args)
         sizes.append(band.nbytes)
         return band
 
@@ -716,10 +716,11 @@ def test_band_guard_on_deep_certificates():
                 search_destabilization(p, d, a, e)
 
 
-def test_band_guard_runs_before_the_binomial_row():
-    # the refused blocks have t = 178,771, 27,651,889 and 459,015,217: their
-    # binomial rows alone would take seconds to minutes and up to 7 GB.  Each
-    # cell is refused within 1 s, and the refusal allocates under 1 MB
+def test_band_guard_runs_before_the_binomial_row(monkeypatch):
+    # the refused blocks have t = 178,771, 27,651,889 and 459,015,217.  Each
+    # cell is refused within 1 s, before any binomial product is formed, and
+    # the refusal allocates under 1 MB
+    monkeypatch.setattr(bundle, "_times_binomial", lambda *_: pytest.fail("product formed"))
     for p, d, a, e in ((13, 27, 1, 6), (13, 59, 2, 8), (19, 37, 1, 8)):
         tracemalloc.start()
         try:
@@ -733,11 +734,12 @@ def test_band_guard_runs_before_the_binomial_row():
 
 def test_band_is_a_window_on_one_padded_row():
     # the 999 x 1001 band of (t, A, B, N) = (2000, 2000, 2000, 1000) holds
-    # 8.0 MB; building it allocates only its padded binomial row
-    row = _binom_row(2000, 7)
+    # 8.0 MB; building it allocates only its padded binomial row and the
+    # nonzeros of (1 + x)^t it is read from
+    row = binomial_row(2000, 7)
     tracemalloc.start()
     try:
-        band = bundle._band(2000, 2000, 2000, 1000, row)
+        band = bundle._band(2000, 2000, 2000, 1000, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -776,9 +778,9 @@ def test_block_kernel_eliminates_a_copy_of_the_band():
     # read-only, so the elimination must work on a copy.  C(2, 1) is 0 mod 2
     # (nullity 1: the rank-0 band's one kernel row [1], read off without a
     # pivot) and 2 mod 3 (no kernel), which the elimination scales in place
-    one = bundle._block_kernel(2, 2, 2, 0, _binom_row(2, 2), 2)
+    one = bundle._block_kernel(2, 2, 2, 0, 2)
     assert [x.tolist() for x in one] == [[0], [0], [0], [1]]
-    none = bundle._block_kernel(2, 2, 2, 0, _binom_row(2, 3), 3)
+    none = bundle._block_kernel(2, 2, 2, 0, 3)
     assert [x.tolist() for x in none] == [[], [], [], []]
     assert all(x.dtype == np.int64 for x in one + none)
 
@@ -864,7 +866,7 @@ def test_check_syzygies_runs_without_the_block_construction(monkeypatch):
     def refuse(*_args):
         raise AssertionError("the check reached the kernel's construction")
 
-    for name in ("_block_entry", "_block_kernel", "_band", "_binom_row"):
+    for name in ("_block_entry", "_block_kernel", "_band", "_times_binomial"):
         monkeypatch.setattr(bundle, name, refuse)
     for spec, n, kernel in kernels:
         spec.ring.check_syzygies(kernel, n, spec.exponents)

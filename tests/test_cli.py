@@ -315,6 +315,15 @@ def test_tc_class_grows_linearly_with_p(capsys):
     assert len(data["surviving_terms"]) == len(window) > 10**4
 
 
+def test_tc_refuses_a_class_past_the_budget_at_once(capsys):
+    # at p = 2^31 - 1, b = e = 1 the window of surviving v holds 357,913,941
+    # terms; the class is refused from that count before any term is made
+    argv = ["tc", "--p", "2147483647", "--b", "1", "--e", "1"]
+    code, out, err = within(1, run_cli, capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: the class has 357,913,941 terms, above the budget of 1,048,576\n"
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))

@@ -15,8 +15,6 @@ import pytest
 from fermatsyz import _kernels
 from fermatsyz.bundle import (
     SyzygySpec,
-    _band,
-    _binom_row,
     _han_gap,
     _nullity,
     _structured_kernel,
@@ -27,7 +25,7 @@ from fermatsyz.bundle import (
 from fermatsyz.field import binom_uint
 from fermatsyz.linalg import MatrixModP
 from fermatsyz.stability import DestabCertificate, search_destabilization
-from kernel_helpers import dense_kernel, dense_section, kernel_basis, to_dense
+from kernel_helpers import dense_band, dense_kernel, dense_section, kernel_basis, to_dense
 
 EQUAL = [(a, a, a) for a in (1, 2, 3, 5)]
 UNEQUAL = [(2, 3, 4), (4, 1, 3), (1, 5, 2), (6, 2, 5)]
@@ -165,7 +163,7 @@ def test_plane_runs_through_the_family_path(p):
 
 
 def _band_nullity(t, A, B, N, p):
-    block = _band(t, A, B, N, _binom_row(t, p))
+    block = dense_band(t, A, B, N, p)
     if not block.shape[0]:
         return N + 1
     return N + 1 - _kernels.rref_mod_p(np.array(block), p)[0]
@@ -265,11 +263,10 @@ def test_han_gap_takes_the_largest_level():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_family_kernel_monotone_in_level(p):
     for t, A, B in itertools.product(range(0, 12), range(0, 7), range(0, 7)):
-        row = _binom_row(t, p)
         binoms = [binom_uint(t, v, p) for v in range(t + 1)]
         nullities = []
         for N in range(min(A, B) + 3):
-            block = _band(t, A, B, N, row)
+            block = dense_band(t, A, B, N, p)
             nullities.append(_band_nullity(t, A, B, N, p))
             # every kernel vector f satisfies f (u + w)^t in (u^A, w^B)
             if block.shape[0]:

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from fermatsyz.errors import InapplicableError, NotPrimeError
+from fermatsyz import tightclosure
+from fermatsyz.errors import BlockTooLargeError, InapplicableError, NotPrimeError
+from fermatsyz.field import binom_uint
 from fermatsyz.tightclosure import (
     CechClassP1,
     TCParameters,
@@ -188,3 +190,21 @@ def test_tc_second_summand_coefficient_is_u():
         j = params.d - params.bq
         if i <= -1 and j <= -1:
             assert cls.coefficients.get((i, j), 0) == params.u % p
+
+
+def test_cech_class_p1_is_refused_past_the_budget_from_its_count(monkeypatch):
+    # at p = 100,003, b = e = 1 the surviving v are the 16,667 of
+    # [u - m, m], m = (bq - 1) // d; a budget one below that refuses the
+    # class, and at that count it is built, every term in the window
+    params = TCParameters(100003, 1, 1)
+    u, d, bq = params.u, params.d, params.bq
+    window = [v for v in range(u + 1) if v * d < bq and (u - v) * d < bq]
+    assert len(window) == 16667
+    monkeypatch.setattr(tightclosure, "NORMAL_FORM_BUDGET", len(window) - 1)
+    with pytest.raises(BlockTooLargeError, match="the class has 16,667 terms"):
+        cech_class_p1(params)
+    monkeypatch.setattr(tightclosure, "NORMAL_FORM_BUDGET", len(window))
+    cls = cech_class_p1(params)
+    assert sorted(cls.coefficients) == sorted((v * d - bq, (u - v) * d - bq) for v in window)
+    for v in window[:3] + window[len(window) // 2 :][:3] + window[-3:]:
+        assert cls.coefficients[(v * d - bq, (u - v) * d - bq)] == binom_uint(u, v, params.p)
