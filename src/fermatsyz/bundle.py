@@ -124,9 +124,9 @@ step one broadcast with the r + 1 binomials C(r, k) mod p and one sum
 per (row, gamma) with the zeros dropped.  No row of t + 1 binomials is
 made, and a warm call multiplies nothing.  The product's bad-projection
 must vanish.  A call
-concatenates its blocks' two arrays once each, a block without a kernel
-reading as an entry with no pivots and no nonzeros, every class reads
-its block's nonzeros at its own column offsets, and one sort by
+concatenates one copy of its block's pivots and of its nonzeros per class
+whose block has a kernel, every class reads its copy at its own column
+offsets, and one sort by
 (s1 pivot column, column) both ranks the rows in their canonical order
 and puts the triples in (row, column) order.
 ``_band_rows`` is the one account of a block's band rows: ``_block_entry``
@@ -153,9 +153,13 @@ repeated or outside [1, p), and a row without entries, all make it
 raise.  Each vector is then a view on one row of the verified triples,
 without a check of its own.  It builds its polynomials only when its
 ``components`` are read, naming each monomial from its basis position in
-closed form.  The first ``serialize`` of a call writes every row's
-strings in one pass over the triples, in the bytes ``GradedPoly.to_string``
-would write, and each ``serialize`` then copies one row's strings.
+closed form.  The call's columns and values stay int64 arrays until its
+rows are written: the first ``serialize`` of a call makes every term
+string in one object-array sum, of the coefficient's text (one ``str``
+per value) and the column's text from ``FermatRing.term_text``, then
+writes every component with one ``poly.join_rows``, in the bytes
+``GradedPoly.to_string`` would write; each ``serialize`` then copies one
+row's strings.
 
 The public ``SectionVector`` constructor checks its vector by
 ``normal_form``: multiplying by X^a1, Y^a2 or Z^a3 only shifts exponents,
@@ -209,7 +213,7 @@ from .errors import BlockTooLargeError, InternalCheckError
 from .field import binom_uint
 # kernel_from_rref is not called here; perfbench/probes.py wraps bundle.kernel_from_rref
 from .linalg import MatrixModP, kernel_from_rref
-from .poly import GradedPoly, Monomial, join_rows, term_texts
+from .poly import GradedPoly, Monomial, join_rows
 from .ring import basis_pos
 from .syzygy import SectionVector, SyzygySpec
 
@@ -219,10 +223,17 @@ class _KernelRows:
 
     ``kernel`` is sparse triples (row count, rows, columns, values) sorted
     by (row, column), so each row's entries run through s1, s2 and s3 in
-    turn.  One split by component gives ``cuts``: the entries of row r in
-    component k are cuts[3 r + k]:cuts[3 r + k + 1] of the columns and
-    values, kept as lists.  ``components(r)`` gives row r as polynomials
-    and ``strings(r)`` as ``GradedPoly.to_string`` writes them.
+    turn.  The columns and values stay the int64 arrays the call made; one
+    split by component gives ``cuts``, a list: the entries of row r in
+    component k are cuts[3 r + k]:cuts[3 r + k + 1] of them.
+    ``components(r)`` gives row r as polynomials, converting only its own
+    slices.  ``strings(r)`` gives it as ``GradedPoly.to_string`` writes
+    it; the first call writes every row at once, each term the object-array
+    sum of its coefficient's string and its column's
+    ``FermatRing.term_text``, and every component with one
+    ``poly.join_rows``.  A coefficient string is made once per value: for
+    every value up to the largest when there are no more of those than
+    entries, else for each distinct value.
     """
 
     __slots__ = ("ring", "degrees", "starts", "cuts", "cols", "vals", "_strings")
@@ -235,8 +246,8 @@ class _KernelRows:
         self.starts = (0, w1, w1 + w2)  # each component's first column
         parts = np.array(self.starts[1:]).searchsorted(cols, "right")
         self.cuts = (3 * rows + parts).searchsorted(np.arange(3 * count + 1)).tolist()
-        self.cols = cols.tolist()
-        self.vals = values.tolist()
+        self.cols = cols
+        self.vals = values
         self._strings = None
 
     def components(self, r: int) -> tuple:
@@ -244,8 +255,8 @@ class _KernelRows:
         out = []
         for k, (m, start) in enumerate(zip(self.degrees, self.starts)):
             lo, hi = cuts[3 * r + k], cuts[3 * r + k + 1]
-            pos = [c - start for c in self.cols[lo:hi]]
-            terms = dict(zip(self.ring.basis_monomials(pos, m), self.vals[lo:hi]))
+            monos = self.ring.basis_monomials(self.cols[lo:hi] - start, m)
+            terms = dict(zip(monos, self.vals[lo:hi].tolist()))
             out.append(GradedPoly._trusted(field, m, terms))
         return tuple(out)
 
@@ -253,10 +264,16 @@ class _KernelRows:
         """Row r's components as ``GradedPoly.to_string`` writes them."""
         if self._strings is None:
             # the three bases' texts one after the other, indexed by column
-            s1, s2, s3 = (self.ring.term_text(m) for m in self.degrees)
-            texts = s1 + s2 + s3
-            terms = term_texts(zip(self.vals, map(texts.__getitem__, self.cols)))
-            self._strings = join_rows(terms, self.cuts)
+            texts = np.concatenate([self.ring.term_text(m) for m in self.degrees])
+            # the coefficients' strings: one per value 0..max, or one per
+            # distinct value when that range is longer than the entries
+            values, which = range(int(self.vals.max()) + 1), self.vals
+            if len(values) > len(which):
+                values, which = np.unique(which, return_inverse=True)
+                values = values.tolist()
+            coeffs = np.array([str(c) for c in values], dtype=object)
+            terms = coeffs[which] + texts[self.cols]
+            self._strings = join_rows(terms.tolist(), self.cuts)
         return self._strings[3 * r : 3 * r + 3]
 
 
@@ -568,25 +585,22 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     d = spec.d or n + 1
     classes, blocks = _classes(spec, n)
     empty = np.zeros(0, dtype=np.int64)
-    no_kernel = empty, np.zeros((4, 0), dtype=np.int64)  # no pivots, no nonzeros
-    entries = [_block_entry(p, *key) or no_kernel for key in blocks]
-    # each block's pivots and nonzeros once, side by side
-    pivots = np.concatenate([empty] + [e[0] for e in entries])
+    entries = [_block_entry(p, *key) for key in blocks]
+    # the classes whose block has a kernel: (i, j0, the block's entry)
+    found = [(i, j0, entries[k]) for i, j0, k in classes if entries[k] is not None]
 
     n_family, family = 0, (empty, empty, empty)
-    if len(pivots):
-        # per class: i, j0, its block and i2 = i + a1 - t d, the X-exponent
-        # of its products with X^a1; it reads a copy of its block's
-        # nonzeros where they start in ``nonzeros``
-        i, j0, block = np.array(classes, dtype=np.int64).T
+    if found:
+        # per class: i, j0 and i2 = i + a1 - t d, the X-exponent of its
+        # products with X^a1; side by side, a copy of its block's pivots
+        # and one of its nonzeros
+        i, j0 = np.array([c[:2] for c in found], dtype=np.int64).T
         i2 = (i + a1) % d
-        nonzeros = np.concatenate([e[1] for e in entries], axis=1)
-        k_sizes = np.array([len(e[0]) for e in entries])  # per block
-        nz_sizes = np.array([e[1].shape[1] for e in entries])
-        sizes = nz_sizes[block]  # per class
-        owner = np.repeat(np.arange(len(block)), sizes)  # nonzero -> class
-        skip = (nz_sizes.cumsum() - nz_sizes)[block] - sizes.cumsum() + sizes
-        r, parts, exps, values = nonzeros[:, np.arange(len(owner)) + np.repeat(skip, sizes)]
+        pivots = np.concatenate([c[2][0] for c in found])
+        k_sizes = np.array([len(c[2][0]) for c in found])
+        sizes = [c[2][1].shape[1] for c in found]
+        owner = np.repeat(np.arange(len(found)), sizes)  # nonzero -> class
+        r, parts, exps, values = np.concatenate([c[2][1] for c in found], axis=1)
         # per class the columns of its alpha = 0 in s1 and gamma = 0 in s2, s3
         offsets = np.concatenate(
             [
@@ -595,10 +609,10 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
                 d1 + d2 + basis_pos(i2, j0, m3),
             ]
         )
-        cols = offsets[parts * len(block) + owner] + d * exps
+        cols = offsets[parts * len(found) + owner] + d * exps
         # a family row's s1 pivot column ranks it: one sort by (pivot, column)
         # orders the rows and the triples, and numbers the rows
-        lead = offsets[owner] + d * pivots[(k_sizes.cumsum() - k_sizes)[block][owner] + r]
+        lead = offsets[owner] + d * pivots[(k_sizes.cumsum() - k_sizes)[owner] + r]
         order = (lead * width + cols).argsort()
         lead = lead[order]
         r = np.concatenate(([0], lead[1:] != lead[:-1])).cumsum()

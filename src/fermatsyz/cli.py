@@ -65,8 +65,11 @@ def _parse_int_list(text: str) -> list:
     values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = map(int, chunk.split("..", 1))
+        bounds = [part.strip() for part in chunk.split("..", 1)]
+        if "" in bounds:
+            raise ValueError(f"empty value in {text!r}")
+        if len(bounds) == 2:
+            lo, hi = map(int, bounds)
             if lo > hi:
                 raise ValueError(f"empty range {chunk!r}")
             values.extend(range(lo, hi + 1))

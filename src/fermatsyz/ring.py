@@ -12,13 +12,14 @@ The kernel and its batch check index R_m by ``basis_pos`` in closed form
 and never build a basis.  ``basis_monomials`` inverts it at given
 positions and names those monomials.  ``check_syzygies`` is one flat
 pass over all three components: one ``searchsorted`` over a run table of
-their X-exponent starts, one ``basis_pos`` for every target, and one
+their X-exponent starts, one ``basis_pos`` over the runs, and one
 broadcast per distinct t against the signed Lucas table of (t, p), which
 ``_lucas_table`` keeps as read-only arrays in a small LRU cache.
 ``basis(m)`` names every position, built afresh at each call; in
 production only ``term_text(m)`` calls it, once per degree, and keeps
-the texts.  ``from_coords`` and ``multiplication_matrix`` serve the
-dense reference path.
+the texts as one read-only object array, which ``bundle`` indexes by
+column to write a whole call's terms at once.  ``from_coords`` and
+``multiplication_matrix`` serve the dense reference path.
 
 The check path uses ``hilbert`` and ``normal_form`` alone, so numpy is
 imported only inside the array methods (``basis``, ``basis_monomials``,
@@ -115,11 +116,21 @@ class FermatRing:
 
         return tuple(self.basis_monomials(np.arange(self.hilbert(n)), n))
 
-    def term_text(self, n: int) -> tuple:
-        """``poly.monomial_text`` of each monomial of ``basis(n)``."""
+    def term_text(self, n: int):
+        """``poly.monomial_text`` of each monomial of ``basis(n)``, in basis
+        order, as one read-only object array (empty for n < 0).
+
+        Built on the first call for a degree and kept on the ring, so a
+        caller can index it with a whole array of basis positions and add
+        it to an object array of coefficient strings.  numpy is imported
+        here, not at module level, so the check path never loads it.
+        """
         cached = self._texts.get(n)
         if cached is None:
-            cached = tuple(map(monomial_text, self.basis(n)))
+            import numpy as np
+
+            cached = np.array(list(map(monomial_text, self.basis(n))), dtype=object)
+            cached.setflags(write=False)
             self._texts[n] = cached
         return cached
 
@@ -168,10 +179,11 @@ class FermatRing:
 
         summed over the v of ``poly.lucas_terms(t, p)`` only, the v with
         C(t, v) != 0 mod p.  One ``searchsorted`` over a run table, the
-        first column of each (component, X-exponent) run, splits every
-        entry into its component, i and j, and one ``basis_pos`` over all
-        entries gives every target.  basis_pos is linear in j, so the term v
-        of an s1 entry lands v d past its target: s1 is expanded by one
+        first column of each (component, X-exponent) run, gives every
+        entry its run.  basis_pos is linear in j, so within a run a column
+        and its target differ by one shift, which one ``basis_pos`` over
+        the runs gives with each run's t, and the term v of an s1 entry
+        lands v d past its target.  s1 is expanded by one
         broadcast per distinct t, at most two since i < d (one on the
         plane), against the (t, p) table of ``_lucas_table``, which keeps
         the signed binomials as read-only arrays.  Each contribution is
@@ -191,15 +203,15 @@ class FermatRing:
         p = self.p
         d = self.d or n + 1  # the plane: no rewrite below degree n + 1
         degrees = [n - a for a in exponents]
-        widths = [self.hilbert(m) for m in degrees]
+        width = sum([self.hilbert(m) for m in degrees])
         count, rows, cols, values = kernel
         rows, cols, values = (np.asarray(x, dtype=np.int64) for x in (rows, cols, values))
         if rows.ndim != 1 or not rows.shape == cols.shape == values.shape:
             raise ValueError("rows, columns and values must be 1-d arrays of one length")
         if len(rows) and (
-            rows.min() < 0 or rows.max() >= count or cols.min() < 0 or cols.max() >= sum(widths)
+            rows.min() < 0 or rows.max() >= count or cols.min() < 0 or cols.max() >= width
         ):
-            raise ValueError(f"an index lies outside the shape ({count}, {sum(widths)})")
+            raise ValueError(f"an index lies outside the shape ({count}, {width})")
         if len(values) and (values.min() < 1 or values.max() >= p):
             raise ValueError(f"row entries must be nonzero residues in [1, {p})")
         step_r, step_c = rows[1:] - rows[:-1], cols[1:] - cols[:-1]
@@ -222,15 +234,20 @@ class FermatRing:
         for m, first, c in zip(degrees, (0, c1, c1 + c2), (c1, c2, c3)):
             starts[1 + first : 1 + first + c] += m + 1 + first
         starts = starts.cumsum(out=starts)[:-1]
-        # each entry's run gives its component, i and j; Y^a2 shifts j, and
-        # X^a1 makes i + a1 = i2 + t d, where only s1 has t > 0
+        # per run: the X-exponent i of its monomials, made i + a1 = i2 + t d
+        # by X^a1 on s1 (t = 0 on s2 and s3), and the shift from a column of
+        # the run to its target's basis_pos in R_n, where Y^a2 adds a2 to j
+        i = np.arange(c1 + c2 + c3)
+        i[:c1] += a1
+        i[c1 : c1 + c2] -= c1
+        i[c1 + c2 :] -= c1 + c2
+        t, i2 = np.divmod(i, d)
+        shift = basis_pos(i2, 0, n) - starts
+        shift[c1 : c1 + c2] += a2
+        # each entry's run gives its target and its t
         run = starts.searchsorted(cols, "right") - 1
-        # per component: its first run less a1 (s1), and -a2 (s2)
-        first, shift = np.array([[-a1, c1, c1 + c2], [0, -a2, 0]])[
-            :, np.array([c1, c1 + c2]).searchsorted(run, "right")
-        ]
-        t, i2 = np.divmod(run - first, d)
-        key = rows * self.hilbert(n) + basis_pos(i2, cols - starts[run] - shift, n)
+        key = rows * self.hilbert(n) + cols + shift[run]
+        t = t[run]
         ts = {0} if c2 or c3 else set()
         if c1:
             ts |= {a1 // d, (a1 + c1 - 1) // d}

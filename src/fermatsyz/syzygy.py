@@ -144,6 +144,14 @@ class SectionVector:
         return all(s.is_zero() for s in self.components)
 
     def serialize(self) -> list:
+        """[s1, s2, s3] in the bytes ``GradedPoly.to_string`` writes, ``"0"``
+        for a zero component.
+
+        A view takes its row's strings from its call's ``_KernelRows``,
+        whose first ``strings`` writes every row of the call at once from
+        the verified triples, without building a polynomial; a vector made
+        by the constructor writes its own components.
+        """
         if self._rows is not None:
             return self._rows.strings(self._row)
         return [s.to_string() for s in self._components]

@@ -359,8 +359,9 @@ def test_section_views_serialize_as_their_components():
     # strings must be the bytes to_string writes for the components it
     # builds on first access, and parse back to them.  The battery and the
     # P31 cases include the plane, Koszul rows (s1 = 0) and components of
-    # negative degree
+    # negative degree; the sections benchmark's 169 ops add 28,867 rows
     cases = [(spec, battery_twists(spec)) for spec in BATTERY] + P31_CASES
+    cases += [(spec, [n]) for spec, n in section_ops()]
     for spec, twists in cases:
         field = spec.ring.field
         for n in twists:
@@ -370,6 +371,26 @@ def test_section_views_serialize_as_their_components():
                 assert text == strings == s.serialize(), (spec, n)
                 for string, c, a in zip(strings, s.components, spec.exponents):
                     assert parse_poly(string, field, n - a) == c, (spec, n)
+
+
+def test_one_call_writes_its_row_strings_with_one_join(monkeypatch):
+    calls = []
+    real = bundle.join_rows
+
+    def spy(texts, cuts):
+        calls.append(len(cuts) - 1)
+        return real(texts, cuts)
+
+    monkeypatch.setattr(bundle, "join_rows", spy)
+    spec, n = SyzygySpec(3, 4, (9, 9, 9)), 20
+    sections = section_space(spec, n)
+    assert len(sections) > 1 and not calls
+    text = [s.serialize() for s in sections] + [s.serialize() for s in sections[::-1]]
+    assert calls == [3 * len(sections)]  # every component of every row, once
+    assert text[: len(sections)] == text[len(sections) :][::-1]
+    again = section_space(spec, n)  # a new call joins its own rows
+    assert [s.serialize() for s in again[:1]] == text[:1]
+    assert calls == [3 * len(sections)] * 2
 
 
 def test_section_view_before_and_after_its_components_are_read():

@@ -30,6 +30,17 @@ def test_parse_int_list():
         _parse_int_list("12..4,5")
     with pytest.raises(ValueError, match="^repeated value 5 in '4..6,5'$"):
         _parse_int_list("4..6,5")
+    for text in ("2,", "", "3,,5", "4..", "..7"):
+        with pytest.raises(ValueError, match=f"^empty value in {text!r}$"):
+            _parse_int_list(text)
+
+
+@pytest.mark.parametrize("p, d, text", [("2,", "4", "'2,'"), ("2", "", "''")])
+def test_scan_with_an_empty_value_is_a_usage_error(tmp_path, capsys, p, d, text):
+    out = tmp_path / "scan.jsonl"
+    code, stdout, err = run_cli(capsys, "scan", "--p", p, "--d", d, "--a", "1", "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: empty value in {text}\n")
+    assert not out.exists()
 
 
 def test_certify_with_d0(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermatsyz.field import PrimeField
-from fermatsyz.poly import GradedPoly
+from fermatsyz.poly import GradedPoly, monomial_text
 from fermatsyz.ring import FermatRing, basis_pos
 from kernel_helpers import coords
 
@@ -212,3 +212,18 @@ def test_plane_check_stays_fast_at_high_degree(p):
     bad = (1, [0, 0], cols, [1, 1]) if p == 3 else (1, [0, 0], [cols[0] - 1, cols[1]], [1, 1])
     with pytest.raises(ValueError, match="syzygy relation"):
         ring.check_syzygies(bad, n, (a, a, a))
+
+
+@pytest.mark.parametrize(
+    "d, m", [(5, -2), (5, 0), (5, 3), (5, 4), (5, 5), (5, 12), (0, -1), (0, 0), (0, 9)]
+)
+def test_term_text_is_a_read_only_array_of_the_basis_texts(d, m):
+    # below d, from d on, in negative degree and on the plane (d = 0)
+    ring = FermatRing(7, d)
+    texts = ring.term_text(m)
+    assert texts.dtype == object and not texts.flags.writeable
+    assert texts.tolist() == [monomial_text(mono) for mono in ring.basis(m)]
+    assert len(texts) == ring.hilbert(m)
+    assert ring.term_text(m) is texts  # built once per degree
+    with pytest.raises(ValueError):
+        texts[:1] = ["*X^9*Y^9*Z^9"]
