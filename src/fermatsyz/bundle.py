@@ -231,9 +231,8 @@ class _KernelRows:
     it; the first call writes every row at once, each term the object-array
     sum of its coefficient's string and its column's
     ``FermatRing.term_text``, and every component with one
-    ``poly.join_rows``.  A coefficient string is made once per value: for
-    every value up to the largest when there are no more of those than
-    entries, else for each distinct value.
+    ``poly.join_rows``.  A coefficient string is made once per distinct
+    value.
     """
 
     __slots__ = ("ring", "degrees", "starts", "cuts", "cols", "vals", "_strings")
@@ -265,13 +264,9 @@ class _KernelRows:
         if self._strings is None:
             # the three bases' texts one after the other, indexed by column
             texts = np.concatenate([self.ring.term_text(m) for m in self.degrees])
-            # the coefficients' strings: one per value 0..max, or one per
-            # distinct value when that range is longer than the entries
-            values, which = range(int(self.vals.max()) + 1), self.vals
-            if len(values) > len(which):
-                values, which = np.unique(which, return_inverse=True)
-                values = values.tolist()
-            coeffs = np.array([str(c) for c in values], dtype=object)
+            # the coefficients' strings, one per distinct value
+            values, which = np.unique(self.vals, return_inverse=True)
+            coeffs = np.array([str(c) for c in values.tolist()], dtype=object)
             terms = coeffs[which] + texts[self.cols]
             self._strings = join_rows(terms.tolist(), self.cuts)
         return self._strings[3 * r : 3 * r + 3]
