@@ -109,7 +109,12 @@ The RREF is unique, so this is the basis the dense elimination returns.
 Sparse triples and verification.  The basis is almost all zeros, so
 ``_structured_kernel`` returns it as sparse triples (row count, rows,
 columns, values): the nonzero entries only, sorted by (row, column), with
-values in [1, p); it never forms a dense matrix.  Each distinct block's
+values in [1, p); it never forms a dense matrix.  A block's closed forms,
+its nullity, its band rows [g3, g2) and its band's bytes, are one record,
+``_block_facts``, computed once per (p, t, A, B, N) and kept in a
+least-recently-used cache of at most 4096 records; ``_block_entry``,
+``first_section`` and ``section_space_dim`` read them from it alone, so a
+warm lookup computes no closed form.  Each distinct block's
 entry (``_block_entry``) is built and checked once and then kept across
 calls, in one least-recently-used cache of blocks keyed by
 (p, t, A, B, N), which ``_block_entry`` alone reads and fills.  An entry
@@ -129,11 +134,11 @@ whose block has a kernel, every class reads its copy at its own column
 offsets, and one sort by
 (s1 pivot column, column) both ranks the rows in their canonical order
 and puts the triples in (row, column) order.
-``_band_rows`` is the one account of a block's band rows: ``_block_entry``
-sizes the band from it on every lookup, before the cache, through
-``_band_guard``, and refuses a block whose band would pass
-``BAND_LIMIT_BYTES`` with ``BlockTooLargeError`` before it computes a
-binomial of the block, whatever the cache holds.  On a miss every digit
+The record is the one account of a block's band: ``_block_entry`` reads
+its band bytes on every lookup, before the entry cache, and refuses a
+block whose band would pass the current ``BAND_LIMIT_BYTES`` with
+``BlockTooLargeError`` before it computes a binomial of the block,
+whatever either cache holds.  On a miss every digit
 step of a product is sized against the same limit before it is formed,
 at (its nonzeros) (r + 1) entries, and one past it is refused with its
 size.  ``_band`` reads its C(t, v), v <= g2, off the same product applied
@@ -143,7 +148,7 @@ zero-padded row, so the one band-sized array is the copy that
 the RREF and builds no kernel matrix.  The cache saves construction only:
 ``section_space`` verifies each call's triples with one batch check,
 ``FermatRing.check_syzygies``, which shares no code with the kernel's
-construction (``_classes``, ``_band_guard``, ``_band``,
+construction (``_classes``, ``_block_facts``, ``_band``,
 ``_times_binomial``, ``_block_kernel``, ``_block_entry``):
 it multiplies every row out term by term with the normal-form rewrite of
 ``poly``, in one flat pass over all entries, and sums the result per
@@ -174,14 +179,13 @@ of i + 1, so row 0 lies at the least X-exponent i with a kernel class.
 ``first_section`` reads only that i's blocks, through ``_block_entry``,
 ranks its classes by j0 + d lead, and writes down local row 0 of the
 least one's block, or the first Koszul row when no class has a kernel.
-It tells the blocks with a kernel by the threshold test N + t >= m1, that
-is N >= N*(t, A, B): multiplying by u embeds a family's level-N kernel
-in its level-(N + 1) kernel, so a block has a kernel exactly from the
-family threshold on, and no nullity is needed.
-The band guard (``_band_guard``) still runs on every block with a kernel
-at the twist, in closed form and before anything is built, so a twist is
-refused for a band past ``BAND_LIMIT_BYTES`` at any X-exponent; the
-product's digit steps are sized as they are taken, so that guard runs
+It tells the blocks with a kernel by the positive nullity of their
+record, which holds exactly from the family threshold N*(t, A, B) on
+(N + t >= m1): multiplying by u embeds a family's level-N kernel in its
+level-(N + 1) kernel.  The band guard still runs on every block with a
+kernel at the twist, from the record and before anything is built, so a
+twist is refused for a band past ``BAND_LIMIT_BYTES`` at any X-exponent;
+the product's digit steps are sized as they are taken, so that guard runs
 on the blocks that are built.  ``normal_form`` bounds its own work: a vector
 whose check would pass ``poly.NORMAL_FORM_BUDGET`` steps is refused
 with ``BlockTooLargeError`` before anything is multiplied.
@@ -311,10 +315,12 @@ _cache_bytes = 0
 
 
 def clear_block_cache():
-    """Forget every kept block entry."""
+    """Forget every kept block entry and every block's record of closed forms
+    (``_block_facts``)."""
     global _cache_bytes
     _cache.clear()
     _cache_bytes = 0
+    _block_facts.cache_clear()
 
 
 def _band_rows(t: int, A: int, B: int, N: int) -> tuple:
@@ -440,6 +446,22 @@ def _nullity(p: int, t: int, A: int, B: int, N: int) -> int:
     return max(0, D - m1 + 1) + max(0, D - m2 + 1) - max(0, D - A - B + 1)
 
 
+@lru_cache(maxsize=4096)
+def _block_facts(p: int, t: int, A: int, B: int, N: int) -> tuple:
+    """The closed forms of the family (t, A, B) block at level N, as one record.
+
+    Returns (nullity, g3, g2, band bytes): ``_nullity``, the band rows
+    [g3, g2) of ``_band_rows``, and the (g2 - g3) (N + 1) * 8 bytes of the
+    band ``_block_kernel`` would copy.  It is the one account of them that
+    ``_block_entry``, ``first_section`` and ``section_space_dim`` read, so a
+    warm lookup computes none of them.  The band bytes are known before
+    anything of the block is built, as they must be: a refused block's t
+    can pass 10^8, and its band alone would take gigabytes.
+    """
+    g3, g2 = _band_rows(t, A, B, N)
+    return _nullity(p, t, A, B, N), g3, g2, (g2 - g3) * (N + 1) * 8
+
+
 def _block_kernel(t: int, A: int, B: int, N: int, p: int) -> tuple:
     """Kernel of the family (t, A, B) block at level N, in reduced echelon form.
 
@@ -475,28 +497,31 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
     leading 1, and one (4, nnz) array whose columns are the nonzeros, in no
     particular order, and whose rows are each one's row, component (0, 1,
     2 for s1, s2, s3), exponent (alpha for s1, gamma for s2 and s3) and
-    value.  On every call the band guard runs first: a band of more than
-    ``BAND_LIMIT_BYTES`` raises ``BlockTooLargeError`` before the cache is
-    read and before any binomial or the band is built.  Then the block
-    cache is read, and only on a miss is the block built.  Its kernel K is
+    value.  Every call reads the block's record of closed forms,
+    ``_block_facts``, first: a nullity of 0 returns None, and a band of more
+    than ``BAND_LIMIT_BYTES`` (the record's band bytes against the current
+    limit) raises ``BlockTooLargeError`` before the entry cache is read and
+    before any binomial or the band is built.  Then the block cache is
+    read, and only on a miss is the block built.  Its kernel K is
     the identity for a free block (an empty band), without an elimination,
     and ``_block_kernel``'s for a banded one.  Either goes through the same
     steps: K's nonzeros, signed by (-1)^(t + 1), times (1 + x)^t by
     ``_times_binomial``, whose digit steps are each sized against the same
     limit before they are formed, the check that the product's
-    bad-projection vanishes, and the check of its nullity against
-    ``_nullity``.  The arrays are made
+    bad-projection vanishes, and the check of its nullity against the
+    record's.  The arrays are made
     read-only and kept under (p, t, A, B, N), least recently used first
     out, so that at most ``BLOCK_CACHE_BYTES`` are kept; an entry larger
     than that is returned without being kept.
     """
     global _cache_bytes
-    nullity = _nullity(p, t, A, B, N)
-    if nullity == 0:
-        return None
     # the band product w goes to s3 below g3, to s2 from g2 on; between
     # them lies the bad-projection, and a block without one is free
-    g3, g2 = _band_guard(t, A, B, N)
+    nullity, g3, g2, band = _block_facts(p, t, A, B, N)
+    if nullity == 0:
+        return None
+    if band > BAND_LIMIT_BYTES:
+        raise _too_large("band", band, (t, A, B, N))
     key = (p, t, A, B, N)
     if key in _cache:
         _cache.move_to_end(key)
@@ -537,21 +562,6 @@ def _block_entry(p: int, t: int, A: int, B: int, N: int):
     return entry
 
 
-def _band_guard(t: int, A: int, B: int, N: int) -> tuple:
-    """``_band_rows`` of the block (t, A, B, N), after refusing a band of more
-    than ``BAND_LIMIT_BYTES`` with ``BlockTooLargeError``.
-
-    Closed form: it runs before anything of the block is built, since a
-    refused block's t can pass 10^8, and its band alone would take
-    gigabytes.
-    """
-    g3, g2 = _band_rows(t, A, B, N)
-    size = (g2 - g3) * (N + 1) * 8
-    if size > BAND_LIMIT_BYTES:
-        raise _too_large("band", size, (t, A, B, N))
-    return g3, g2
-
-
 def _too_large(what: str, size: int, block: tuple) -> BlockTooLargeError:
     """The refusal of a block whose band or product needs ``size`` bytes."""
     return BlockTooLargeError(
@@ -567,9 +577,9 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
     nonzero entries, sorted by (row, column), with values in [1, p).  The
     rows are the family rows ranked by s1 pivot, then the Koszul rows (see
     the module docstring).  Each block of ``_classes`` is read once per call
-    from ``_block_entry``, which runs the band guard and builds and checks
-    only a block the cache does not hold.  The returned arrays are new on
-    every call.
+    from ``_block_entry``, which runs the band guard on the block's record
+    and builds and checks only a block the cache does not hold.  The
+    returned arrays are new on every call.
     """
     ring = spec.ring
     a1, a2, a3 = spec.exponents
@@ -589,7 +599,8 @@ def _structured_kernel(spec: SyzygySpec, n: int) -> tuple:
         # per class: i, j0 and i2 = i + a1 - t d, the X-exponent of its
         # products with X^a1; side by side, a copy of its block's pivots
         # and one of its nonzeros
-        i, j0 = np.array([c[:2] for c in found], dtype=np.int64).T
+        i = np.array([c[0] for c in found], dtype=np.int64)
+        j0 = np.array([c[1] for c in found], dtype=np.int64)
         i2 = (i + a1) % d
         pivots = np.concatenate([c[2][0] for c in found])
         k_sizes = np.array([len(c[2][0]) for c in found])
@@ -671,13 +682,15 @@ def first_section(spec: SyzygySpec, n: int) -> SectionVector:
     where lead is the first pivot of its block.  The positions with
     X-exponent i form one run of R_m1, wholly before the run of i + 1, so
     row 0 belongs to the least i that has a class with a kernel.  A block
-    (t, A, B, N) has a kernel exactly when N + t >= m1, N at least its
-    family's threshold N* = max(0, m1 - t).  Only that
+    (t, A, B, N) has a kernel exactly when the nullity of its
+    ``_block_facts`` record is positive, which is N + t >= m1, N at least
+    its family's threshold N* = max(0, m1 - t).  Only that
     i's blocks are read through ``_block_entry``, ranked by j0 + d * lead,
     and row 0 is local row 0 of the least one's block.  The band guard
-    still runs on every block with a kernel at the twist, in closed form
-    and before anything is built, so a block past ``BAND_LIMIT_BYTES`` at
-    any X-exponent refuses the twist.  Without a family row it is the first
+    still runs on every block with a kernel at the twist, on the record's
+    band bytes and before anything is built, so a block past
+    ``BAND_LIMIT_BYTES`` at any X-exponent refuses the twist, with the
+    message ``_block_entry`` would give.  Without a family row it is the first
     Koszul row (0, Z^a3 g, -Y^a2 g), g = Z^(n - a2 - a3).
     """
     field = spec.ring.field
@@ -687,12 +700,12 @@ def first_section(spec: SyzygySpec, n: int) -> SectionVector:
     d = spec.d or n + 1
     terms = ({}, {}, {})
     classes, blocks = _classes(spec, n)
-    kernel = []  # per block: has it a kernel, i.e. is N at least the threshold
-    for t, A, B, N in blocks:
-        has = N + t >= _syzygy_degrees(p, t, A, B)[0]
-        if has:  # read or not: every band refusal stays
-            _band_guard(t, A, B, N)
-        kernel.append(has)
+    kernel = []  # per block: has it a kernel
+    for key in blocks:
+        nullity, _g3, _g2, band = _block_facts(p, *key)
+        if nullity and band > BAND_LIMIT_BYTES:  # read or not: every band refusal stays
+            raise _too_large("band", band, key)
+        kernel.append(nullity > 0)
     least = None  # (rank, i, j0, entry) of the least class at the least i
     for i, j0, k in classes:  # in order of i, then j0
         if kernel[k]:
@@ -727,7 +740,8 @@ def section_space_dim(spec: SyzygySpec, n: int, method: str = "structured") -> i
     """Dimension of the degree-n syzygy space, which is h^0 of the twist-n bundle.
 
     The structured count is the Koszul family plus the closed-form family
-    nullities; ``method="dense"`` takes it from the rank of ``syzygy_matrix``
+    nullities, read from each block's ``_block_facts`` record;
+    ``method="dense"`` takes it from the rank of ``syzygy_matrix``
     instead.
     """
     if method == "dense":
@@ -736,7 +750,7 @@ def section_space_dim(spec: SyzygySpec, n: int, method: str = "structured") -> i
     if method != "structured":
         raise ValueError(f"unknown method {method!r}")
     classes, blocks = _classes(spec, n)
-    nullity = [_nullity(spec.p, *key) for key in blocks]
+    nullity = [_block_facts(spec.p, *key)[0] for key in blocks]
     koszul = spec.ring.hilbert(n - spec.exponents[1] - spec.exponents[2])
     return koszul + sum(nullity[k] for _i, _j0, k in classes)
 

@@ -61,7 +61,15 @@ def _print_json(obj):
 
 def _parse_int_list(text: str) -> list:
     """Accept "5", "2,3,5" and "4..12" (inclusive range); a value may appear
-    once, or a scan would write its cells twice."""
+    once, or a scan would write its cells twice.  A part that is not an
+    integer is named in the error."""
+
+    def integer(part: str) -> int:
+        try:
+            return int(part)
+        except ValueError:
+            raise ValueError(f"{part!r} is not an integer in {text!r}") from None
+
     values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -69,12 +77,12 @@ def _parse_int_list(text: str) -> list:
         if "" in bounds:
             raise ValueError(f"empty value in {text!r}")
         if len(bounds) == 2:
-            lo, hi = map(int, bounds)
+            lo, hi = map(integer, bounds)
             if lo > hi:
                 raise ValueError(f"empty range {chunk!r}")
             values.extend(range(lo, hi + 1))
         else:
-            values.append(int(chunk))
+            values.append(integer(chunk))
     seen = set()
     for value in values:
         if value in seen:

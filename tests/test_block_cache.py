@@ -112,6 +112,27 @@ def test_band_guard_refuses_a_cached_block(monkeypatch):
         _block_entry(*BANDED)
     monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", band_bytes)
     assert _block_entry(*BANDED) is entry
+    # a twist whose blocks and records a warm pass holds is refused, by both
+    # section_space and first_section, with the refusal of a cold cache: the
+    # quintic's twist 30 of (16, 16, 16) over F_2 has a band of 24 bytes
+    spec, n = SyzygySpec(2, 5, (16, 16, 16)), 30
+    calls = (section_space, first_section)
+    monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", 23)
+    cold = []
+    for call in calls:
+        bundle.clear_block_cache()
+        with pytest.raises(BlockTooLargeError) as refused:
+            call(spec, n)
+        cold.append(str(refused.value))
+    assert cold == ["block (t, A, B, N) = (3, 4, 3, 2) needs a band of 24 bytes, above the limit of 23"] * 2
+    monkeypatch.undo()
+    for call in calls:
+        call(spec, n)
+    monkeypatch.setattr(bundle, "BAND_LIMIT_BYTES", 23)
+    for call, message in zip(calls, cold):
+        with pytest.raises(BlockTooLargeError) as refused:
+            call(spec, n)
+        assert str(refused.value) == message
 
 
 # (t, A, B, N) = (2, 2, 3, 1) over F_5 has a band of 2 entries and a product
@@ -221,3 +242,26 @@ def test_a_warm_pass_builds_no_block(monkeypatch):
     products.clear()
     one_pass()
     assert products == []
+
+
+def test_a_warm_pass_computes_no_closed_form(monkeypatch):
+    # once one pass has filled the caches, every block lookup of a second
+    # pass reads the block's record: with every closed form refused, it
+    # writes the same bytes
+    sections, certificates = list(section_ops()), certificate_ops()
+
+    def one_pass():
+        return (
+            [[s.serialize() for s in section_space(spec, n)] for spec, n in sections],
+            [first_section(spec, n).serialize() for spec, n in certificates],
+        )
+
+    bundle.clear_block_cache()
+    cold = one_pass()
+
+    def refuse(*_args):
+        raise AssertionError("a closed form was computed")
+
+    for name in ("_nullity", "_band_rows", "_syzygy_degrees"):
+        monkeypatch.setattr(bundle, name, refuse)
+    assert one_pass() == cold

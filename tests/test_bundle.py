@@ -887,7 +887,7 @@ def test_check_syzygies_runs_without_the_block_construction(monkeypatch):
     def refuse(*_args):
         raise AssertionError("the check reached the kernel's construction")
 
-    for name in ("_block_entry", "_block_kernel", "_band", "_times_binomial"):
+    for name in ("_block_facts", "_block_entry", "_block_kernel", "_band", "_times_binomial"):
         monkeypatch.setattr(bundle, name, refuse)
     for spec, n, kernel in kernels:
         spec.ring.check_syzygies(kernel, n, spec.exponents)
@@ -932,3 +932,22 @@ def test_dimension_matches_riemann_roch(p):
             for n in (n0, n0 + 1, n0 + 2, n0 + 5):
                 expected = 2 * d * n - d * sum(exps) + 2 * (1 - g)
                 assert section_space_dim(spec, n) == expected, (p, d, exps, n)
+
+
+def test_sections_benchmark_counts_match_the_dense_rank_and_riemann_roch():
+    # perfbench/gen_expected.py's cross-check of the sections benchmark: each
+    # op's basis size equals the dense kernel dimension wherever the dense
+    # matrix has at most 120,000 entries, and the Riemann-Roch dimension
+    # wherever H^1 vanishes (see test_dimension_matches_riemann_roch)
+    by_dense = by_rr = 0
+    for spec, n in section_ops():
+        ring, d, exps = spec.ring, spec.d, spec.exponents
+        count = len(section_space(spec, n))
+        if ring.hilbert(n) * sum(ring.hilbert(n - a) for a in exps) <= 120_000:
+            assert count == section_space_dim(spec, n, "dense"), (spec, n)
+            by_dense += 1
+        if n >= max(sum(exps) - 2, max(exps) + d - 2):
+            g = (d - 1) * (d - 2) // 2
+            assert count == 2 * d * n - d * sum(exps) + 2 * (1 - g), (spec, n)
+            by_rr += 1
+    assert by_dense == 100 and by_rr > 0

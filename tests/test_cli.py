@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -21,6 +22,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# a scan option, a list value for it and the part of it that is not an integer
+NOT_INTEGERS = [
+    ("--d", "2..3..4", "3..4"),
+    ("--d", "4..x", "x"),
+    ("--p", "abc", "abc"),
+    ("--d", "4,5.5", "5.5"),
+]
+
+
 def test_parse_int_list():
     assert _parse_int_list("5") == [5]
     assert _parse_int_list("2,3,5,7") == [2, 3, 5, 7]
@@ -33,6 +43,10 @@ def test_parse_int_list():
     for text in ("2,", "", "3,,5", "4..", "..7"):
         with pytest.raises(ValueError, match=f"^empty value in {text!r}$"):
             _parse_int_list(text)
+    for _option, text, part in NOT_INTEGERS:
+        with pytest.raises(ValueError) as refused:
+            _parse_int_list(text)
+        assert str(refused.value) == f"{part!r} is not an integer in {text!r}"
 
 
 @pytest.mark.parametrize("p, d, text", [("2,", "4", "'2,'"), ("2", "", "''")])
@@ -40,6 +54,15 @@ def test_scan_with_an_empty_value_is_a_usage_error(tmp_path, capsys, p, d, text)
     out = tmp_path / "scan.jsonl"
     code, stdout, err = run_cli(capsys, "scan", "--p", p, "--d", d, "--a", "1", "--out", str(out))
     assert (code, stdout, err) == (1, "", f"error: empty value in {text}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, text, part", NOT_INTEGERS)
+def test_scan_with_a_value_that_is_not_an_integer_is_a_usage_error(tmp_path, capsys, option, text, part):
+    out = tmp_path / "scan.jsonl"
+    argv = {"--p": "2", "--d": "5", "--a": "1", option: text}
+    code, stdout, err = run_cli(capsys, "scan", *itertools.chain(*argv.items()), "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: {part!r} is not an integer in {text!r}\n")
     assert not out.exists()
 
 
